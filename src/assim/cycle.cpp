@@ -25,18 +25,20 @@ AssimilationCycle::AssimilationCycle(ModelFn model, TimeMs start,
 }
 
 void AssimilationCycle::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.steps = &registry->counter("assim.steps");
-  metrics_.observations_used = &registry->counter("assim.observations_used");
-  metrics_.stalled_steps = &registry->counter("assim.stalled_steps");
-  metrics_.innovation_rms = &registry->gauge("assim.innovation_rms");
-  metrics_.residual_rms = &registry->gauge("assim.residual_rms");
+  sources_.detach();
+  cycle_ms_ = nullptr;
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  sources_.counter(r, "assim.steps", stats_.steps);
+  sources_.counter(r, "assim.observations_used", stats_.observations_used);
+  sources_.counter(r, "assim.stalled_steps", stats_.stalled_steps);
+  sources_.gauge(r, "assim.innovation_rms",
+                 [this] { return stats_.innovation_rms; });
+  sources_.gauge(r, "assim.residual_rms",
+                 [this] { return stats_.residual_rms; });
   // Wall-clock step cost, not virtual time: an analysis step takes
   // microseconds-to-milliseconds of real compute.
-  metrics_.cycle_ms = &registry->histogram(
+  cycle_ms_ = &r.histogram(
       "assim.cycle_ms",
       {0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0});
 }
@@ -59,11 +61,8 @@ CycleStep AssimilationCycle::advance(
     analysis_ = std::move(stalled_background);
     model_at_now_ = std::move(model_next);
     now_ = next;
-    ++steps_;
-    if (metrics_.steps != nullptr) {
-      metrics_.steps->inc();
-      metrics_.stalled_steps->inc();
-    }
+    ++stats_.steps;
+    ++stats_.stalled_steps;
     CycleStep step;
     step.at = now_;
     step.stalled = true;
@@ -111,7 +110,10 @@ CycleStep AssimilationCycle::advance(
   analysis_ = std::move(result.analysis);
   model_at_now_ = std::move(model_next);
   now_ = next;
-  ++steps_;
+  ++stats_.steps;
+  stats_.observations_used += result.observations_used;
+  stats_.innovation_rms = result.innovation_rms;
+  stats_.residual_rms = result.residual_rms;
 
   CycleStep step;
   step.at = now_;
@@ -124,16 +126,10 @@ CycleStep AssimilationCycle::advance(
       if (obs.span_id != 0)
         tracer_->stamp(obs.span_id, obs::Hop::kAssimilated, next);
   }
-  if (metrics_.steps != nullptr) {
-    metrics_.steps->inc();
-    metrics_.observations_used->inc(result.observations_used);
-    metrics_.innovation_rms->set(result.innovation_rms);
-    metrics_.residual_rms->set(result.residual_rms);
-    metrics_.cycle_ms->observe(
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-  }
+  if (cycle_ms_ != nullptr)
+    cycle_ms_->observe(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - wall_start)
+                           .count());
   return step;
 }
 

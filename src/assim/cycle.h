@@ -59,6 +59,15 @@ struct CycleStep {
   bool stalled = false;
 };
 
+/// Cumulative cycle counters plus the last assimilated step's diagnostics.
+struct CycleStats {
+  std::uint64_t steps = 0;
+  std::uint64_t observations_used = 0;
+  std::uint64_t stalled_steps = 0;
+  double innovation_rms = 0.0;  ///< of the last step that assimilated
+  double residual_rms = 0.0;
+};
+
 /// The running assimilation cycle. The model field is supplied by a
 /// callback so any simulator (CityNoiseModel or a test stub) can drive it.
 class AssimilationCycle {
@@ -90,11 +99,13 @@ class AssimilationCycle {
   const CycleConfig& config() const { return config_; }
 
   /// Steps executed so far.
-  std::size_t steps() const { return steps_; }
+  std::size_t steps() const { return stats_.steps; }
+  const CycleStats& stats() const { return stats_; }
 
-  /// Mirrors step diagnostics into "assim.*" registry metrics: steps /
-  /// observations_used counters, innovation_rms / residual_rms gauges and
-  /// the assim.cycle_ms wall-clock histogram. Pass nullptr to detach.
+  /// Registers the stats as "assim.*" registry metrics: steps /
+  /// observations_used / stalled_steps counters and innovation_rms /
+  /// residual_rms gauges; also records the assim.cycle_ms wall-clock
+  /// histogram. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
   /// Attaches a span tracker: observations of each advance() window that
@@ -115,20 +126,11 @@ class AssimilationCycle {
   Grid analysis_;
   Grid model_at_now_;
   Grid spread_;
-  std::size_t steps_ = 0;
-
-  /// Hoisted registry handles, null when no registry is attached.
-  struct Metrics {
-    obs::Counter* steps = nullptr;
-    obs::Counter* observations_used = nullptr;
-    obs::Counter* stalled_steps = nullptr;
-    obs::Gauge* innovation_rms = nullptr;
-    obs::Gauge* residual_rms = nullptr;
-    obs::LatencyHistogram* cycle_ms = nullptr;
-  };
-  Metrics metrics_;
+  CycleStats stats_;
+  obs::LatencyHistogram* cycle_ms_ = nullptr;
   obs::SpanTracker* tracer_ = nullptr;
   fault::FaultPoint stall_fault_;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::assim

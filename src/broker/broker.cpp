@@ -83,28 +83,22 @@ void RouteCache::clear() {
   lru_.clear();
 }
 
-BrokerStats Broker::take_stats() {
-  BrokerStats snapshot = stats_;
-  stats_ = BrokerStats{};
-  return snapshot;
-}
-
 void Broker::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.published = &registry->counter("broker.published");
-  metrics_.delivered = &registry->counter("broker.delivered");
-  metrics_.consumed = &registry->counter("broker.consumed");
-  metrics_.unroutable = &registry->counter("broker.unroutable");
-  metrics_.dropped_overflow = &registry->counter("broker.dropped_overflow");
-  metrics_.expired = &registry->counter("broker.expired");
-  metrics_.route_cache_hits = &registry->counter("broker.route_cache_hits");
-  metrics_.route_cache_misses = &registry->counter("broker.route_cache_misses");
-  metrics_.exchanges = &registry->gauge("broker.exchanges");
-  metrics_.queues = &registry->gauge("broker.queues");
-  update_topology_gauges();
+  sources_.detach();
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  sources_.counter(r, "broker.published", stats_.published);
+  sources_.counter(r, "broker.delivered", stats_.delivered);
+  sources_.counter(r, "broker.consumed", stats_.consumed);
+  sources_.counter(r, "broker.unroutable", stats_.unroutable);
+  sources_.counter(r, "broker.dropped_overflow", stats_.dropped_overflow);
+  sources_.counter(r, "broker.expired", stats_.expired);
+  sources_.counter(r, "broker.route_cache_hits", stats_.route_cache_hits);
+  sources_.counter(r, "broker.route_cache_misses", stats_.route_cache_misses);
+  sources_.gauge(r, "broker.exchanges",
+                 [this] { return static_cast<double>(exchanges_.size()); });
+  sources_.gauge(r, "broker.queues",
+                 [this] { return static_cast<double>(queues_.size()); });
 }
 
 void Broker::arm_faults(fault::FaultPlan* plan) {
@@ -136,13 +130,6 @@ void Broker::log_dequeue(const std::string& queue_name, const Queue& q,
                    {"seq", Value(static_cast<std::int64_t>(sequence))}}));
 }
 
-void Broker::update_topology_gauges() {
-  if (metrics_.exchanges != nullptr)
-    metrics_.exchanges->set(static_cast<double>(exchanges_.size()));
-  if (metrics_.queues != nullptr)
-    metrics_.queues->set(static_cast<double>(queues_.size()));
-}
-
 Status Broker::declare_exchange(const std::string& name, ExchangeType type) {
   auto it = exchanges_.find(name);
   if (it != exchanges_.end()) {
@@ -156,7 +143,6 @@ Status Broker::declare_exchange(const std::string& name, ExchangeType type) {
                           {"name", Value(name)},
                           {"type", Value(static_cast<std::int64_t>(type))}}));
   exchanges_[name].type = type;
-  update_topology_gauges();
   return {};
 }
 
@@ -173,7 +159,6 @@ Status Broker::delete_exchange(const std::string& name) {
         }) > 0)
       recompile(ex);
   }
-  update_topology_gauges();
   return {};
 }
 
@@ -187,7 +172,6 @@ Status Broker::declare_queue(const std::string& name, QueueOptions options) {
       {"ttl", Value(static_cast<std::int64_t>(options.message_ttl))},
       {"durable", Value(options.durable)}}));
   queues_[name].options = options;
-  update_topology_gauges();
   return {};
 }
 
@@ -206,7 +190,6 @@ Status Broker::delete_queue(const std::string& name) {
         }) > 0)
       recompile(ex);
   }
-  update_topology_gauges();
   return {};
 }
 
@@ -376,14 +359,10 @@ void Broker::collect_matches(Exchange& ex, const std::string& routing_key,
       if (const std::vector<std::uint32_t>* cached =
               ex.cache.find(routing_key)) {
         ++stats_.route_cache_hits;
-        if (metrics_.route_cache_hits != nullptr)
-          metrics_.route_cache_hits->inc();
         for (std::uint32_t i : *cached) out.push_back(ex.bindings[i]);
         return;
       }
       ++stats_.route_cache_misses;
-      if (metrics_.route_cache_misses != nullptr)
-        metrics_.route_cache_misses->inc();
       ex.trie.match(routing_key, match_scratch_);
       for (std::uint32_t i : match_scratch_) out.push_back(ex.bindings[i]);
       ex.cache.put(routing_key, match_scratch_);
@@ -396,7 +375,6 @@ void Broker::enqueue(const std::string& queue_name, Queue& q,
                      const Message& message, std::size_t& deliveries) {
   ++deliveries;
   ++stats_.delivered;
-  if (metrics_.delivered != nullptr) metrics_.delivered->inc();
   if (!q.consumers.empty()) {
     // Push path: hand directly to the next consumer (round-robin). The
     // message never buffers, so durability is the consumer's problem —
@@ -404,7 +382,6 @@ void Broker::enqueue(const std::string& queue_name, Queue& q,
     const Consumer& c = q.consumers[q.next_consumer % q.consumers.size()];
     q.next_consumer = (q.next_consumer + 1) % std::max<std::size_t>(q.consumers.size(), 1);
     ++stats_.consumed;
-    if (metrics_.consumed != nullptr) metrics_.consumed->inc();
     c.callback(message);
     return;
   }
@@ -428,7 +405,6 @@ void Broker::enqueue(const std::string& queue_name, Queue& q,
     q.messages.pop_front();  // drop-head
     log_dequeue(queue_name, q, dropped.sequence);
     ++stats_.dropped_overflow;
-    if (metrics_.dropped_overflow != nullptr) metrics_.dropped_overflow->inc();
     if (drop_hook_) drop_hook_(dropped, DropReason::kOverflow);
   }
 }
@@ -535,13 +511,11 @@ Result<PublishResult> Broker::publish_message(
   message.sequence = next_sequence_++;
   message.published_at = now;
   ++stats_.published;
-  if (metrics_.published != nullptr) metrics_.published->inc();
   std::size_t deliveries = 0;
   std::vector<std::string> visited;
   route(exchange, message, visited, deliveries);
   if (deliveries == 0) {
     ++stats_.unroutable;
-    if (metrics_.unroutable != nullptr) metrics_.unroutable->inc();
     if (drop_hook_) drop_hook_(message, DropReason::kUnroutable);
   }
   // Injected lost confirm: the message WAS routed, but the publisher
@@ -568,7 +542,6 @@ std::optional<Message> Broker::pop(const std::string& queue) {
   // basic.get with auto-ack: the message is gone for good at pop time.
   log_dequeue(queue, it->second, m.sequence);
   ++stats_.consumed;
-  if (metrics_.consumed != nullptr) metrics_.consumed->inc();
   return m;
 }
 
@@ -587,7 +560,6 @@ std::optional<Delivery> Broker::pop_reliable(const std::string& queue) {
   delivery.delivery_tag = next_delivery_tag_++;
   unacked_[delivery.delivery_tag] = Unacked{queue, delivery.message};
   ++stats_.consumed;
-  if (metrics_.consumed != nullptr) metrics_.consumed->inc();
   return delivery;
 }
 
@@ -653,7 +625,6 @@ std::size_t Broker::expire_messages(const std::string& queue, TimeMs now) {
     q.messages.pop_front();
     log_dequeue(queue, q, expired.sequence);
     ++dropped;
-    if (metrics_.expired != nullptr) metrics_.expired->inc();
     if (drop_hook_) drop_hook_(expired, DropReason::kExpired);
   }
   stats_.expired += dropped;
@@ -678,7 +649,6 @@ Result<ConsumerTag> Broker::subscribe(
     q.messages.pop_front();
     log_dequeue(queue, q, m.sequence);
     ++stats_.consumed;
-    if (metrics_.consumed != nullptr) metrics_.consumed->inc();
     q.consumers.back().callback(m);
   }
   return tag;
@@ -770,7 +740,6 @@ void Broker::restore_snapshot(const Value& state) {
   std::uint64_t seq =
       static_cast<std::uint64_t>(state.get_int("next_sequence"));
   next_sequence_ = std::max(next_sequence_, seq);
-  update_topology_gauges();
 }
 
 void Broker::apply_journal_record(const Value& record) {
@@ -846,7 +815,6 @@ void Broker::crash() {
   // Admission gates belong to the dead process's flow control; the
   // server reinstalls its gate during recovery.
   admission_gates_.clear();
-  update_topology_gauges();
 }
 
 }  // namespace mps::broker

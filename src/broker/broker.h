@@ -250,21 +250,13 @@ class Broker {
 
   // --- Observability ----------------------------------------------------
 
-  /// Cumulative counters since construction (or the last reset).
+  /// Cumulative counters since construction.
   const BrokerStats& stats() const { return stats_; }
 
-  /// Snapshot-and-reset: returns the counters accumulated since the last
-  /// take and zeroes them, so bench phases measure deltas. Registry
-  /// metrics (set_metrics) are NOT reset — they stay the process-wide
-  /// aggregate, with their own Registry::snapshot_and_reset().
-  BrokerStats take_stats();
-
-  void reset_stats() { stats_ = BrokerStats{}; }
-
-  /// Mirrors every counter bump into `registry` under "broker.*" names
+  /// Registers the counters with `registry` under "broker.*" names
   /// (published, delivered, consumed, unroutable, dropped_overflow,
-  /// expired) and keeps "broker.exchanges"/"broker.queues" gauges current.
-  /// Pass nullptr to detach.
+  /// expired, route_cache_hits/misses) and the exchange and queue counts
+  /// as "broker.exchanges"/"broker.queues" gauges. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
   /// Called for every message the broker discards (drop-head overflow,
@@ -409,22 +401,6 @@ class Broker {
     Message message;
   };
 
-  void update_topology_gauges();
-
-  /// Hoisted registry handles, null when no registry is attached.
-  struct Metrics {
-    obs::Counter* published = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* consumed = nullptr;
-    obs::Counter* unroutable = nullptr;
-    obs::Counter* dropped_overflow = nullptr;
-    obs::Counter* expired = nullptr;
-    obs::Counter* route_cache_hits = nullptr;
-    obs::Counter* route_cache_misses = nullptr;
-    obs::Gauge* exchanges = nullptr;
-    obs::Gauge* queues = nullptr;
-  };
-
   std::map<std::string, Exchange> exchanges_;
   std::map<std::string, Queue> queues_;
   std::map<ConsumerTag, std::string> consumer_queue_;
@@ -437,7 +413,6 @@ class Broker {
   fault::FaultPoint ack_lost_fault_;
   fault::FaultPoint consume_fault_;
   BrokerStats stats_;
-  Metrics metrics_;
   DropHook drop_hook_;
   /// Per-queue admission gates; empty in the default topology, so the
   /// publish hot path pays one empty() check. Cleared by crash() (flow
@@ -448,6 +423,7 @@ class Broker {
   /// Trie-match scratch, reused across publishes (single-threaded; match
   /// results are copied into locals before any consumer callback runs).
   std::vector<std::uint32_t> match_scratch_;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::broker

@@ -62,28 +62,22 @@ void GoFlowClient::start() { timer_.start(); }
 
 void GoFlowClient::stop() { timer_.stop(); }
 
-ClientStats GoFlowClient::take_stats() {
-  ClientStats snapshot = stats_;
-  stats_ = ClientStats{};
-  return snapshot;
-}
-
 void GoFlowClient::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.recorded = &registry->counter("client.recorded");
-  metrics_.uploads = &registry->counter("client.uploads");
-  metrics_.deferred_uploads = &registry->counter("client.deferred_uploads");
-  metrics_.observations_uploaded =
-      &registry->counter("client.observations_uploaded");
-  metrics_.dropped_not_shared = &registry->counter("client.dropped_not_shared");
-  metrics_.publish_failures = &registry->counter("client.publish_failures");
-  metrics_.upload_retries = &registry->counter("retry.client_upload");
-  metrics_.retry_giveups = &registry->counter("retry.client_giveups");
-  metrics_.crashes = &registry->counter("client.crashes");
-  metrics_.delivery_delay = &registry->histogram("client.delivery_delay_ms");
+  sources_.detach();
+  delivery_delay_ = nullptr;
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  sources_.counter(r, "client.recorded", stats_.observations_recorded);
+  sources_.counter(r, "client.uploads", stats_.uploads);
+  sources_.counter(r, "client.deferred_uploads", stats_.deferred_uploads);
+  sources_.counter(r, "client.observations_uploaded",
+                   stats_.observations_uploaded);
+  sources_.counter(r, "client.dropped_not_shared", stats_.dropped_not_shared);
+  sources_.counter(r, "client.publish_failures", stats_.publish_failures);
+  sources_.counter(r, "retry.client_upload", stats_.upload_retries);
+  sources_.counter(r, "retry.client_giveups", stats_.retry_giveups);
+  sources_.counter(r, "client.crashes", stats_.crashes);
+  delivery_delay_ = &r.histogram("client.delivery_delay_ms");
 }
 
 void GoFlowClient::on_sense_tick(TimeMs now) {
@@ -159,14 +153,11 @@ void GoFlowClient::record(const phone::Observation& observation) {
     return;
   }
   ++stats_.observations_recorded;
-  if (metrics_.recorded != nullptr) metrics_.recorded->inc();
   std::uint64_t span_id = observation.span_id;
   if (tracer_ != nullptr && span_id == 0)
     span_id = tracer_->begin(observation.captured_at);
   if (!config_.share) {
     ++stats_.dropped_not_shared;
-    if (metrics_.dropped_not_shared != nullptr)
-      metrics_.dropped_not_shared->inc();
     if (tracer_ != nullptr)
       tracer_->drop(span_id, obs::DropStage::kNotShared, sim_.now());
     return;  // quantified-self only: data stays on the device
@@ -238,7 +229,6 @@ bool GoFlowClient::try_upload() {
   // means the batch is kept and retried at the next cycle.
   if (!phone_.connectivity().connected_at(now)) {
     ++stats_.deferred_uploads;
-    if (metrics_.deferred_uploads != nullptr) metrics_.deferred_uploads->inc();
     return false;
   }
 
@@ -270,8 +260,8 @@ bool GoFlowClient::try_upload() {
                                          batch_size});
     if (tracer_ != nullptr)
       tracer_->stamp(obs.span_id, obs::Hop::kUploaded, delivered_at);
-    if (metrics_.delivery_delay != nullptr)
-      metrics_.delivery_delay->observe(
+    if (delivery_delay_ != nullptr)
+      delivery_delay_->observe(
           static_cast<double>(delivered_at - obs.captured_at));
   }
   auto batch = std::make_unique<InFlight>();
@@ -283,9 +273,6 @@ bool GoFlowClient::try_upload() {
   in_flight_ = std::move(batch);
   ++stats_.uploads;
   stats_.observations_uploaded += batch_size;
-  if (metrics_.uploads != nullptr) metrics_.uploads->inc();
-  if (metrics_.observations_uploaded != nullptr)
-    metrics_.observations_uploaded->inc(batch_size);
 
   // Deliver to the broker when the transfer completes in virtual time.
   in_flight_->event = sim_.at(delivered_at, [this] { deliver_in_flight(); });
@@ -338,12 +325,10 @@ void GoFlowClient::deliver_in_flight() {
   }
 
   ++stats_.publish_failures;
-  if (metrics_.publish_failures != nullptr) metrics_.publish_failures->inc();
   if (batch.attempts >= config_.max_publish_attempts) {
     // Give up on this transfer; the observations go back to the FRONT of
     // the store-and-forward buffer (order!) for a future upload cycle.
     ++stats_.retry_giveups;
-    if (metrics_.retry_giveups != nullptr) metrics_.retry_giveups->inc();
     MPS_LOG_WARN("goflow-client",
                  "publish abandoned after " +
                      std::to_string(batch.attempts) +
@@ -359,7 +344,6 @@ void GoFlowClient::deliver_in_flight() {
   }
   // Exponential backoff with jitter, driven by the sim clock.
   ++stats_.upload_retries;
-  if (metrics_.upload_retries != nullptr) metrics_.upload_retries->inc();
   DurationMs delay =
       fault::backoff_delay(batch.attempts, config_.retry_base,
                            config_.retry_max, config_.retry_jitter, retry_rng_);
@@ -369,7 +353,6 @@ void GoFlowClient::deliver_in_flight() {
 void GoFlowClient::crash() {
   if (down_) return;
   ++stats_.crashes;
-  if (metrics_.crashes != nullptr) metrics_.crashes->inc();
   obs::FlightRecorder::record(obs::FrEvent::kClientCrash,
                               obs::fr_hash(config_.client_id), stats_.crashes,
                               sim_.now());

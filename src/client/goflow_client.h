@@ -240,16 +240,10 @@ class GoFlowClient {
 
   // --- Observability ----------------------------------------------------
 
-  /// Snapshot-and-reset of the client counters: returns the stats
-  /// accumulated since the last take and zeroes them (bench phases
-  /// measure deltas; registry metrics keep aggregating independently).
-  ClientStats take_stats();
-
-  void reset_stats() { stats_ = ClientStats{}; }
-
-  /// Mirrors counter bumps into `registry` under "client.*" names and
-  /// records per-observation delivery delays into the
-  /// "client.delivery_delay_ms" histogram. Pass nullptr to detach.
+  /// Registers the counters with `registry` under "client.*" and
+  /// "retry.client_*" names and records per-observation delivery delays
+  /// into the "client.delivery_delay_ms" histogram. Pass nullptr to
+  /// detach.
   void set_metrics(obs::Registry* registry);
 
   /// Attaches a span tracker: every recorded observation gets a span
@@ -306,22 +300,9 @@ class GoFlowClient {
   int still_ticks_ = 0;
   std::vector<DeliveryRecord> deliveries_;
   ClientStats stats_;
-
-  /// Hoisted registry handles, null when no registry is attached.
-  struct Metrics {
-    obs::Counter* recorded = nullptr;
-    obs::Counter* uploads = nullptr;
-    obs::Counter* deferred_uploads = nullptr;
-    obs::Counter* observations_uploaded = nullptr;
-    obs::Counter* dropped_not_shared = nullptr;
-    obs::Counter* publish_failures = nullptr;
-    obs::Counter* upload_retries = nullptr;
-    obs::Counter* retry_giveups = nullptr;
-    obs::Counter* crashes = nullptr;
-    obs::LatencyHistogram* delivery_delay = nullptr;
-  };
-  Metrics metrics_;
+  obs::LatencyHistogram* delivery_delay_ = nullptr;
   obs::SpanTracker* tracer_ = nullptr;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::client

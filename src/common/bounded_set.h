@@ -18,8 +18,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace mps {
 
 class BoundedKeySet {
@@ -34,7 +32,6 @@ class BoundedKeySet {
       keys_.erase(order_.front());
       order_.pop_front();
       ++evictions_;
-      if (eviction_counter_ != nullptr) eviction_counter_->inc();
     }
     order_.push_back(key);
     keys_.insert(key);
@@ -45,7 +42,9 @@ class BoundedKeySet {
 
   std::size_t size() const { return order_.size(); }
   std::size_t capacity() const { return capacity_; }
-  std::uint64_t evictions() const { return evictions_; }
+  /// Keys evicted since construction (clear() keeps the count). A
+  /// reference, so an owner can register it as a metrics source.
+  const std::uint64_t& evictions() const { return evictions_; }
 
   /// Keys oldest-first — snapshot in this order and re-insert to rebuild
   /// an identical eviction queue.
@@ -77,18 +76,11 @@ class BoundedKeySet {
     return out;
   }
 
-  /// Evictions additionally bump this counter when set (e.g. the server's
-  /// `server.dedup_evictions`).
-  void set_eviction_counter(obs::Counter* counter) {
-    eviction_counter_ = counter;
-  }
-
  private:
   std::size_t capacity_;
   std::unordered_set<std::string> keys_;
   std::deque<std::string> order_;  ///< insertion order, front = oldest
   std::uint64_t evictions_ = 0;
-  obs::Counter* eviction_counter_ = nullptr;
 };
 
 }  // namespace mps

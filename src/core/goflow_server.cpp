@@ -85,26 +85,21 @@ void GoFlowServer::subscribe_ingest() {
 
 void GoFlowServer::set_metrics(obs::Registry* registry) {
   metrics_registry_ = registry;
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    seen_batch_ids_.set_eviction_counter(nullptr);
-    seen_obs_keys_.set_eviction_counter(nullptr);
-    return;
-  }
-  metrics_.batches_ingested = &registry->counter("server.batches_ingested");
-  metrics_.observations_stored =
-      &registry->counter("server.observations_stored");
-  metrics_.duplicate_batches = &registry->counter("server.duplicate_batches");
-  metrics_.duplicate_observations =
-      &registry->counter("server.duplicate_observations");
-  metrics_.ingest_retries = &registry->counter("retry.ingest_backoffs");
-  metrics_.admission_shed = &registry->counter("server.admission_shed");
-  metrics_.admission_accepted =
-      &registry->counter("server.admission_accepted");
-  metrics_.ingest_delay = &registry->histogram("server.ingest_delay_ms");
-  obs::Counter* evictions = &registry->counter("server.dedup_evictions");
-  seen_batch_ids_.set_eviction_counter(evictions);
-  seen_obs_keys_.set_eviction_counter(evictions);
+  sources_.detach();
+  ingest_delay_ = nullptr;
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  sources_.counter(r, "server.batches_ingested", live_.batches);
+  sources_.counter(r, "server.observations_stored", live_.observations);
+  sources_.counter(r, "server.duplicate_batches", live_.duplicate_batches);
+  sources_.counter(r, "server.duplicate_observations",
+                   live_.duplicate_observations);
+  sources_.counter(r, "retry.ingest_backoffs", live_.ingest_retries);
+  sources_.counter(r, "server.admission_shed", live_.admission_sheds);
+  sources_.counter(r, "server.admission_accepted", live_.admission_accepted);
+  sources_.counter(r, "server.dedup_evictions", seen_batch_ids_.evictions());
+  sources_.counter(r, "server.dedup_evictions", seen_obs_keys_.evictions());
+  ingest_delay_ = &r.histogram("server.ingest_delay_ms");
 }
 
 void GoFlowServer::note_dedup_evictions() {
@@ -184,12 +179,10 @@ bool GoFlowServer::admit(TimeMs now) {
   bool capacity_shed = config_.admission_max_pending > 0 &&
                        pending_batches_.size() >= config_.admission_max_pending;
   if (fault_shed || capacity_shed) {
-    ++admission_sheds_;
-    if (metrics_.admission_shed != nullptr) metrics_.admission_shed->inc();
+    ++live_.admission_sheds;
     return false;
   }
-  ++admission_accepted_;
-  if (metrics_.admission_accepted != nullptr) metrics_.admission_accepted->inc();
+  ++live_.admission_accepted;
   return true;
 }
 
@@ -431,9 +424,8 @@ void GoFlowServer::ingest(const broker::Message& message) {
   bool batch_is_new = batch_id.empty() || seen_batch_ids_.insert(batch_id);
   note_dedup_evictions();
   if (!batch_is_new) {
-    ++duplicate_batches_;
-    if (metrics_.duplicate_batches != nullptr)
-      metrics_.duplicate_batches->inc();
+    ++totals_.duplicate_batches;
+    ++live_.duplicate_batches;
     // Recovery replays the rejection so the post-crash counter agrees
     // with what the operator saw live.
     log_record(Value(Object{{"op", Value("srv.dupb")}}));
@@ -490,9 +482,8 @@ void GoFlowServer::ingest_flat(const broker::Message& message) {
   bool batch_is_new = batch_id.empty() || seen_batch_ids_.insert(batch_id);
   note_dedup_evictions();
   if (!batch_is_new) {
-    ++duplicate_batches_;
-    if (metrics_.duplicate_batches != nullptr)
-      metrics_.duplicate_batches->inc();
+    ++totals_.duplicate_batches;
+    ++live_.duplicate_batches;
     if (tracer_ != nullptr) {
       for (std::size_t i = 0; i < flat.size(); ++i)
         if (flat.span_id(i) != 0)
@@ -559,8 +550,8 @@ void GoFlowServer::store_batch(std::uint64_t id) {
     try {
       collection.insert(doc);  // copies, so a failed attempt can retry
     } catch (const fault::TransientError&) {
-      ++ingest_retries_;
-      if (metrics_.ingest_retries != nullptr) metrics_.ingest_retries->inc();
+      ++totals_.ingest_retries;
+      ++live_.ingest_retries;
       ++batch.attempts;
       DurationMs delay = fault::backoff_delay(
           batch.attempts, config_.ingest_retry_base, config_.ingest_retry_max,
@@ -618,8 +609,8 @@ void GoFlowServer::store_batch_flat(std::uint64_t id, PendingBatch& batch) {
     if (inserted < run_len) {
       // Transient store failure on row batch.next — identical backoff
       // and resume-in-place behaviour to the document path.
-      ++ingest_retries_;
-      if (metrics_.ingest_retries != nullptr) metrics_.ingest_retries->inc();
+      ++totals_.ingest_retries;
+      ++live_.ingest_retries;
       ++batch.attempts;
       DurationMs delay = fault::backoff_delay(
           batch.attempts, config_.ingest_retry_base, config_.ingest_retry_max,
@@ -643,9 +634,8 @@ bool GoFlowServer::account_stored_flat(std::uint64_t id, PendingBatch& batch,
   if (ait != apps_.end()) state = &ait->second;
 
   if (dup) {
-    ++duplicate_observations_;
-    if (metrics_.duplicate_observations != nullptr)
-      metrics_.duplicate_observations->inc();
+    ++totals_.duplicate_observations;
+    ++live_.duplicate_observations;
     if (tracer_ != nullptr && span != 0)
       tracer_->drop(span, obs::DropStage::kRejectedByServer, sim_.now());
   } else {
@@ -655,11 +645,10 @@ bool GoFlowServer::account_stored_flat(std::uint64_t id, PendingBatch& batch,
       note_dedup_evictions();
     }
     DurationMs delay = batch.published_at - flat.captured_at(i);
-    ++total_observations_;
-    if (metrics_.observations_stored != nullptr)
-      metrics_.observations_stored->inc();
-    if (metrics_.ingest_delay != nullptr)
-      metrics_.ingest_delay->observe(static_cast<double>(delay));
+    ++totals_.observations;
+    ++live_.observations;
+    if (ingest_delay_ != nullptr)
+      ingest_delay_->observe(static_cast<double>(delay));
     if (tracer_ != nullptr && span != 0) {
       tracer_->stamp(span, obs::Hop::kRouted, batch.published_at);
       tracer_->stamp(span, obs::Hop::kPersisted, sim_.now());
@@ -695,12 +684,11 @@ bool GoFlowServer::account_stored_doc(std::uint64_t id, PendingBatch& batch,
                             {"id", Value(static_cast<std::int64_t>(id))},
                             {"dup", Value(dup)}}));
   if (dup) {
-    ++duplicate_observations_;
-    // Registry metrics and the tracer live outside the server process
-    // (operator monitoring): replay must not double-count what they
-    // already saw live.
-    if (live && metrics_.duplicate_observations != nullptr)
-      metrics_.duplicate_observations->inc();
+    ++totals_.duplicate_observations;
+    // The live counts, the registry and the tracer live outside the
+    // server process (operator monitoring): replay must not double-count
+    // what they already saw live.
+    if (live) ++live_.duplicate_observations;
     if (live && tracer_ != nullptr && span != 0)
       tracer_->drop(span, obs::DropStage::kRejectedByServer, sim_.now());
   } else {
@@ -710,11 +698,10 @@ bool GoFlowServer::account_stored_doc(std::uint64_t id, PendingBatch& batch,
     }
     if (is_observations) {
       DurationMs delay = batch.delays[batch.next];
-      ++total_observations_;
-      if (live && metrics_.observations_stored != nullptr)
-        metrics_.observations_stored->inc();
-      if (live && metrics_.ingest_delay != nullptr)
-        metrics_.ingest_delay->observe(static_cast<double>(delay));
+      ++totals_.observations;
+      if (live) ++live_.observations;
+      if (live && ingest_delay_ != nullptr)
+        ingest_delay_->observe(static_cast<double>(delay));
       if (live && tracer_ != nullptr && span != 0) {
         tracer_->stamp(span, obs::Hop::kRouted, batch.published_at);
         tracer_->stamp(span, obs::Hop::kPersisted, sim_.now());
@@ -739,9 +726,8 @@ void GoFlowServer::finish_batch(std::uint64_t id, PendingBatch& batch,
   bool is_observations = !batch.app.empty() || batch.collection ==
                                                    config_.observations_collection;
   if (is_observations) {
-    ++total_batches_;
-    if (live && metrics_.batches_ingested != nullptr)
-      metrics_.batches_ingested->inc();
+    ++totals_.batches;
+    if (live) ++live_.batches;
     auto ait = apps_.find(batch.app);
     if (ait != apps_.end()) ++ait->second.analytics.batches_ingested;
   }
@@ -918,13 +904,7 @@ void GoFlowServer::crash() {
   pending_batches_.clear();
   token_counter_ = 0;
   job_counter_ = 0;
-  total_batches_ = 0;
-  total_observations_ = 0;
-  duplicate_batches_ = 0;
-  duplicate_observations_ = 0;
-  ingest_retries_ = 0;
-  admission_sheds_ = 0;
-  admission_accepted_ = 0;
+  totals_ = IngestCounts{};
   pending_counter_ = 0;
   down_ = true;
   ++epoch_;  // invalidates every scheduled ingest-retry timer
@@ -1001,14 +981,15 @@ Value GoFlowServer::durable_snapshot() const {
       {"pending", Value(std::move(pending))},
       {"token_counter", Value(static_cast<std::int64_t>(token_counter_))},
       {"job_counter", Value(static_cast<std::int64_t>(job_counter_))},
-      {"total_batches", Value(static_cast<std::int64_t>(total_batches_))},
+      {"total_batches", Value(static_cast<std::int64_t>(totals_.batches))},
       {"total_observations",
-       Value(static_cast<std::int64_t>(total_observations_))},
+       Value(static_cast<std::int64_t>(totals_.observations))},
       {"duplicate_batches",
-       Value(static_cast<std::int64_t>(duplicate_batches_))},
+       Value(static_cast<std::int64_t>(totals_.duplicate_batches))},
       {"duplicate_observations",
-       Value(static_cast<std::int64_t>(duplicate_observations_))},
-      {"ingest_retries", Value(static_cast<std::int64_t>(ingest_retries_))},
+       Value(static_cast<std::int64_t>(totals_.duplicate_observations))},
+      {"ingest_retries",
+       Value(static_cast<std::int64_t>(totals_.ingest_retries))},
       {"pending_counter", Value(static_cast<std::int64_t>(pending_counter_))}});
 }
 
@@ -1071,14 +1052,15 @@ void GoFlowServer::restore_snapshot(const Value& state) {
   }
   token_counter_ = static_cast<std::uint64_t>(state.get_int("token_counter"));
   job_counter_ = static_cast<std::uint64_t>(state.get_int("job_counter"));
-  total_batches_ = static_cast<std::uint64_t>(state.get_int("total_batches"));
-  total_observations_ =
+  totals_.batches = static_cast<std::uint64_t>(state.get_int("total_batches"));
+  totals_.observations =
       static_cast<std::uint64_t>(state.get_int("total_observations"));
-  duplicate_batches_ =
+  totals_.duplicate_batches =
       static_cast<std::uint64_t>(state.get_int("duplicate_batches"));
-  duplicate_observations_ =
+  totals_.duplicate_observations =
       static_cast<std::uint64_t>(state.get_int("duplicate_observations"));
-  ingest_retries_ = static_cast<std::uint64_t>(state.get_int("ingest_retries"));
+  totals_.ingest_retries =
+      static_cast<std::uint64_t>(state.get_int("ingest_retries"));
   pending_counter_ =
       static_cast<std::uint64_t>(state.get_int("pending_counter"));
 }
@@ -1119,7 +1101,7 @@ void GoFlowServer::apply_journal_record(const Value& record) {
     job_counter_ =
         std::max(job_counter_, static_cast<std::uint64_t>(record.get_int("n")));
   } else if (op == "srv.dupb") {
-    ++duplicate_batches_;
+    ++totals_.duplicate_batches;
   } else if (op == "srv.batch") {
     auto id = static_cast<std::uint64_t>(record.get_int("id"));
     std::string bid = record.get_string("bid");

@@ -234,22 +234,27 @@ class GoFlowServer {
 
   const ServerConfig& config() const { return config_; }
   docstore::Database& database() { return db_; }
-  std::uint64_t total_batches() const { return total_batches_; }
-  std::uint64_t total_observations() const { return total_observations_; }
+  // The ingest totals are server state: crash() clears them and recovery
+  // restores them.
+  std::uint64_t total_batches() const { return totals_.batches; }
+  std::uint64_t total_observations() const { return totals_.observations; }
   /// Batches discarded because their batch_id was already ingested
   /// (at-least-once transport redelivery made idempotent).
-  std::uint64_t duplicate_batches() const { return duplicate_batches_; }
+  std::uint64_t duplicate_batches() const { return totals_.duplicate_batches; }
   /// Individual observations skipped because their (client, span) key was
   /// already stored — catches a batch that got re-packaged under a new
   /// batch_id after a crash interrupted its retry cycle.
   std::uint64_t duplicate_observations() const {
-    return duplicate_observations_;
+    return totals_.duplicate_observations;
   }
   /// Backoff retries taken by the ingest path on transient store errors.
-  std::uint64_t ingest_retries() const { return ingest_retries_; }
-  /// Publishes shed / admitted by the ingest admission gate.
-  std::uint64_t admission_sheds() const { return admission_sheds_; }
-  std::uint64_t admission_accepted() const { return admission_accepted_; }
+  std::uint64_t ingest_retries() const { return totals_.ingest_retries; }
+  /// Publishes shed / admitted by the ingest admission gate since
+  /// construction (no snapshot carries them, so crash() keeps them).
+  std::uint64_t admission_sheds() const { return live_.admission_sheds; }
+  std::uint64_t admission_accepted() const {
+    return live_.admission_accepted;
+  }
   /// Dedup keys evicted to stay within the configured capacity bounds.
   std::uint64_t dedup_evictions() const {
     return seen_batch_ids_.evictions() + seen_obs_keys_.evictions();
@@ -266,9 +271,12 @@ class GoFlowServer {
 
   // --- Observability ----------------------------------------------------
 
-  /// Mirrors ingest activity into "server.*" registry metrics
-  /// (batches_ingested, observations_stored, duplicate_batches counters
-  /// and the server.ingest_delay_ms histogram). The registry is also what
+  /// Registers the live ingest counts with `registry` under "server.*"
+  /// names (batches_ingested, observations_stored, duplicate_*,
+  /// admission_*, dedup_evictions) and "retry.ingest_backoffs", and
+  /// records ingest delays into the server.ingest_delay_ms histogram.
+  /// These count what this object did live: a crash does not clear them
+  /// and recovery replay does not add to them. The registry is also what
   /// the REST API serves at GET /metrics. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
@@ -451,13 +459,23 @@ class GoFlowServer {
   broker::ConsumerTag ingest_tag_ = 0;
   std::uint64_t token_counter_ = 0;
   std::uint64_t job_counter_ = 0;
-  std::uint64_t total_batches_ = 0;
-  std::uint64_t total_observations_ = 0;
-  std::uint64_t duplicate_batches_ = 0;
-  std::uint64_t duplicate_observations_ = 0;
-  std::uint64_t ingest_retries_ = 0;
-  std::uint64_t admission_sheds_ = 0;
-  std::uint64_t admission_accepted_ = 0;
+  /// Ingest counts, held in two blocks because they are two facts.
+  struct IngestCounts {
+    std::uint64_t batches = 0;
+    std::uint64_t observations = 0;
+    std::uint64_t duplicate_batches = 0;
+    std::uint64_t duplicate_observations = 0;
+    std::uint64_t ingest_retries = 0;
+  };
+  /// Durable state: crash() clears it, snapshot + replay restore it.
+  IngestCounts totals_;
+  /// What this object did live, read by the registry: crash() never
+  /// clears it and replay never adds to it.
+  struct LiveCounts : IngestCounts {
+    std::uint64_t admission_sheds = 0;
+    std::uint64_t admission_accepted = 0;
+  };
+  LiveCounts live_;
   fault::FaultPoint admission_fault_;
   /// Recently ingested batch ids (bounded FIFO; capacity from config_).
   BoundedKeySet seen_batch_ids_{config_.batch_dedup_capacity};
@@ -472,22 +490,12 @@ class GoFlowServer {
   /// no-op if the server crashed (and possibly recovered) since.
   std::uint64_t epoch_ = 0;
 
-  /// Hoisted registry handles, null when no registry is attached.
-  struct Metrics {
-    obs::Counter* batches_ingested = nullptr;
-    obs::Counter* observations_stored = nullptr;
-    obs::Counter* duplicate_batches = nullptr;
-    obs::Counter* duplicate_observations = nullptr;
-    obs::Counter* ingest_retries = nullptr;
-    obs::Counter* admission_shed = nullptr;
-    obs::Counter* admission_accepted = nullptr;
-    obs::LatencyHistogram* ingest_delay = nullptr;
-  };
-  Metrics metrics_;
+  obs::LatencyHistogram* ingest_delay_ = nullptr;
   obs::Registry* metrics_registry_ = nullptr;
   obs::TimeSeries* timeseries_ = nullptr;
   std::uint64_t fr_dedup_evictions_seen_ = 0;
   obs::SpanTracker* tracer_ = nullptr;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::core

@@ -14,22 +14,20 @@ std::string Collection::generate_id() {
 }
 
 void Collection::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.inserts = &registry->counter("docstore.inserts");
-  metrics_.removes = &registry->counter("docstore.removes");
-  metrics_.finds_indexed = &registry->counter("docstore.finds_indexed");
-  metrics_.finds_scanned = &registry->counter("docstore.finds_scanned");
-  metrics_.plans_scan = &registry->counter("docstore.plans_scan");
-  metrics_.plans_indexed = &registry->counter("docstore.plans_indexed");
-  metrics_.plans_intersect = &registry->counter("docstore.plans_intersect");
-  metrics_.plans_covered = &registry->counter("docstore.plans_covered");
-  metrics_.plans_sort_index = &registry->counter("docstore.plans_sort_index");
-  metrics_.documents = &registry->gauge("docstore.documents");
-  // Count documents already stored before the registry was attached.
-  metrics_.documents->add(static_cast<double>(id_to_slot_.size()));
+  sources_.detach();
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  sources_.counter(r, "docstore.inserts", stats_.total_inserts);
+  sources_.counter(r, "docstore.removes", stats_.total_removes);
+  sources_.counter(r, "docstore.finds_indexed", stats_.indexed_finds);
+  sources_.counter(r, "docstore.finds_scanned", stats_.scanned_finds);
+  sources_.counter(r, "docstore.plans_scan", stats_.plans_scan);
+  sources_.counter(r, "docstore.plans_indexed", stats_.plans_indexed);
+  sources_.counter(r, "docstore.plans_intersect", stats_.plans_intersect);
+  sources_.counter(r, "docstore.plans_covered", stats_.plans_covered);
+  sources_.counter(r, "docstore.plans_sort_index", stats_.plans_sort_index);
+  sources_.gauge(r, "docstore.documents",
+                 [this] { return static_cast<double>(id_to_slot_.size()); });
 }
 
 void Collection::arm_faults(fault::FaultPlan* plan) {
@@ -96,8 +94,6 @@ std::string Collection::insert_checked(Document doc, bool journaled) {
   index_document(slot, *slots_[slot]);
   ++stats_.total_inserts;
   stats_.document_count = id_to_slot_.size();
-  if (metrics_.inserts != nullptr) metrics_.inserts->inc();
-  if (metrics_.documents != nullptr) metrics_.documents->add(1.0);
   return id;
 }
 
@@ -181,8 +177,6 @@ std::size_t Collection::insert_batch(
     }
     ++stats_.total_inserts;
     stats_.document_count = id_to_slot_.size();
-    if (metrics_.inserts != nullptr) metrics_.inserts->inc();
-    if (metrics_.documents != nullptr) metrics_.documents->add(1.0);
   }
   return done;
 }
@@ -274,23 +268,18 @@ void Collection::note_plan(PlanKind kind) const {
   switch (kind) {
     case PlanKind::kScan:
       ++stats_.plans_scan;
-      if (metrics_.plans_scan != nullptr) metrics_.plans_scan->inc();
       break;
     case PlanKind::kIndexed:
       ++stats_.plans_indexed;
-      if (metrics_.plans_indexed != nullptr) metrics_.plans_indexed->inc();
       break;
     case PlanKind::kIntersect:
       ++stats_.plans_intersect;
-      if (metrics_.plans_intersect != nullptr) metrics_.plans_intersect->inc();
       break;
     case PlanKind::kCovered:
       ++stats_.plans_covered;
-      if (metrics_.plans_covered != nullptr) metrics_.plans_covered->inc();
       break;
     case PlanKind::kSortIndex:
       ++stats_.plans_sort_index;
-      if (metrics_.plans_sort_index != nullptr) metrics_.plans_sort_index->inc();
       break;
   }
 }
@@ -298,10 +287,8 @@ void Collection::note_plan(PlanKind kind) const {
 void Collection::note_find(bool indexed) const {
   if (indexed) {
     ++stats_.indexed_finds;
-    if (metrics_.finds_indexed != nullptr) metrics_.finds_indexed->inc();
   } else {
     ++stats_.scanned_finds;
-    if (metrics_.finds_scanned != nullptr) metrics_.finds_scanned->inc();
   }
 }
 
@@ -663,8 +650,6 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
   id_to_slot_.erase(it);
   ++stats_.total_removes;
   stats_.document_count = id_to_slot_.size();
-  if (metrics_.removes != nullptr) metrics_.removes->inc();
-  if (metrics_.documents != nullptr) metrics_.documents->add(-1.0);
   return true;
 }
 
@@ -856,8 +841,6 @@ void Collection::restore_snapshot(const Value& state) {
 }
 
 void Collection::crash() {
-  if (metrics_.documents != nullptr)
-    metrics_.documents->add(-static_cast<double>(id_to_slot_.size()));
   slots_.clear();
   lazy_rows_.clear();
   id_to_slot_.clear();

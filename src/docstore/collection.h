@@ -153,10 +153,11 @@ class Collection {
   bool empty() const { return id_to_slot_.empty(); }
   const CollectionStats& stats() const { return stats_; }
 
-  /// Mirrors per-collection activity into database-wide "docstore.*"
-  /// registry metrics (inserts, removes, finds_indexed, finds_scanned
-  /// counters and the docstore.documents gauge). All collections of one
-  /// database share the same metric objects. Pass nullptr to detach.
+  /// Registers the collection's counters with `registry` under the
+  /// database-wide "docstore.*" names (inserts, removes, finds_indexed,
+  /// finds_scanned, plans_*) and its size as the docstore.documents gauge;
+  /// the registry sums them over every attached collection. Pass nullptr
+  /// to detach.
   void set_metrics(obs::Registry* registry);
 
   /// Arms fault injection on the write paths: insert/update_many may
@@ -207,8 +208,8 @@ class Collection {
     std::multimap<IndexKey, Slot> entries;
   };
 
-  /// How the planner decided to execute a query (mirrored to the
-  /// `docstore.plans_*` registry counters).
+  /// How the planner decided to execute a query (counted in stats() and
+  /// read as the `docstore.plans_*` registry counters).
   enum class PlanKind { kScan, kIndexed, kIntersect, kCovered, kSortIndex };
 
   /// An access-path decision: either a full scan (use_index false) or a
@@ -266,20 +267,6 @@ class Collection {
   static Document project(const Document& doc,
                           const std::vector<std::string>& fields);
 
-  /// Hoisted registry handles, null when no registry is attached.
-  struct Metrics {
-    obs::Counter* inserts = nullptr;
-    obs::Counter* removes = nullptr;
-    obs::Counter* finds_indexed = nullptr;
-    obs::Counter* finds_scanned = nullptr;
-    obs::Counter* plans_scan = nullptr;
-    obs::Counter* plans_indexed = nullptr;
-    obs::Counter* plans_intersect = nullptr;
-    obs::Counter* plans_covered = nullptr;
-    obs::Counter* plans_sort_index = nullptr;
-    obs::Gauge* documents = nullptr;
-  };
-
   std::string name_;
   // Mutable: const readers materialize lazy rows in place (the observable
   // document bytes are identical before and after, only the storage form
@@ -291,10 +278,10 @@ class Collection {
   std::uint64_t id_counter_ = 0;
   bool planner_enabled_ = true;
   mutable CollectionStats stats_;
-  Metrics metrics_;
   fault::FaultPoint insert_fault_;
   fault::FaultPoint update_fault_;
   durable::Journal* journal_ = nullptr;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::docstore

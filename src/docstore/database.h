@@ -38,8 +38,9 @@ class Database {
   std::size_t total_documents() const;
 
   /// Attaches a metrics registry: existing collections and any created
-  /// later mirror their activity into shared "docstore.*" metrics (see
-  /// Collection::set_metrics). Pass nullptr to detach.
+  /// later register their counters and sizes under the shared
+  /// "docstore.*" names (see Collection::set_metrics), so the registry
+  /// reads totals over the live collections. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
   /// Arms fault injection on every collection's write paths (existing and

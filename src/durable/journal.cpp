@@ -1,11 +1,19 @@
 #include "durable/journal.h"
 
-#include "obs/metrics.h"
-
 namespace mps::durable {
 
 Journal::Journal(StorageEnv& env, JournalConfig config, obs::Registry* metrics)
-    : env_(env), metrics_(metrics), wal_(env, config.wal, metrics) {}
+    : env_(env), wal_(env, config.wal, metrics) {
+  if (metrics == nullptr) return;
+  obs::Registry& r = *metrics;
+  sources_.counter(r, "durable.snapshots", stats_.snapshots);
+  sources_.counter(r, "durable.snapshots_corrupt_skipped",
+                   stats_.snapshots_corrupt_skipped);
+  sources_.counter(r, "durable.recoveries", stats_.recoveries);
+  sources_.gauge(r, "durable.snapshot_bytes", [this] {
+    return static_cast<double>(stats_.snapshot_bytes);
+  });
+}
 
 std::uint64_t Journal::append(const Value& record) {
   return wal_.append(record.to_json());
@@ -15,7 +23,8 @@ RecoveryStats Journal::recover(
     const std::function<void(const Value&)>& restore_fn,
     const std::function<void(const Value&)>& apply_fn) {
   RecoveryStats stats;
-  std::optional<LoadedSnapshot> snap = load_latest_snapshot(env_, metrics_);
+  std::optional<LoadedSnapshot> snap =
+      load_latest_snapshot(env_, stats_.snapshots_corrupt_skipped);
   std::uint64_t after = 0;
   if (snap.has_value()) {
     restore_fn(snap->state);
@@ -34,14 +43,15 @@ RecoveryStats Journal::recover(
       ++stats.skipped_bad;
     }
   });
-  if (metrics_ != nullptr) metrics_->counter("durable.recoveries").inc();
+  ++stats_.recoveries;
   return stats;
 }
 
 void Journal::write_snapshot(const Value& state) {
   wal_.sync();
   std::uint64_t lsn = wal_.last_lsn();
-  durable::write_snapshot(env_, lsn, state, metrics_);
+  stats_.snapshot_bytes = durable::write_snapshot(env_, lsn, state);
+  ++stats_.snapshots;
   wal_.truncate_through(lsn);
   prune_snapshots(env_, lsn);
 }

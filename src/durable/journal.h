@@ -29,6 +29,13 @@ struct JournalConfig {
   WalConfig wal;
 };
 
+struct JournalStats {
+  std::uint64_t snapshots = 0;       ///< snapshots written
+  std::uint64_t snapshot_bytes = 0;  ///< framed size of the last one written
+  std::uint64_t snapshots_corrupt_skipped = 0;  ///< passed over by recover()
+  std::uint64_t recoveries = 0;
+};
+
 struct RecoveryStats {
   bool snapshot_loaded = false;
   std::uint64_t snapshot_lsn = 0;
@@ -38,6 +45,10 @@ struct RecoveryStats {
 
 class Journal {
  public:
+  /// With `metrics`, registers the WAL's counters (see Wal) and the
+  /// journal's as durable.snapshots, durable.snapshots_corrupt_skipped
+  /// and durable.recoveries, plus the last snapshot's size as the
+  /// durable.snapshot_bytes gauge, summed over every attached journal.
   explicit Journal(StorageEnv& env, JournalConfig config = {},
                    obs::Registry* metrics = nullptr);
 
@@ -53,7 +64,6 @@ class Journal {
 
   /// Full recovery: restore_fn(snapshot state) if a snapshot loads,
   /// then apply_fn(record) for each valid tail record in LSN order.
-  /// Increments durable.recoveries.
   RecoveryStats recover(
       const std::function<void(const Value& snapshot_state)>& restore_fn,
       const std::function<void(const Value& record)>& apply_fn);
@@ -64,11 +74,13 @@ class Journal {
 
   Wal& wal() { return wal_; }
   const Wal& wal() const { return wal_; }
+  const JournalStats& stats() const { return stats_; }
 
  private:
   StorageEnv& env_;
-  obs::Registry* metrics_;
   Wal wal_;
+  JournalStats stats_;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::durable

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "durable/wal.h"
-#include "obs/metrics.h"
 
 namespace mps::durable {
 
@@ -32,20 +31,16 @@ std::uint64_t lsn_of(const std::string& name) {
 
 }  // namespace
 
-void write_snapshot(StorageEnv& env, std::uint64_t lsn, const Value& state,
-                    obs::Registry* metrics) {
+std::size_t write_snapshot(StorageEnv& env, std::uint64_t lsn,
+                           const Value& state) {
   std::string framed;
   encode_record(lsn, state.to_json(), framed);
   env.write_atomic(snapshot_name(lsn), framed);
-  if (metrics != nullptr) {
-    metrics->counter("durable.snapshots").inc();
-    metrics->gauge("durable.snapshot_bytes")
-        .set(static_cast<double>(framed.size()));
-  }
+  return framed.size();
 }
 
 std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
-                                                   obs::Registry* metrics) {
+                                                   std::uint64_t& skipped) {
   std::vector<std::string> names;
   for (const std::string& name : env.list())
     if (is_snapshot_name(name)) names.push_back(name);
@@ -65,8 +60,7 @@ std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
         // fall through: treat unparseable payload like a CRC failure
       }
     }
-    if (metrics != nullptr)
-      metrics->counter("durable.snapshots_corrupt_skipped").inc();
+    ++skipped;
   }
   return std::nullopt;
 }

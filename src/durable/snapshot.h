@@ -10,16 +10,13 @@
 // truncated through the covered LSN and older snapshot files pruned.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 
 #include "common/value.h"
 #include "durable/storage.h"
-
-namespace mps::obs {
-class Registry;
-}
 
 namespace mps::durable {
 
@@ -30,15 +27,16 @@ struct LoadedSnapshot {
   Value state;
 };
 
-/// Atomically writes a snapshot of `state` covering `lsn`. Updates
-/// durable.snapshots / durable.snapshot_bytes when metrics is non-null.
-void write_snapshot(StorageEnv& env, std::uint64_t lsn, const Value& state,
-                    obs::Registry* metrics = nullptr);
+/// Atomically writes a snapshot of `state` covering `lsn`; returns the
+/// framed size in bytes.
+std::size_t write_snapshot(StorageEnv& env, std::uint64_t lsn,
+                           const Value& state);
 
 /// Loads the newest snapshot that passes CRC + parse, skipping corrupt
-/// ones. nullopt when none is loadable.
-std::optional<LoadedSnapshot> load_latest_snapshot(
-    StorageEnv& env, obs::Registry* metrics = nullptr);
+/// ones and adding their number to `skipped`. nullopt when none is
+/// loadable.
+std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
+                                                   std::uint64_t& skipped);
 
 /// Removes every snapshot older than `keep_lsn` (the one covering
 /// keep_lsn itself survives).

@@ -99,14 +99,17 @@ std::optional<DecodedRecord> decode_record(std::string_view buffer,
 Wal::Wal(StorageEnv& env, WalConfig config, obs::Registry* metrics)
     : env_(env), config_(std::move(config)) {
   if (metrics != nullptr) {
-    appends_metric_ = &metrics->counter("durable.wal_appends");
-    fsync_metric_ = &metrics->counter("durable.fsync_batches");
-    replayed_metric_ = &metrics->counter("durable.replayed_records");
-    discarded_metric_ = &metrics->counter("durable.discarded_tail_records");
-    segments_metric_ = &metrics->gauge("durable.wal_segments");
+    obs::Registry& r = *metrics;
+    sources_.counter(r, "durable.wal_appends", stats_.appends);
+    sources_.counter(r, "durable.wal_bytes", stats_.bytes_appended);
+    sources_.counter(r, "durable.fsync_batches", stats_.syncs);
+    sources_.counter(r, "durable.replayed_records", stats_.replayed_records);
+    sources_.counter(r, "durable.discarded_tail_records",
+                     stats_.discarded_tail_records);
+    sources_.gauge(r, "durable.wal_segments",
+                   [this] { return static_cast<double>(segments_.size()); });
   }
   open_existing();
-  publish_metrics();
 }
 
 std::string Wal::segment_name(std::uint64_t first_lsn) const {
@@ -170,8 +173,6 @@ void Wal::open_existing() {
     ++keep_segments;
   }
   segments_.resize(keep_segments);
-  if (discarded_metric_ != nullptr)
-    discarded_metric_->inc(stats_.discarded_tail_records);
 }
 
 void Wal::start_segment(std::uint64_t first_lsn) {
@@ -184,7 +185,6 @@ void Wal::start_segment(std::uint64_t first_lsn) {
   if (!segments_.empty() && unsynced_appends_ > 0) sync();
   segments_.push_back(std::move(seg));
   ++stats_.segments_created;
-  publish_metrics();
 }
 
 std::uint64_t Wal::append(std::string_view payload) {
@@ -199,7 +199,7 @@ std::uint64_t Wal::append(std::string_view payload) {
   seg.size += framed.size();
 
   ++stats_.appends;
-  if (appends_metric_ != nullptr) appends_metric_->inc();
+  stats_.bytes_appended += framed.size();
   obs::FlightRecorder::record(obs::FrEvent::kWalAppend, lsn, payload.size());
   if (++unsynced_appends_ >= config_.sync_every) sync();
   if (append_listener_) append_listener_();
@@ -213,7 +213,6 @@ void Wal::sync() {
                               unsynced_appends_);
   unsynced_appends_ = 0;
   ++stats_.syncs;
-  if (fsync_metric_ != nullptr) fsync_metric_->inc();
 }
 
 std::uint64_t Wal::replay(
@@ -231,7 +230,6 @@ std::uint64_t Wal::replay(
         fn(rec->lsn, rec->payload);
         ++delivered;
         ++stats_.replayed_records;
-        if (replayed_metric_ != nullptr) replayed_metric_->inc();
       }
       offset = rec->end_offset;
       ++expect;
@@ -339,13 +337,7 @@ void Wal::truncate_through(std::uint64_t lsn) {
     obs::FlightRecorder::record(obs::FrEvent::kWalTruncate, lsn, removed);
     segments_.erase(segments_.begin(),
                     segments_.begin() + static_cast<std::ptrdiff_t>(removed));
-    publish_metrics();
   }
-}
-
-void Wal::publish_metrics() {
-  if (segments_metric_ != nullptr)
-    segments_metric_->set(static_cast<double>(segments_.size()));
 }
 
 }  // namespace mps::durable

@@ -33,11 +33,7 @@
 
 #include "durable/storage.h"
 
-namespace mps::obs {
-class Registry;
-class Counter;
-class Gauge;
-}  // namespace mps::obs
+#include "obs/metrics.h"
 
 namespace mps::durable {
 
@@ -71,6 +67,7 @@ struct WalConfig {
 
 struct WalStats {
   std::uint64_t appends = 0;
+  std::uint64_t bytes_appended = 0;  ///< framed record bytes
   std::uint64_t syncs = 0;           ///< fsync batches issued
   std::uint64_t segments_created = 0;
   std::uint64_t replayed_records = 0;
@@ -85,6 +82,10 @@ struct WalStats {
 /// resumes LSN assignment after the last valid record.
 class Wal {
  public:
+  /// With `metrics`, registers the stats as durable.* counters
+  /// (wal_appends, wal_bytes, fsync_batches, replayed_records,
+  /// discarded_tail_records) and the segment count as the
+  /// durable.wal_segments gauge, summed over every attached Wal.
   explicit Wal(StorageEnv& env, WalConfig config = {},
                obs::Registry* metrics = nullptr);
 
@@ -176,7 +177,6 @@ class Wal {
   void open_existing();
   void start_segment(std::uint64_t first_lsn);
   std::string segment_name(std::uint64_t first_lsn) const;
-  void publish_metrics();
 
   StorageEnv& env_;
   WalConfig config_;
@@ -187,12 +187,7 @@ class Wal {
   std::uint64_t next_lsn_ = 1;
   std::uint32_t unsynced_appends_ = 0;
   WalStats stats_;
-
-  obs::Counter* appends_metric_ = nullptr;
-  obs::Counter* fsync_metric_ = nullptr;
-  obs::Counter* replayed_metric_ = nullptr;
-  obs::Counter* discarded_metric_ = nullptr;
-  obs::Gauge* segments_metric_ = nullptr;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::durable

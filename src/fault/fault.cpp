@@ -69,7 +69,6 @@ bool FaultPlan::decide(FaultSite site, bool have_now, TimeMs now) {
   auto idx = static_cast<std::size_t>(site);
   Site& s = sites_[idx];
   ++checked_[idx];
-  if (checked_counters_[idx] != nullptr) checked_counters_[idx]->inc();
 
   bool fail = false;
   if (s.fail_next > 0) {
@@ -98,7 +97,6 @@ bool FaultPlan::decide(FaultSite site, bool have_now, TimeMs now) {
 
   if (fail) {
     ++injected_[idx];
-    if (injected_counters_[idx] != nullptr) injected_counters_[idx]->inc();
     obs::FlightRecorder::record(obs::FrEvent::kFaultInject, idx,
                                 injected_[idx], have_now ? now : -1);
   }
@@ -327,14 +325,12 @@ const std::vector<std::string>& FaultPlan::shard_profile_names() {
 }
 
 void FaultPlan::set_metrics(obs::Registry* registry) {
+  sources_.detach();
+  if (registry == nullptr) return;
   for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-    const char* site = fault_site_name(static_cast<FaultSite>(i));
-    injected_counters_[i] =
-        registry ? &registry->counter(std::string("fault.injected.") + site)
-                 : nullptr;
-    checked_counters_[i] =
-        registry ? &registry->counter(std::string("fault.checked.") + site)
-                 : nullptr;
+    const std::string site = fault_site_name(static_cast<FaultSite>(i));
+    sources_.counter(*registry, "fault.injected." + site, injected_[i]);
+    sources_.counter(*registry, "fault.checked." + site, checked_[i]);
   }
 }
 

@@ -230,8 +230,9 @@ class FaultPlan {
 
   // --- Observability ----------------------------------------------------
 
-  /// Mirrors injections into `registry`: "fault.injected.<site>" and
-  /// "fault.checked.<site>" counters. Pass nullptr to detach.
+  /// Registers the per-site counts with `registry` as
+  /// "fault.injected.<site>" and "fault.checked.<site>" counters. A copy
+  /// of the plan starts detached. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
   /// Faults injected / consultations made at `site` since construction.
@@ -259,11 +260,12 @@ class FaultPlan {
   std::string profile_name_ = "custom";
   std::vector<CrashEvent> scripted_server_kills_;
   Site sites_[kFaultSiteCount];
+  /// Ahead of the counts it reads: assigning a plan detaches it (folding
+  /// the old counts into the registry) before the counts are overwritten.
+  obs::Sources sources_;
   std::uint64_t injected_[kFaultSiteCount] = {};
   std::uint64_t checked_[kFaultSiteCount] = {};
   std::function<TimeMs()> clock_;
-  obs::Counter* injected_counters_[kFaultSiteCount] = {};
-  obs::Counter* checked_counters_[kFaultSiteCount] = {};
 };
 
 /// The handle a component holds: one (plan, site) pair. Default-built it

@@ -1,5 +1,7 @@
 #include "ingest/obs_batch.h"
 
+#include <algorithm>
+
 namespace mps::ingest {
 
 namespace {
@@ -119,11 +121,9 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
     arena = std::move(inner->free.back());
     inner->free.pop_back();
     ++inner->stats.arenas_reused;
-    if (inner->arena_reused != nullptr) inner->arena_reused->inc();
   } else {
     arena = std::make_unique<Arena>();
     ++inner->stats.arenas_created;
-    if (inner->arena_created != nullptr) inner->arena_created->inc();
   }
 
   auto* batch = new ObsBatch();
@@ -176,13 +176,8 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
     batch->model_idx_[i] = intern(obs.model);
   }
 
-  if (a.bytes_allocated() > inner->high_water) {
-    inner->high_water = a.bytes_allocated();
-    if (inner->high_water_gauge != nullptr)
-      inner->high_water_gauge->set(static_cast<double>(inner->high_water));
-  }
+  inner->high_water = std::max(inner->high_water, a.bytes_allocated());
   ++inner->stats.batches;
-  if (inner->flat_batches != nullptr) inner->flat_batches->inc();
 
   batch->arena_ = std::move(arena);
   // The deleter recycles the arena into the pool (epoch reset, blocks
@@ -199,19 +194,16 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
 }
 
 void BatchPool::set_metrics(obs::Registry* registry) {
-  Inner& inner = *inner_;
-  if (registry == nullptr) {
-    inner.flat_batches = nullptr;
-    inner.arena_created = nullptr;
-    inner.arena_reused = nullptr;
-    inner.high_water_gauge = nullptr;
-    return;
-  }
-  inner.flat_batches = &registry->counter("ingest.flat_batches");
-  inner.arena_created = &registry->counter("ingest.arena_created");
-  inner.arena_reused = &registry->counter("ingest.arena_reused");
-  inner.high_water_gauge = &registry->gauge("ingest.arena_high_water_bytes");
-  inner.high_water_gauge->set(static_cast<double>(inner.high_water));
+  sources_.detach();
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  const Inner& inner = *inner_;
+  sources_.counter(r, "ingest.flat_batches", inner.stats.batches);
+  sources_.counter(r, "ingest.arena_created", inner.stats.arenas_created);
+  sources_.counter(r, "ingest.arena_reused", inner.stats.arenas_reused);
+  sources_.gauge(r, "ingest.arena_high_water_bytes", [&inner] {
+    return static_cast<double>(inner.high_water);
+  });
 }
 
 }  // namespace mps::ingest

@@ -130,7 +130,7 @@ class ObsBatch {
   std::size_t string_count_ = 0;
 };
 
-/// Pool statistics (also mirrored into the registry via set_metrics).
+/// Pool statistics (registered with the registry via set_metrics).
 struct BatchPoolStats {
   std::uint64_t batches = 0;        ///< batches built
   std::uint64_t arenas_created = 0; ///< arenas newly allocated
@@ -157,8 +157,8 @@ class BatchPool {
   /// Largest arena epoch ever built by this pool's batches.
   std::size_t arena_high_water() const { return inner_->high_water; }
 
-  /// Mirrors pool activity into "ingest.*" registry metrics
-  /// (flat_batches, arena_created, arena_reused counters and the
+  /// Registers the pool statistics with `registry` under "ingest.*"
+  /// names (flat_batches, arena_created, arena_reused counters and the
   /// ingest.arena_high_water_bytes gauge). Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
@@ -167,12 +167,9 @@ class BatchPool {
     std::vector<std::unique_ptr<Arena>> free;
     BatchPoolStats stats;
     std::size_t high_water = 0;
-    obs::Counter* flat_batches = nullptr;
-    obs::Counter* arena_created = nullptr;
-    obs::Counter* arena_reused = nullptr;
-    obs::Gauge* high_water_gauge = nullptr;
   };
   std::shared_ptr<Inner> inner_;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::ingest

@@ -57,22 +57,19 @@ void NetClient::arm_faults(fault::FaultPlan* plan) {
 }
 
 void NetClient::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.connects = &registry->counter("net.client_connects");
-  metrics_.connect_failures =
-      &registry->counter("net.client_connect_failures");
-  metrics_.publishes = &registry->counter("net.client_publishes");
-  metrics_.publish_failures =
-      &registry->counter("net.client_publish_failures");
-  metrics_.resends = &registry->counter("net.client_resends");
-  metrics_.transparent_retries =
-      &registry->counter("net.client_transparent_retries");
-  metrics_.redirects = &registry->counter("net.client_redirects");
-  metrics_.bytes_in = &registry->counter("net.client_bytes_in");
-  metrics_.bytes_out = &registry->counter("net.client_bytes_out");
+  sources_.detach();
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  sources_.counter(r, "net.client_connects", stats_.connects);
+  sources_.counter(r, "net.client_connect_failures", stats_.connect_failures);
+  sources_.counter(r, "net.client_publishes", stats_.publishes);
+  sources_.counter(r, "net.client_publish_failures", stats_.publish_failures);
+  sources_.counter(r, "net.client_resends", stats_.resends);
+  sources_.counter(r, "net.client_transparent_retries",
+                   stats_.transparent_retries);
+  sources_.counter(r, "net.client_redirects", stats_.redirects);
+  sources_.counter(r, "net.client_bytes_in", stats_.bytes_in);
+  sources_.counter(r, "net.client_bytes_out", stats_.bytes_out);
 }
 
 void NetClient::disconnect() {
@@ -102,7 +99,6 @@ Status NetClient::connect_now() {
     int e = errno;
     ::close(fd);
     ++stats_.connect_failures;
-    if (metrics_.connect_failures != nullptr) metrics_.connect_failures->inc();
     return err(ErrorCode::kUnavailable,
                std::string("connect: ") + std::strerror(e));
   }
@@ -121,8 +117,6 @@ Status NetClient::connect_now() {
       if (soerr == 0 && (p.revents & POLLOUT) != 0) break;
       ::close(fd);
       ++stats_.connect_failures;
-      if (metrics_.connect_failures != nullptr)
-        metrics_.connect_failures->inc();
       return err(ErrorCode::kUnavailable,
                  std::string("connect: ") +
                      std::strerror(soerr != 0 ? soerr : ECONNRESET));
@@ -130,8 +124,6 @@ Status NetClient::connect_now() {
     if (++spins > config_.spin_limit) {
       ::close(fd);
       ++stats_.connect_failures;
-      if (metrics_.connect_failures != nullptr)
-        metrics_.connect_failures->inc();
       return err(ErrorCode::kUnavailable, "connect: timed out");
     }
   }
@@ -152,11 +144,9 @@ Status NetClient::connect_now() {
       resp.type != wire::MsgType::kHelloOk) {
     disconnect();
     ++stats_.connect_failures;
-    if (metrics_.connect_failures != nullptr) metrics_.connect_failures->inc();
     return err(ErrorCode::kUnavailable, "hello exchange failed");
   }
   ++stats_.connects;
-  if (metrics_.connects != nullptr) metrics_.connects->inc();
   return {};
 }
 
@@ -179,8 +169,6 @@ NetClient::XResult NetClient::send_all(std::string_view bytes) {
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       stats_.bytes_out += static_cast<std::uint64_t>(n);
-      if (metrics_.bytes_out != nullptr)
-        metrics_.bytes_out->inc(static_cast<std::uint64_t>(n));
       spins = 0;
       continue;
     }
@@ -214,8 +202,6 @@ NetClient::XResult NetClient::exchange(std::string_view frame,
       if (n > 0) {
         rbuf_.append(chunk, static_cast<std::size_t>(n));
         stats_.bytes_in += static_cast<std::uint64_t>(n);
-        if (metrics_.bytes_in != nullptr)
-          metrics_.bytes_in->inc(static_cast<std::uint64_t>(n));
         got_bytes = true;
         progress = true;
         continue;
@@ -282,7 +268,6 @@ Result<broker::PublishResult> NetClient::run_publish(std::string_view token,
     pending_->frame.clear();  // encode_frame appends
     wire::encode_frame(type, pending_->request_id, body, pending_->frame);
     ++stats_.resends;
-    if (metrics_.resends != nullptr) metrics_.resends->inc();
   }
 
   bool was_fresh = connected() && fresh_;
@@ -290,8 +275,6 @@ Result<broker::PublishResult> NetClient::run_publish(std::string_view token,
     Status s = connect_now();
     if (!s.ok()) {
       ++stats_.publish_failures;
-      if (metrics_.publish_failures != nullptr)
-        metrics_.publish_failures->inc();
       return s.error();
     }
     was_fresh = true;
@@ -311,15 +294,12 @@ Result<broker::PublishResult> NetClient::run_publish(std::string_view token,
     Status s = connect_now();
     if (s.ok()) {
       ++stats_.transparent_retries;
-      if (metrics_.transparent_retries != nullptr)
-        metrics_.transparent_retries->inc();
       r = exchange(pending_->frame, pending_->request_id, resp, got_bytes);
     }
   }
   if (r != XResult::kOk) {
     disconnect();
     ++stats_.publish_failures;
-    if (metrics_.publish_failures != nullptr) metrics_.publish_failures->inc();
     return err(ErrorCode::kUnavailable, "publish: connection lost");
   }
 
@@ -336,27 +316,20 @@ Result<broker::PublishResult> NetClient::run_publish(std::string_view token,
         !wire::decode_redirect(resp.body, redirect)) {
       disconnect();
       ++stats_.publish_failures;
-      if (metrics_.publish_failures != nullptr)
-        metrics_.publish_failures->inc();
       return err(ErrorCode::kUnavailable, "publish: redirect chase failed");
     }
     ++stats_.redirects;
-    if (metrics_.redirects != nullptr) metrics_.redirects->inc();
     disconnect();
     config_.port = static_cast<std::uint16_t>(redirect.port);
     Status s = connect_now();
     if (!s.ok()) {
       ++stats_.publish_failures;
-      if (metrics_.publish_failures != nullptr)
-        metrics_.publish_failures->inc();
       return s.error();
     }
     r = exchange(pending_->frame, pending_->request_id, resp, got_bytes);
     if (r != XResult::kOk) {
       disconnect();
       ++stats_.publish_failures;
-      if (metrics_.publish_failures != nullptr)
-        metrics_.publish_failures->inc();
       return err(ErrorCode::kUnavailable, "publish: connection lost");
     }
   }
@@ -366,13 +339,10 @@ Result<broker::PublishResult> NetClient::run_publish(std::string_view token,
     if (!wire::decode_publish_ok(resp.body, ok)) {
       disconnect();
       ++stats_.publish_failures;
-      if (metrics_.publish_failures != nullptr)
-        metrics_.publish_failures->inc();
       return err(ErrorCode::kInternal, "malformed publish ack");
     }
     pending_.reset();
     ++stats_.publishes;
-    if (metrics_.publishes != nullptr) metrics_.publishes->inc();
     broker::PublishResult result;
     result.sequence = ok.sequence;
     result.queues_delivered = ok.queues_delivered;
@@ -383,8 +353,6 @@ Result<broker::PublishResult> NetClient::run_publish(std::string_view token,
     if (!wire::decode_publish_err(resp.body, e)) {
       disconnect();
       ++stats_.publish_failures;
-      if (metrics_.publish_failures != nullptr)
-        metrics_.publish_failures->inc();
       return err(ErrorCode::kInternal, "malformed publish error");
     }
     // The pending slot is retained: the caller's backoff retry of this
@@ -393,12 +361,10 @@ Result<broker::PublishResult> NetClient::run_publish(std::string_view token,
     // tell this Result from an in-process publish — the equivalence
     // suite relies on that.
     ++stats_.publish_failures;
-    if (metrics_.publish_failures != nullptr) metrics_.publish_failures->inc();
     return err(e.code, e.message);
   }
   disconnect();
   ++stats_.publish_failures;
-  if (metrics_.publish_failures != nullptr) metrics_.publish_failures->inc();
   return err(ErrorCode::kInternal, "unexpected response type");
 }
 

@@ -57,7 +57,7 @@ struct NetClientConfig {
   int spin_limit = 1024;
 };
 
-/// Client-side counters (mirrored as net.client_* registry metrics).
+/// Client-side counters (registered as net.client_* registry metrics).
 struct NetClientStats {
   std::uint64_t connects = 0;
   std::uint64_t connect_failures = 0;
@@ -131,7 +131,8 @@ class NetClient {
   const NetClientStats& stats() const { return stats_; }
   const NetClientConfig& config() const { return config_; }
 
-  /// Mirrors the client counters into `registry` under net.client_*.
+  /// Registers the client counters with `registry` under net.client_*
+  /// names. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
  private:
@@ -180,19 +181,7 @@ class NetClient {
   fault::FaultPoint truncate_fault_;
   NetClientStats stats_;
   std::string scratch_;  ///< reused one-shot frame/body encode buffer
-
-  struct Metrics {
-    obs::Counter* connects = nullptr;
-    obs::Counter* connect_failures = nullptr;
-    obs::Counter* publishes = nullptr;
-    obs::Counter* publish_failures = nullptr;
-    obs::Counter* resends = nullptr;
-    obs::Counter* transparent_retries = nullptr;
-    obs::Counter* redirects = nullptr;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
-  };
-  Metrics metrics_;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::net

@@ -103,24 +103,24 @@ Status NetServer::bind_and_listen() {
 }
 
 void NetServer::set_metrics(obs::Registry* registry) {
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.accepted = &registry->counter("net.accepted");
-  metrics_.accept_rejected = &registry->counter("net.accept_rejected");
-  metrics_.disconnects = &registry->counter("net.disconnects");
-  metrics_.idle_closes = &registry->counter("net.idle_closes");
-  metrics_.frames_in = &registry->counter("net.frames_in");
-  metrics_.frames_out = &registry->counter("net.frames_out");
-  metrics_.frame_rejects = &registry->counter("net.frame_rejects");
-  metrics_.truncated_frames = &registry->counter("net.truncated_frames");
-  metrics_.bytes_in = &registry->counter("net.bytes_in");
-  metrics_.bytes_out = &registry->counter("net.bytes_out");
-  metrics_.publishes = &registry->counter("net.publishes");
-  metrics_.publish_errors = &registry->counter("net.publish_errors");
-  metrics_.redirects_issued = &registry->counter("net.redirects_issued");
-  metrics_.connections = &registry->gauge("net.connections");
+  sources_.detach();
+  if (registry == nullptr) return;
+  obs::Registry& r = *registry;
+  sources_.counter(r, "net.accepted", stats_.accepted);
+  sources_.counter(r, "net.accept_rejected", stats_.accept_rejected);
+  sources_.counter(r, "net.disconnects", stats_.disconnects);
+  sources_.counter(r, "net.idle_closes", stats_.idle_closes);
+  sources_.counter(r, "net.frames_in", stats_.frames_in);
+  sources_.counter(r, "net.frames_out", stats_.frames_out);
+  sources_.counter(r, "net.frame_rejects", stats_.frame_rejects);
+  sources_.counter(r, "net.truncated_frames", stats_.truncated_frames);
+  sources_.counter(r, "net.bytes_in", stats_.bytes_in);
+  sources_.counter(r, "net.bytes_out", stats_.bytes_out);
+  sources_.counter(r, "net.publishes", stats_.publishes);
+  sources_.counter(r, "net.publish_errors", stats_.publish_errors);
+  sources_.counter(r, "net.redirects_issued", stats_.redirects_issued);
+  sources_.gauge(r, "net.connections",
+                 [this] { return static_cast<double>(conns_.size()); });
 }
 
 void NetServer::arm_faults(fault::FaultPlan* plan) {
@@ -179,7 +179,6 @@ void NetServer::sweep_idle() {
     if (now - conn.last_activity >= config_.idle_timeout) idle.push_back(fd);
   for (int fd : idle) {
     ++stats_.idle_closes;
-    if (metrics_.idle_closes != nullptr) metrics_.idle_closes->inc();
     close_conn(fd, CloseReason::kIdle);
   }
 }
@@ -194,7 +193,6 @@ void NetServer::accept_ready() {
       // Bounded accept: shed the connection outright. The client sees a
       // reset on its first exchange and backs off like any other shed.
       ++stats_.accept_rejected;
-      if (metrics_.accept_rejected != nullptr) metrics_.accept_rejected->inc();
       ::close(fd);
       continue;
     }
@@ -209,9 +207,6 @@ void NetServer::accept_ready() {
     conn.id = next_conn_id_++;
     conn.last_activity = sim_.now();
     ++stats_.accepted;
-    if (metrics_.accepted != nullptr) metrics_.accepted->inc();
-    if (metrics_.connections != nullptr)
-      metrics_.connections->set(static_cast<double>(conns_.size() + 1));
     obs::FlightRecorder::record(obs::FrEvent::kNetConnect, conn.id,
                                 stats_.accepted, sim_.now());
     conns_.emplace(fd, std::move(conn));
@@ -226,8 +221,6 @@ bool NetServer::read_ready(Conn& conn) {
     if (n > 0) {
       conn.rbuf.append(chunk, static_cast<std::size_t>(n));
       stats_.bytes_in += static_cast<std::uint64_t>(n);
-      if (metrics_.bytes_in != nullptr)
-        metrics_.bytes_in->inc(static_cast<std::uint64_t>(n));
       conn.last_activity = sim_.now();
       continue;
     }
@@ -237,8 +230,6 @@ bool NetServer::read_ready(Conn& conn) {
       // discarded with the connection and server state is untouched.
       if (conn.rhead < conn.rbuf.size()) {
         ++stats_.truncated_frames;
-        if (metrics_.truncated_frames != nullptr)
-          metrics_.truncated_frames->inc();
       }
       close_conn(fd, CloseReason::kPeer);
       return false;
@@ -258,14 +249,12 @@ bool NetServer::drain_frames(Conn& conn) {
     if (r == wire::DecodeResult::kNeedMore) break;
     if (r == wire::DecodeResult::kCorrupt) {
       ++stats_.frame_rejects;
-      if (metrics_.frame_rejects != nullptr) metrics_.frame_rejects->inc();
       obs::FlightRecorder::record(obs::FrEvent::kNetFrameReject, conn.id,
                                   stats_.frame_rejects, sim_.now());
       close_conn(conn.fd, CloseReason::kPoisoned);
       return false;
     }
     ++stats_.frames_in;
-    if (metrics_.frames_in != nullptr) metrics_.frames_in->inc();
     std::size_t end = frame.end_offset;
     if (!dispatch(conn, frame)) return false;
     conn.rhead = end;
@@ -287,7 +276,6 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
   }
   if (!conn.greeted && frame.type != MsgType::kHello) {
     ++stats_.frame_rejects;
-    if (metrics_.frame_rejects != nullptr) metrics_.frame_rejects->inc();
     obs::FlightRecorder::record(obs::FrEvent::kNetFrameReject, conn.id,
                                 stats_.frame_rejects, sim_.now());
     close_conn(conn.fd, CloseReason::kPoisoned);
@@ -296,7 +284,6 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
 
   auto poison = [&]() {
     ++stats_.frame_rejects;
-    if (metrics_.frame_rejects != nullptr) metrics_.frame_rejects->inc();
     obs::FlightRecorder::record(obs::FrEvent::kNetFrameReject, conn.id,
                                 stats_.frame_rejects, sim_.now());
     close_conn(conn.fd, CloseReason::kPoisoned);
@@ -313,7 +300,6 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
     std::optional<wire::RedirectMsg> target = redirect_fn_(client);
     if (!target.has_value()) return false;
     ++stats_.redirects_issued;
-    if (metrics_.redirects_issued != nullptr) metrics_.redirects_issued->inc();
     wire::encode_redirect(*target, body_scratch_);
     reply(conn, MsgType::kRedirect, frame.request_id, body_scratch_);
     return true;
@@ -344,7 +330,6 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
                                     std::move(msg.payload), msg.published_at);
       if (result.ok()) {
         ++stats_.publishes;
-        if (metrics_.publishes != nullptr) metrics_.publishes->inc();
         wire::PublishOkMsg ok;
         ok.sequence = result.value().sequence;
         ok.queues_delivered =
@@ -358,7 +343,6 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
         reply(conn, MsgType::kPublishOk, frame.request_id, body_scratch_);
       } else {
         ++stats_.publish_errors;
-        if (metrics_.publish_errors != nullptr) metrics_.publish_errors->inc();
         wire::PublishErrMsg e;
         e.code = result.error().code;
         e.message = result.error().message;
@@ -381,7 +365,6 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
                                          std::move(batch), msg.published_at);
       if (result.ok()) {
         ++stats_.publishes;
-        if (metrics_.publishes != nullptr) metrics_.publishes->inc();
         wire::PublishOkMsg ok;
         ok.sequence = result.value().sequence;
         ok.queues_delivered =
@@ -395,7 +378,6 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
         reply(conn, MsgType::kPublishOk, frame.request_id, body_scratch_);
       } else {
         ++stats_.publish_errors;
-        if (metrics_.publish_errors != nullptr) metrics_.publish_errors->inc();
         wire::PublishErrMsg e;
         e.code = result.error().code;
         e.message = result.error().message;
@@ -459,7 +441,6 @@ void NetServer::reply(Conn& conn, wire::MsgType type, std::uint64_t request_id,
   wire::encode_frame(type, request_id, body, frame_scratch_);
   conn.wbuf.append(frame_scratch_);
   ++stats_.frames_out;
-  if (metrics_.frames_out != nullptr) metrics_.frames_out->inc();
 }
 
 bool NetServer::flush_writes(Conn& conn) {
@@ -469,8 +450,6 @@ bool NetServer::flush_writes(Conn& conn) {
     if (n > 0) {
       conn.whead += static_cast<std::size_t>(n);
       stats_.bytes_out += static_cast<std::uint64_t>(n);
-      if (metrics_.bytes_out != nullptr)
-        metrics_.bytes_out->inc(static_cast<std::uint64_t>(n));
       conn.last_activity = sim_.now();
       continue;
     }
@@ -495,12 +474,9 @@ void NetServer::close_conn(int fd, CloseReason reason) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   ++stats_.disconnects;
-  if (metrics_.disconnects != nullptr) metrics_.disconnects->inc();
   obs::FlightRecorder::record(obs::FrEvent::kNetDisconnect, it->second.id,
                               static_cast<std::uint64_t>(reason), sim_.now());
   conns_.erase(it);
-  if (metrics_.connections != nullptr)
-    metrics_.connections->set(static_cast<double>(conns_.size()));
 }
 
 void NetServer::close_all(CloseReason reason) {

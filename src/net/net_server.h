@@ -71,7 +71,7 @@ struct NetServerConfig {
   std::uint32_t max_frame_bytes = wire::kMaxFramePayload;
 };
 
-/// Server-side counters (also mirrored as net.* registry metrics).
+/// Server-side counters (registered as net.* registry metrics).
 struct NetServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t accept_rejected = 0;  ///< over max_connections
@@ -127,8 +127,8 @@ class NetServer {
 
   const NetServerStats& stats() const { return stats_; }
 
-  /// Registry served to kMetricsQuery frames (and, when set_metrics was
-  /// also called, the sink for net.* counters). Pass nullptr to detach.
+  /// Registry served to kMetricsQuery frames (set_metrics registers the
+  /// net.* counters separately). Pass nullptr to detach.
   void serve_registry(obs::Registry* registry) { served_registry_ = registry; }
 
   /// TimeSeries served to kSeriesQuery frames — the same windowed JSONL
@@ -137,7 +137,9 @@ class NetServer {
   /// without telemetry wired up is not a protocol violation).
   void serve_timeseries(obs::TimeSeries* series) { served_series_ = series; }
 
-  /// Mirrors the server counters into `registry` under net.* names.
+  /// Registers the server counters with `registry` under net.* names and
+  /// the open connections as the net.connections gauge. Pass nullptr to
+  /// detach.
   void set_metrics(obs::Registry* registry);
 
   /// Arms FaultSite::kNetDropConn: a firing drops the connection before
@@ -213,25 +215,7 @@ class NetServer {
   NetServerStats stats_;
   std::string frame_scratch_;  ///< reused response-frame encode buffer
   std::string body_scratch_;   ///< reused response-body encode buffer
-
-  /// Hoisted registry handles, null when no registry is attached.
-  struct Metrics {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* accept_rejected = nullptr;
-    obs::Counter* disconnects = nullptr;
-    obs::Counter* idle_closes = nullptr;
-    obs::Counter* frames_in = nullptr;
-    obs::Counter* frames_out = nullptr;
-    obs::Counter* frame_rejects = nullptr;
-    obs::Counter* truncated_frames = nullptr;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
-    obs::Counter* publishes = nullptr;
-    obs::Counter* publish_errors = nullptr;
-    obs::Counter* redirects_issued = nullptr;
-    obs::Gauge* connections = nullptr;
-  };
-  Metrics metrics_;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::net

@@ -9,6 +9,79 @@
 
 namespace mps::obs {
 
+namespace {
+
+// Unlinks `link` from `links` in O(1): the last link takes its slot.
+template <typename Link>
+void unlink(std::vector<Link*>& links, Link* link) {
+  Link* last = links.back();
+  links[link->slot] = last;
+  last->slot = link->slot;
+  links.pop_back();
+}
+
+}  // namespace
+
+// --- Counter, Gauge ---------------------------------------------------------
+
+Counter::~Counter() {
+  for (detail::CounterLink* link : links_) link->counter = nullptr;
+}
+
+std::uint64_t Counter::value() const {
+  std::uint64_t total = value_;
+  for (const detail::CounterLink* link : links_)
+    total += *link->field - link->base;
+  return total;
+}
+
+void Counter::reset() {
+  value_ = 0;
+  for (detail::CounterLink* link : links_) link->base = *link->field;
+}
+
+Gauge::~Gauge() {
+  for (detail::GaugeLink* link : links_) link->gauge = nullptr;
+}
+
+double Gauge::value() const {
+  double total = value_;
+  for (const detail::GaugeLink* link : links_) total += link->read();
+  return total;
+}
+
+// --- Sources ----------------------------------------------------------------
+
+void Sources::counter(Registry& registry, const std::string& name,
+                      const std::uint64_t& field) {
+  Counter& c = registry.counter(name);
+  auto link = std::make_unique<detail::CounterLink>(
+      detail::CounterLink{&c, &field, field, c.links_.size()});
+  c.links_.push_back(link.get());
+  counters_.push_back(std::move(link));
+}
+
+void Sources::gauge(Registry& registry, const std::string& name,
+                    std::function<double()> read) {
+  Gauge& g = registry.gauge(name);
+  auto link = std::make_unique<detail::GaugeLink>(
+      detail::GaugeLink{&g, std::move(read), g.links_.size()});
+  g.links_.push_back(link.get());
+  gauges_.push_back(std::move(link));
+}
+
+void Sources::detach() {
+  for (const auto& link : counters_) {
+    if (link->counter == nullptr) continue;
+    link->counter->value_ += *link->field - link->base;
+    unlink(link->counter->links_, link.get());
+  }
+  for (const auto& link : gauges_)
+    if (link->gauge != nullptr) unlink(link->gauge->links_, link.get());
+  counters_.clear();
+  gauges_.clear();
+}
+
 // --- LatencyHistogram -------------------------------------------------------
 
 const std::vector<double>& LatencyHistogram::default_latency_edges_ms() {

@@ -6,15 +6,19 @@
 // module provides named counters, gauges and latency histograms behind a
 // registry with snapshot/reset semantics and text + JSON exporters.
 //
-// Hot-path cost: metric objects are owned by the registry and handed out
-// as stable references; an increment is a single inlined add on a plain
-// integer (no locks, no atomics — the middleware runs inside the
-// single-threaded discrete-event simulation, like the docstore). Callers
-// hoist the name lookup (a map find) out of their hot loops by keeping
-// the returned pointer/reference.
+// One counter per fact: a component counts its own activity in its own
+// fields (the stats() structs) and registers those fields, and the sizes
+// it already holds, as read-time sources (obs::Sources). The registry
+// sums every source of a name whenever it is read, so the hot path writes
+// nothing but the component's own field. Counters that no component owns
+// (bench layer timers, the exec pool's mirror_into) still increment the
+// registry's Counter directly; histograms always live in the registry.
+// No locks, no atomics: the middleware runs inside the single-threaded
+// discrete-event simulation, like the docstore.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,27 +28,68 @@
 
 namespace mps::obs {
 
-/// Monotonic event counter.
+class Counter;
+class Gauge;
+
+namespace detail {
+/// One counter field a component registered: owned by the component's
+/// Sources, listed by the Counter it feeds. `counter` is null once the
+/// registry is gone.
+struct CounterLink {
+  Counter* counter = nullptr;
+  const std::uint64_t* field = nullptr;
+  std::uint64_t base = 0;  ///< *field when attached or at the last reset
+  std::size_t slot = 0;    ///< index in counter->links_
+};
+/// One size view a component registered, listed by its Gauge.
+struct GaugeLink {
+  Gauge* gauge = nullptr;
+  std::function<double()> read;
+  std::size_t slot = 0;  ///< index in gauge->links_
+};
+}  // namespace detail
+
+/// Monotonic event counter: its own increments plus what every attached
+/// source counted since it attached (or since the last reset()).
 class Counter {
  public:
+  Counter() = default;
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+  ~Counter();
+
   void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
+  std::uint64_t value() const;
+  /// Zeroes what the counter reports; sources are rebased, never written.
+  void reset();
 
  private:
+  friend class Sources;
+  /// Direct increments plus the final counts of detached sources.
   std::uint64_t value_ = 0;
+  std::vector<detail::CounterLink*> links_;
 };
 
-/// Point-in-time numeric value (queue depths, RMS diagnostics, ...).
+/// Point-in-time numeric value (queue depths, RMS diagnostics, ...): the
+/// value last set plus the sum of every attached view, so a size gauge
+/// reads the total over the live instances that register it.
 class Gauge {
  public:
+  Gauge() = default;
+  Gauge(const Gauge&) = delete;
+  Gauge& operator=(const Gauge&) = delete;
+  ~Gauge();
+
   void set(double v) { value_ = v; }
   void add(double d) { value_ += d; }
-  double value() const { return value_; }
+  double value() const;
+  /// Zeroes the set value; views keep reporting the live sizes.
   void reset() { value_ = 0.0; }
 
  private:
+  friend class Sources;
   double value_ = 0.0;
+  std::vector<detail::GaugeLink*> links_;
 };
 
 /// Fixed-bucket latency histogram over durations in milliseconds.
@@ -120,8 +165,9 @@ struct MetricsSnapshot {
 };
 
 /// Owns named metrics. Metric objects are created on first access (like
-/// docstore collections) and stay valid for the registry's lifetime, so
-/// components cache the reference and pay only the increment on hot paths.
+/// docstore collections) and stay valid for the registry's lifetime.
+/// Reading a counter or gauge (value(), snapshot(), the exporters) sums
+/// its sources at that moment.
 class Registry {
  public:
   Registry() = default;
@@ -147,8 +193,10 @@ class Registry {
   /// Copies the current values of every metric.
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes every metric (names and objects survive — held references
-  /// stay valid). The phase-delta primitive for benches.
+  /// Zeroes every counter, set gauge value and histogram (names and
+  /// objects survive — held references stay valid). Counter sources are
+  /// rebased, so no component state changes. The phase-delta primitive
+  /// for benches.
   void reset();
 
   /// snapshot() followed by reset(), as one call.
@@ -161,6 +209,46 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
+};
+
+/// The read-time sources one component registered with a registry:
+/// counter fields it already maintains and sizes it already holds.
+///
+/// A counter source contributes what its field counted while attached.
+/// Detaching — detach(), attaching again, or destroying the Sources —
+/// folds that count into the registry's Counter, so totals never go
+/// backwards; registry and component may be destroyed in either order. A
+/// copy starts detached, because the registered addresses belong to the
+/// original, and assigning to a Sources detaches it. Declare it after the
+/// fields it reads, so it detaches before they are destroyed; a value
+/// type assigned while attached declares it before its integer counters
+/// instead, so the detach reads them before they are overwritten.
+class Sources {
+ public:
+  Sources() = default;
+  Sources(const Sources&) {}
+  Sources& operator=(const Sources&) {
+    detach();
+    return *this;
+  }
+  ~Sources() { detach(); }
+
+  /// Feeds `field` into counter `name` from its current value on. The
+  /// field must keep its address and never decrease while attached.
+  void counter(Registry& registry, const std::string& name,
+               const std::uint64_t& field);
+
+  /// Adds `read()` to gauge `name` on every read while attached.
+  void gauge(Registry& registry, const std::string& name,
+             std::function<double()> read);
+
+  /// Detaches every source, folding the counters' counts into the
+  /// registry (a no-op for a registry already destroyed).
+  void detach();
+
+ private:
+  std::vector<std::unique_ptr<detail::CounterLink>> counters_;
+  std::vector<std::unique_ptr<detail::GaugeLink>> gauges_;
 };
 
 }  // namespace mps::obs

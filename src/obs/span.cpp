@@ -30,16 +30,17 @@ const char* drop_stage_name(DropStage s) {
 }
 
 SpanTracker::SpanTracker(Registry* metrics, std::size_t capacity)
-    : capacity_(capacity), metrics_(metrics) {
-  if (metrics_ == nullptr) return;
-  started_ = &metrics_->counter("span.started");
-  evicted_counter_ = &metrics_->counter("obs.spans_evicted");
+    : capacity_(capacity) {
+  if (metrics == nullptr) return;
+  sources_.counter(*metrics, "span.started", counts_.started);
+  sources_.counter(*metrics, "obs.spans_evicted", counts_.evicted);
   for (std::size_t s = 1; s < kDropStageCount; ++s)
-    drop_counters_[s] = &metrics_->counter(
-        std::string("span.dropped.") +
-        drop_stage_name(static_cast<DropStage>(s)));
+    sources_.counter(*metrics,
+                     std::string("span.dropped.") +
+                         drop_stage_name(static_cast<DropStage>(s)),
+                     counts_.dropped[s]);
   for (std::size_t h = 1; h < kHopCount; ++h)
-    hop_histograms_[h] = &metrics_->histogram(
+    hop_histograms_[h] = &metrics->histogram(
         std::string("span.") + hop_name(static_cast<Hop>(h - 1)) + "_to_" +
         hop_name(static_cast<Hop>(h)) + "_ms");
 }
@@ -49,7 +50,7 @@ void SpanTracker::retire_over_capacity() {
          closed(spans_.front())) {
     spans_.pop_front();
     ++base_id_;
-    if (evicted_counter_ != nullptr) evicted_counter_->inc();
+    ++counts_.evicted;
   }
 }
 
@@ -59,7 +60,7 @@ std::uint64_t SpanTracker::begin(TimeMs sensed_at) {
   record.hops[static_cast<std::size_t>(Hop::kSensed)] = sensed_at;
   spans_.push_back(record);
   retire_over_capacity();
-  if (started_ != nullptr) started_->inc();
+  ++counts_.started;
   return record.id;
 }
 
@@ -83,8 +84,7 @@ void SpanTracker::drop(std::uint64_t id, DropStage stage, TimeMs at) {
   SpanRecord& record = spans_[id - base_id_];
   if (record.dropped != DropStage::kNone) return;  // first drop wins
   record.dropped = stage;
-  Counter* c = drop_counters_[static_cast<std::size_t>(stage)];
-  if (c != nullptr) c->inc();
+  ++counts_.dropped[static_cast<std::size_t>(stage)];
 }
 
 const SpanRecord* SpanTracker::find(std::uint64_t id) const {

@@ -85,8 +85,9 @@ struct SpanRecord {
 
 /// Allocates and stamps spans. When constructed with a Registry, each
 /// consecutive-hop latency feeds a `span.<from>_to_<to>_ms` histogram and
-/// drops bump `span.dropped.<stage>` counters, so the registry's /metrics
-/// export carries the per-stage breakdown for free.
+/// the tracker's own drop counts read as `span.dropped.<stage>` counters,
+/// so the registry's /metrics export carries the per-stage breakdown for
+/// free.
 ///
 /// Memory is bounded: the tracker keeps at most `capacity` span records.
 /// When a new span would exceed it, *closed* spans (dropped, or stamped
@@ -160,12 +161,17 @@ class SpanTracker {
   std::deque<SpanRecord> spans_;
   std::uint64_t base_id_ = 1;  ///< id of spans_.front()
   std::size_t capacity_ = kDefaultCapacity;
-  Registry* metrics_ = nullptr;
-  // Hoisted metric handles (hot path: one stamp per observation per hop).
-  Counter* started_ = nullptr;
-  Counter* evicted_counter_ = nullptr;
-  Counter* drop_counters_[kDropStageCount] = {};
+  /// Cumulative counts clear() keeps, registered as span.started,
+  /// obs.spans_evicted and span.dropped.<stage>.
+  struct Counts {
+    std::uint64_t started = 0;
+    std::uint64_t evicted = 0;
+    std::uint64_t dropped[kDropStageCount] = {};
+  };
+  Counts counts_;
+  // Hoisted histogram handles (hot path: one stamp per observation per hop).
   LatencyHistogram* hop_histograms_[kHopCount] = {};  // [h] = (h-1) -> h
+  Sources sources_;
 };
 
 }  // namespace mps::obs

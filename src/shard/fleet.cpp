@@ -10,7 +10,7 @@ ShardNode::ShardNode(std::uint32_t index, sim::Simulation& sim,
       lifecycle_(env_a_, sim, broker_, db_, server_, config.journal,
                  config.metrics) {
   if (config.metrics != nullptr)
-    failovers_metric_ = &config.metrics->counter("shard.failovers");
+    sources_.counter(*config.metrics, "shard.failovers", failovers_);
   // The lifecycle constructor wrote the base snapshot; ship it and the
   // (empty) log so the follower is promotable from the first event on.
   shipper_.set_follower(&env_b_);
@@ -39,7 +39,6 @@ void ShardNode::fail_over() {
   shipper_.attach(&lifecycle_.journal()->wal());
   shipper_.mirror_snapshots(promoted);
   ++failovers_;
-  if (failovers_metric_ != nullptr) failovers_metric_->inc();
 }
 
 void ShardNode::snapshot() {
@@ -55,7 +54,7 @@ void ShardNode::wipe(durable::StorageEnv& env) {
 ShardFleet::ShardFleet(sim::Simulation& sim, FleetConfig config)
     : config_(std::move(config)), map_(config_.shards) {
   if (config_.metrics != nullptr)
-    rebalances_metric_ = &config_.metrics->counter("shard.rebalances");
+    sources_.counter(*config_.metrics, "shard.rebalances", rebalances_);
   nodes_.reserve(config_.shards);
   for (std::uint32_t i = 0; i < config_.shards; ++i)
     nodes_.push_back(std::make_unique<ShardNode>(i, sim, config_));
@@ -82,7 +81,6 @@ bool ShardFleet::rebalance(std::uint32_t slot, std::uint32_t to_shard) {
   src.snapshot();
   dst.snapshot();
   ++rebalances_;
-  if (rebalances_metric_ != nullptr) rebalances_metric_->inc();
   return true;
 }
 

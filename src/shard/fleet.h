@@ -112,7 +112,7 @@ class ShardNode {
   WalShipper shipper_;
   core::ServerLifecycle lifecycle_;
   std::uint64_t failovers_ = 0;
-  obs::Counter* failovers_metric_ = nullptr;
+  obs::Sources sources_;
 };
 
 /// The fleet: N nodes plus the slot map and the rebalance path.
@@ -167,7 +167,7 @@ class ShardFleet {
   std::vector<std::unique_ptr<ShardNode>> nodes_;
   std::uint64_t rebalances_ = 0;
   std::uint64_t rebalances_skipped_ = 0;
-  obs::Counter* rebalances_metric_ = nullptr;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::shard

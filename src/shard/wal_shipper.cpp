@@ -26,11 +26,11 @@ bool is_snapshot_file(const std::string& name) {
 WalShipper::WalShipper(std::uint32_t shard, durable::WalConfig wal_config,
                        obs::Registry* metrics)
     : shard_(shard), wal_config_(std::move(wal_config)) {
-  if (metrics != nullptr) {
-    records_metric_ = &metrics->counter("shard.shipped_records");
-    frames_metric_ = &metrics->counter("shard.ship_frames");
-    snapshots_metric_ = &metrics->counter("shard.snapshots_mirrored");
-  }
+  if (metrics == nullptr) return;
+  sources_.counter(*metrics, "shard.shipped_records", stats_.records_shipped);
+  sources_.counter(*metrics, "shard.ship_frames", stats_.frames);
+  sources_.counter(*metrics, "shard.snapshots_mirrored",
+                   stats_.snapshots_mirrored);
 }
 
 std::string WalShipper::segment_name(std::uint64_t first_lsn) const {
@@ -101,7 +101,6 @@ void WalShipper::ship() {
       throw std::logic_error("WalShipper: own frame failed to decode");
     ++stats_.frames;
     stats_.bytes_shipped += body.size();
-    if (frames_metric_ != nullptr) frames_metric_->inc();
     // ...and apply them to the follower's log.
     for (const net::wire::WalRecord& rec : decoded.records)
       apply_record(rec.lsn, rec.payload);
@@ -126,7 +125,6 @@ void WalShipper::apply_record(std::uint64_t lsn, std::string_view payload) {
   cur_segment_size_ += framed.size();
   last_shipped_lsn_ = lsn;
   ++stats_.records_shipped;
-  if (records_metric_ != nullptr) records_metric_->inc();
 }
 
 void WalShipper::mirror_snapshots(durable::StorageEnv& primary) {
@@ -147,7 +145,6 @@ void WalShipper::mirror_snapshots(durable::StorageEnv& primary) {
     if (follower_->exists(name) && follower_->read(name) == data) continue;
     follower_->write_atomic(name, data);
     ++stats_.snapshots_mirrored;
-    if (snapshots_metric_ != nullptr) snapshots_metric_->inc();
   }
 }
 

@@ -47,7 +47,9 @@ class WalShipper {
   /// `shard` tags the wire frames; `wal_config` supplies the follower's
   /// segment discipline (prefix, rotation threshold) — use the same
   /// config the primary journal uses so a promoted follower's log looks
-  /// exactly like a primary's.
+  /// exactly like a primary's. With `metrics`, registers the stats as
+  /// shard.shipped_records, shard.ship_frames and
+  /// shard.snapshots_mirrored.
   WalShipper(std::uint32_t shard, durable::WalConfig wal_config,
              obs::Registry* metrics = nullptr);
 
@@ -96,10 +98,7 @@ class WalShipper {
   std::string cur_segment_;
   std::size_t cur_segment_size_ = 0;
   ShipperStats stats_;
-
-  obs::Counter* records_metric_ = nullptr;
-  obs::Counter* frames_metric_ = nullptr;
-  obs::Counter* snapshots_metric_ = nullptr;
+  obs::Sources sources_;
 };
 
 }  // namespace mps::shard

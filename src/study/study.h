@@ -54,8 +54,8 @@ struct StudyConfig {
   /// backoff retries settle. Chaos runs want this larger than the client
   /// retry_max so surviving batches get their last attempts in.
   DurationMs drain = minutes(5);
-  /// Optional observability: when set, every device client mirrors its
-  /// counters into the registry and traces observation lifecycles through
+  /// Optional observability: when set, every device client registers its
+  /// counters with the registry and traces observation lifecycles through
   /// the tracker (which the server side should share — see
   /// GoFlowServer::set_metrics / set_tracer). Both may be null.
   obs::Registry* metrics = nullptr;

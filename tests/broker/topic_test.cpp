@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+
 namespace mps::broker {
 namespace {
 
@@ -79,8 +83,11 @@ TEST(Topic, ValidBindingPattern) {
 }
 
 // Property: '#'-free patterns match only keys with the same word count.
+// The parameters are std::string, not const char*: gtest prints a char
+// pointer with its address, which would put a per-run address in each
+// case's name.
 class TopicWordCountTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(TopicWordCountTest, StarPreservesWordCount) {
   auto [pattern, key] = GetParam();

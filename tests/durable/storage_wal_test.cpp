@@ -9,6 +9,7 @@
 
 #include "durable/storage.h"
 #include "durable/wal.h"
+#include "obs/metrics.h"
 
 namespace mps::durable {
 namespace {
@@ -157,6 +158,26 @@ TEST(Wal, ReopenResumesLsnAssignment) {
   EXPECT_EQ(reopened.append("c"), 3u);
   std::uint64_t n = reopened.replay(0, [](std::uint64_t, std::string_view) {});
   EXPECT_EQ(n, 3u);
+}
+
+// durable.wal_bytes counts framed bytes (16-byte header + payload), summed
+// over every Wal on the registry, including one already destroyed.
+TEST(Wal, FramedBytesAreCountedAndSummedOverWals) {
+  MemStorageEnv env_a, env_b;
+  obs::Registry registry;
+  Wal a(env_a, {}, &registry);
+  a.append("r1");
+  a.append("r22");
+  EXPECT_EQ(a.stats().bytes_appended, 16u + 2u + 16u + 3u);
+  {
+    Wal b(env_b, {}, &registry);
+    b.append("x");
+    EXPECT_EQ(registry.counter("durable.wal_bytes").value(), 37u + 17u);
+    EXPECT_DOUBLE_EQ(registry.gauge("durable.wal_segments").value(), 2.0);
+  }
+  EXPECT_EQ(registry.counter("durable.wal_bytes").value(), 54u);
+  EXPECT_EQ(registry.counter("durable.wal_appends").value(), 3u);
+  EXPECT_DOUBLE_EQ(registry.gauge("durable.wal_segments").value(), 1.0);
 }
 
 TEST(Wal, SegmentsRotateAndSortByName) {

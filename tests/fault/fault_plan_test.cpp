@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "obs/metrics.h"
 
 namespace mps::fault {
@@ -147,6 +149,30 @@ TEST(FaultPlan, MetricsMirrorInjections) {
   plan.should_fail(FaultSite::kBrokerPublish);
   EXPECT_EQ(registry.counter("fault.injected.broker_publish").value(), 2u);
   EXPECT_EQ(registry.counter("fault.checked.broker_publish").value(), 3u);
+}
+
+// A plan is a value: copies of an attached plan are not read by the
+// registry, and the original's counts survive its destruction.
+TEST(FaultPlan, CopiesOfAnAttachedPlanStartDetached) {
+  obs::Registry registry;
+  auto plan = std::make_unique<FaultPlan>(2);
+  plan->set_metrics(&registry);
+  plan->fail_next(FaultSite::kBrokerPublish, 1);
+  plan->should_fail(FaultSite::kBrokerPublish);
+  FaultPlan copy = *plan;
+  plan.reset();
+  copy.should_fail(FaultSite::kBrokerPublish);
+  EXPECT_EQ(copy.checked(FaultSite::kBrokerPublish), 2u);
+  EXPECT_EQ(registry.counter("fault.checked.broker_publish").value(), 1u);
+  EXPECT_EQ(registry.counter("fault.injected.broker_publish").value(), 1u);
+
+  // Assigning over an attached plan keeps what it counted.
+  FaultPlan target(3);
+  target.set_metrics(&registry);
+  target.should_fail(FaultSite::kBrokerPublish);
+  target = copy;
+  target.should_fail(FaultSite::kBrokerPublish);
+  EXPECT_EQ(registry.counter("fault.checked.broker_publish").value(), 2u);
 }
 
 TEST(FaultPoint, DisarmedIsNoOp) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/types.h"
 #include "common/value.h"
 
@@ -138,6 +140,109 @@ TEST(RegistryTest, SnapshotAndResetZeroesButKeepsObjects) {
   EXPECT_EQ(registry.snapshot().counters[0].second, 1u);
   EXPECT_DOUBLE_EQ(registry.snapshot().gauges[0].second, 0.0);
   EXPECT_EQ(registry.snapshot().histograms[0].second.count, 0u);
+}
+
+TEST(SourcesTest, CounterReadsWhatTheFieldCountedSinceAttach) {
+  Registry registry;
+  std::uint64_t field = 5;  // counted before attaching: not the registry's
+  Sources sources;
+  sources.counter(registry, "c", field);
+  EXPECT_TRUE(registry.has_counter("c"));
+  EXPECT_EQ(registry.counter("c").value(), 0u);
+  field += 3;
+  registry.counter("c").inc(2);  // direct increments still add
+  EXPECT_EQ(registry.counter("c").value(), 5u);
+}
+
+TEST(SourcesTest, SumsEverySourceOfAName) {
+  Registry registry;
+  std::uint64_t a = 0, b = 0;
+  Sources sa, sb;
+  sa.counter(registry, "c", a);
+  sb.counter(registry, "c", b);
+  a += 2;
+  b += 3;
+  EXPECT_EQ(registry.counter("c").value(), 5u);
+  EXPECT_EQ(registry.snapshot().counters[0].second, 5u);
+}
+
+TEST(SourcesTest, DetachKeepsTheCountAndNeverGoesBackwards) {
+  Registry registry;
+  std::uint64_t field = 0;
+  {
+    Sources sources;
+    sources.counter(registry, "c", field);
+    field = 4;
+  }  // destroyed: the final count folds into the registry
+  EXPECT_EQ(registry.counter("c").value(), 4u);
+  field = 100;  // no longer read
+  EXPECT_EQ(registry.counter("c").value(), 4u);
+
+  Sources again;
+  again.counter(registry, "c", field);  // re-attach: new baseline
+  field = 101;
+  again.detach();
+  again.detach();  // idempotent
+  EXPECT_EQ(registry.counter("c").value(), 5u);
+}
+
+TEST(SourcesTest, ResetRebasesWithoutWritingTheField) {
+  Registry registry;
+  std::uint64_t field = 0;
+  Sources sources;
+  sources.counter(registry, "c", field);
+  field = 7;
+  registry.reset();
+  EXPECT_EQ(field, 7u);
+  EXPECT_EQ(registry.counter("c").value(), 0u);
+  field = 9;
+  EXPECT_EQ(registry.snapshot_and_reset().counters[0].second, 2u);
+  sources.detach();
+  EXPECT_EQ(registry.counter("c").value(), 0u);
+}
+
+TEST(SourcesTest, GaugeViewsSumOverLiveInstances) {
+  Registry registry;
+  std::size_t a = 2, b = 3;
+  Sources sb;
+  {
+    Sources sa;
+    sa.gauge(registry, "g", [&a] { return static_cast<double>(a); });
+    sb.gauge(registry, "g", [&b] { return static_cast<double>(b); });
+    EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 5.0);
+    a = 10;
+    EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 13.0);
+  }  // a gone: its size leaves the total
+  EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 3.0);
+  registry.reset();  // a view is live state, not an accumulation
+  EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 3.0);
+}
+
+TEST(SourcesTest, RegistryMayBeDestroyedFirst) {
+  std::uint64_t field = 0;
+  Sources sources;
+  {
+    Registry registry;
+    sources.counter(registry, "c", field);
+    sources.gauge(registry, "g", [] { return 1.0; });
+    field = 3;
+  }
+  field = 4;
+  sources.detach();  // nothing left to fold into
+}
+
+TEST(SourcesTest, CopyStartsDetached) {
+  Registry registry;
+  std::uint64_t field = 0;
+  auto original = std::make_unique<Sources>();
+  original->counter(registry, "c", field);
+  Sources copy = *original;
+  field = 2;
+  original.reset();
+  field = 5;
+  EXPECT_EQ(registry.counter("c").value(), 2u);
+  copy.detach();
+  EXPECT_EQ(registry.counter("c").value(), 2u);
 }
 
 TEST(ExporterTest, TextExportGolden) {

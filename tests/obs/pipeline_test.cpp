@@ -335,25 +335,5 @@ TEST_F(PipelineObservabilityTest, SimHookSnapshotsPeriodically) {
   EXPECT_EQ(fired.size(), 6u);
 }
 
-TEST_F(PipelineObservabilityTest, TakeStatsReturnsDeltas) {
-  Device d = make_device("mob1", 1);
-  d.goflow->sense_now(phone::SensingMode::kManual);
-  sim.run();
-  client::ClientStats first = d.goflow->take_stats();
-  EXPECT_EQ(first.observations_recorded, 1u);
-  EXPECT_EQ(d.goflow->stats().observations_recorded, 0u);
-
-  broker::BrokerStats broker_first = broker.take_stats();
-  EXPECT_GT(broker_first.published, 0u);
-  EXPECT_EQ(broker.stats().published, 0u);
-
-  d.goflow->sense_now(phone::SensingMode::kManual);
-  sim.run();
-  EXPECT_EQ(d.goflow->take_stats().observations_recorded, 1u);
-  EXPECT_EQ(broker.take_stats().published, 1u);
-  // Registry aggregates survive component-level resets.
-  EXPECT_EQ(registry.counter("client.recorded").value(), 2u);
-}
-
 }  // namespace
 }  // namespace mps

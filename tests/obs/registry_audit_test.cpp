@@ -3,9 +3,15 @@
 // registry export must carry every metric family the telemetry plane
 // promises — durable.*, exec.*, retry.*, fault.*, net.* — and both
 // exporters must be deterministic (sorted by name, identical across
-// repeated export calls).
+// repeated export calls). The registry reads the components' own
+// counters, so it must agree with their stats(), keep the counts of
+// components destroyed before the read, and survive either side being
+// destroyed first.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,14 +28,26 @@
 namespace mps::study {
 namespace {
 
-// One small kill-chaos run wiring every subsystem into `registry`.
-void run_wired_chaos(obs::Registry& registry) {
+/// The chaos run's components, alive, for checks against their stats().
+struct Wired {
+  const broker::Broker& broker;
+  const docstore::Database& db;
+  const net::NetServer& net_server;
+  const fault::FaultPlan& plan;
+  const StudyRunner& runner;
+};
+
+// One small kill-chaos run wiring every subsystem into `registry`;
+// `inspect` sees the components after the run, before they are destroyed.
+void run_wired_chaos(obs::Registry& registry,
+                     const std::function<void(const Wired&)>& inspect = {}) {
   sim::Simulation sim;
   broker::Broker broker;
   docstore::Database db;
+  broker.set_metrics(&registry);
+  db.set_metrics(&registry);
   core::GoFlowServer server(sim, broker, db);
   obs::SpanTracker tracer(&registry);
-  broker.set_metrics(&registry);
   server.set_metrics(&registry);
   server.set_tracer(&tracer);
 
@@ -64,11 +82,32 @@ void run_wired_chaos(obs::Registry& registry) {
 
   StudyRunner runner(pop, sc, sim, broker, server);
   runner.run();
+  if (inspect) inspect(Wired{broker, db, net_server, plan, runner});
 
   // The sweep/executor layer mirrors its stats explicitly.
   exec::SweepExecutor sweep(2);
   sweep.run(4, [](std::size_t) {});
   sweep.mirror_into(registry);
+}
+
+/// The parity set: each name's total over every instance's stats().
+std::map<std::string, std::uint64_t> stats_totals(const Wired& w) {
+  std::map<std::string, std::uint64_t> t;
+  t["broker.published"] = w.broker.stats().published;
+  t["net.frames_in"] = w.net_server.stats().frames_in;
+  for (const std::string& name : w.db.collection_names())
+    t["docstore.inserts"] +=
+        w.db.find_collection(name)->stats().total_inserts;
+  for (const client::GoFlowClient* c : w.runner.clients()) {
+    t["client.recorded"] += c->stats().observations_recorded;
+    t["net.client_resends"] += c->config().transport->stats().resends;
+  }
+  for (std::size_t i = 0; i < fault::kFaultSiteCount; ++i) {
+    const auto site = static_cast<fault::FaultSite>(i);
+    t[std::string("fault.injected.") + fault::fault_site_name(site)] =
+        w.plan.injected(site);
+  }
+  return t;
 }
 
 bool any_starts_with(const std::vector<std::string>& names,
@@ -148,6 +187,63 @@ TEST(RegistryAudit, ExportsAreSortedAndDeterministic) {
   Value parsed = Value::parse_json(registry.export_json().to_json());
   EXPECT_EQ(parsed.at("counters").get_int("a.first", 0), 2);
   EXPECT_DOUBLE_EQ(parsed.at("gauges").get_double("g.a", 0.0), 2.0);
+}
+
+TEST(RegistryAudit, CountersEqualComponentStatsAndOutliveComponents) {
+  obs::Registry registry;
+  std::map<std::string, std::uint64_t> totals;
+  run_wired_chaos(registry, [&](const Wired& w) {
+    totals = stats_totals(w);
+    for (const auto& [name, total] : totals)
+      EXPECT_EQ(registry.counter(name).value(), total) << name;
+  });
+  ASSERT_GT(totals["net.client_resends"], 0u);
+  ASSERT_GT(totals["fault.injected.broker_publish"], 0u);
+  // Every client, NetClient, broker and plan is gone now: the registry
+  // kept what each counted.
+  for (const auto& [name, total] : totals)
+    EXPECT_EQ(registry.counter(name).value(), total) << name;
+}
+
+TEST(RegistryAudit, ResetZeroesReadsWithoutTouchingComponentStats) {
+  obs::Registry registry;
+  run_wired_chaos(registry, [&](const Wired& w) {
+    const std::map<std::string, std::uint64_t> before = stats_totals(w);
+    registry.reset();
+    for (const auto& [name, value] : registry.snapshot().counters)
+      EXPECT_EQ(value, 0u) << name;
+    EXPECT_EQ(stats_totals(w), before);
+  });
+}
+
+// Either side may go first: a registry destroyed before its components
+// leaves them nothing to touch on their way out.
+TEST(RegistryAudit, RegistryDestroyedBeforeItsComponents) {
+  sim::Simulation sim;
+  broker::Broker broker;
+  docstore::Database db;
+  core::GoFlowServer server(sim, broker, db);
+  durable::MemStorageEnv env;
+  fault::FaultPlan plan = fault::FaultPlan::lossy_network(3);
+  auto registry = std::make_unique<obs::Registry>();
+  obs::SpanTracker tracer(registry.get());
+  broker.set_metrics(registry.get());
+  db.set_metrics(registry.get());
+  server.set_metrics(registry.get());
+  plan.set_metrics(registry.get());
+  core::ServerLifecycle lifecycle(env, sim, broker, db, server, {},
+                                  registry.get());
+  server.register_app("app").value_or_throw();
+  plan.should_fail(fault::FaultSite::kBrokerPublish);
+  tracer.begin(0);
+  ASSERT_GT(registry->counter("broker.published").value() +
+                registry->counter("docstore.inserts").value(),
+            0u);
+  registry = nullptr;  // the registry goes first
+  lifecycle.crash();  // destroys the journal and its WAL: their sources detach
+  db.set_metrics(nullptr);
+  plan.should_fail(fault::FaultSite::kBrokerPublish);
+  tracer.begin(0);
 }
 
 }  // namespace

@@ -278,6 +278,42 @@ TEST(ShardFleet, RebalanceNextWalksTheRing) {
   EXPECT_EQ(single.fleet.rebalances(), 0u);
 }
 
+// Size gauges on a registry the nodes share are sums over the nodes, not
+// the count of whichever node changed last.
+TEST(ShardFleet, SharedRegistryGaugesSumOverNodes) {
+  sim::Simulation sim;
+  obs::Registry registry;
+  FleetConfig config;
+  config.shards = 3;
+  config.metrics = &registry;
+  config.journal.wal.segment_bytes = 512;
+  ShardFleet fleet(sim, config);
+  for (std::uint32_t i = 0; i < fleet.size(); ++i)
+    fleet.node(i).broker().set_metrics(&registry);
+  auto total = [&](auto per_node) {
+    double sum = 0.0;
+    for (std::uint32_t i = 0; i < fleet.size(); ++i)
+      sum += static_cast<double>(per_node(fleet.node(i)));
+    return sum;
+  };
+
+  broker::Broker& b0 = fleet.node(0).broker();
+  b0.declare_exchange("extra.1", broker::ExchangeType::kTopic).throw_if_error();
+  b0.declare_exchange("extra.2", broker::ExchangeType::kTopic).throw_if_error();
+  const double exchanges = total(
+      [](ShardNode& n) { return n.broker().exchange_names().size(); });
+  EXPECT_DOUBLE_EQ(exchanges, 5.0);
+  EXPECT_DOUBLE_EQ(registry.gauge("broker.exchanges").value(), exchanges);
+
+  durable::Wal& wal1 = fleet.node(1).lifecycle().journal()->wal();
+  for (int i = 0; i < 20; ++i) wal1.append(std::string(24, 'x'));
+  const double segments = total([](ShardNode& n) {
+    return n.lifecycle().journal()->wal().segment_count();
+  });
+  EXPECT_DOUBLE_EQ(segments, 3.0);
+  EXPECT_DOUBLE_EQ(registry.gauge("durable.wal_segments").value(), segments);
+}
+
 // The 1-shard configuration is today's single server: same documents,
 // same counters, same dedup behaviour for the same driven workload.
 TEST(ShardFleet, SingleShardFleetMatchesPlainServer) {
