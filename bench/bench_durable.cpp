@@ -9,13 +9,16 @@
 //      log-before-apply overhead on the ingest hot path.
 //   3. Recovery time as a function of log size: full-tail replay into a
 //      fresh docstore at 1k/10k/50k records.
-//   4. The same state recovered from a snapshot plus a short tail — the
-//      case the snapshot_period knob is there to create.
+//   4. Recovery time against snapshot size: 1k/10k/50k stored documents,
+//      each restored from a snapshot plus a 100-record tail — the case
+//      the snapshot_period knob is there to create. Reports the snapshot
+//      write time and size per point, so the curve has both axes.
 #include <chrono>
 #include <cstdio>
 #include <string>
 
 #include "common/bench_util.h"
+#include "common/codec.h"
 #include "docstore/database.h"
 #include "durable/journal.h"
 #include "durable/storage.h"
@@ -81,7 +84,14 @@ int main() {
 
   // --- 1. Raw WAL append throughput ---------------------------------------
   const int kAppends = 50'000;
-  const std::string payload(200, 'x');  // ~a JSON-serialized db.insert
+  // One db.insert record exactly as Journal::append encodes it.
+  Value doc = observation_doc(0);
+  doc.as_object().set("_id", Value("observations-1"));
+  std::string payload;
+  codec::encode_value(Value(Object{{"op", Value("db.insert")},
+                                   {"c", Value("observations")},
+                                   {"doc", std::move(doc)}}),
+                      payload);
   std::printf("1) WAL append, %d records of %zu bytes:\n", kAppends,
               payload.size());
   for (std::uint64_t sync_every : {std::uint64_t{1}, std::uint64_t{64}}) {
@@ -140,28 +150,39 @@ int main() {
                       static_cast<double>(replayed), secs);
   }
 
-  // --- 4. Snapshot + short tail -------------------------------------------
-  std::printf("\n4) recovery, snapshot + 100-record tail (same 50k state):\n");
-  {
+  // --- 4. Snapshot + short tail, by state size -----------------------------
+  constexpr int kTail = 100;
+  std::printf("\n4) recovery, snapshot + %d-record tail:\n", kTail);
+  for (int n : {1'000, 10'000, 50'000}) {
     durable::MemStorageEnv env;
     durable::Journal journal(env);
     docstore::Database db;
     db.attach_journal(&journal);
     auto& c = db.collection("observations");
-    for (int i = 0; i < 50'000 - 100; ++i) c.insert(observation_doc(i));
+    for (int i = 0; i < n - kTail; ++i) c.insert(observation_doc(i));
     auto snap_start = std::chrono::steady_clock::now();
-    journal.write_snapshot(Value(Object{{"db", db.durable_snapshot()}}));
+    journal.write_snapshot([&](std::string& out) {
+      codec::encode_object_header(1, out);
+      codec::encode_key("db", out);
+      db.encode_snapshot(out);
+    });
     double snap_secs = seconds_since(snap_start);
-    for (int i = 50'000 - 100; i < 50'000; ++i) c.insert(observation_doc(i));
+    const double snap_bytes =
+        static_cast<double>(journal.stats().snapshot_bytes);
+    for (int i = n - kTail; i < n; ++i) c.insert(observation_doc(i));
     db.attach_journal(nullptr);
 
     std::uint64_t replayed = 0;
     double secs = time_recovery(env, &replayed);
-    std::printf("   snapshot write %.3fs; recovery %.3fs (replayed %llu)\n",
-                snap_secs, secs, static_cast<unsigned long long>(replayed));
-    bench_record("snapshot_write_seconds", snap_secs);
-    bench_record("recover_snapshot_seconds", secs);
-    bench_record("recover_snapshot_tail_records",
+    std::printf("   %6d docs: snapshot %.0f bytes written in %.3fs; "
+                "recovery %.3fs (replayed %llu)\n",
+                n, snap_bytes, snap_secs, secs,
+                static_cast<unsigned long long>(replayed));
+    const std::string tag = std::to_string(n);
+    bench_record("snapshot_write_" + tag + "_seconds", snap_secs);
+    bench_record("snapshot_" + tag + "_bytes", snap_bytes);
+    bench_record("recover_snapshot_" + tag + "_seconds", secs);
+    bench_record("recover_snapshot_" + tag + "_tail_records",
                  static_cast<double>(replayed));
   }
   return 0;

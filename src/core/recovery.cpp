@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/codec.h"
 #include "common/strings.h"
 #include "obs/flight_recorder.h"
 
@@ -49,15 +50,20 @@ void ServerLifecycle::attach(durable::Journal* journal) {
   server_.attach_journal(journal);
 }
 
-Value ServerLifecycle::combined_snapshot() const {
-  return Value(Object{{"db", db_.durable_snapshot()},
-                      {"brk", broker_.durable_snapshot()},
-                      {"srv", server_.durable_snapshot()}});
-}
-
 void ServerLifecycle::snapshot() {
   if (down_) return;
-  journal_->write_snapshot(combined_snapshot());
+  // The {db, brk, srv} state tree, streamed: the docstore encodes its
+  // documents in place, the broker and server encode their (small)
+  // Value snapshots.
+  journal_->write_snapshot([this](std::string& out) {
+    codec::encode_object_header(3, out);
+    codec::encode_key("db", out);
+    db_.encode_snapshot(out);
+    codec::encode_key("brk", out);
+    codec::encode_value(broker_.durable_snapshot(), out);
+    codec::encode_key("srv", out);
+    codec::encode_value(server_.durable_snapshot(), out);
+  });
   obs::FlightRecorder::record(obs::FrEvent::kServerSnapshot, ++snapshots_, 0,
                               sim_.now());
 }

@@ -86,7 +86,6 @@ class ServerLifecycle {
   durable::Journal* journal() { return journal_.get(); }
 
  private:
-  Value combined_snapshot() const;
   void attach(durable::Journal* journal);
 
   durable::StorageEnv* env_;  ///< never null; swapped by failover_to()

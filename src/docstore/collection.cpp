@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/codec.h"
 #include "common/strings.h"
 #include "durable/journal.h"
 #include "ingest/obs_batch.h"
@@ -815,18 +816,21 @@ void Collection::for_each(
     if (slot_alive(s)) fn(doc_at(s));
 }
 
-Value Collection::durable_snapshot() const {
-  Array docs;
-  docs.reserve(id_to_slot_.size());
+void Collection::encode_snapshot(std::string& out) const {
+  codec::encode_object_header(4, out);
+  codec::encode_key("name", out);
+  codec::encode_value(Value(name_), out);
+  codec::encode_key("id_counter", out);
+  codec::encode_value(Value(static_cast<std::int64_t>(id_counter_)), out);
+  codec::encode_key("indexes", out);
+  codec::encode_array_header(static_cast<std::uint32_t>(indexes_.size()), out);
+  for (const auto& [path, _] : indexes_) codec::encode_value(Value(path), out);
+  // Every live slot owns exactly one id_to_slot_ entry.
+  codec::encode_key("docs", out);
+  codec::encode_array_header(static_cast<std::uint32_t>(id_to_slot_.size()),
+                             out);
   for (Slot s = 0; s < slots_.size(); ++s)
-    if (slot_alive(s)) docs.push_back(doc_at(s));
-  Array index_paths;
-  for (const auto& [path, _] : indexes_) index_paths.push_back(Value(path));
-  return Value(Object{
-      {"name", Value(name_)},
-      {"id_counter", Value(static_cast<std::int64_t>(id_counter_))},
-      {"indexes", Value(std::move(index_paths))},
-      {"docs", Value(std::move(docs))}});
+    if (slot_alive(s)) codec::encode_value(doc_at(s), out);
 }
 
 void Collection::restore_snapshot(const Value& state) {

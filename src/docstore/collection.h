@@ -190,11 +190,14 @@ class Collection {
   bool apply_remove(const std::string& id);
   void apply_create_index(const std::string& path);
 
-  /// Full state as one Value (documents in insertion order, index
-  /// paths, the _id generator) — the collection's snapshot record.
-  Value durable_snapshot() const;
-  /// Rebuilds state from durable_snapshot() output. The collection must
-  /// be empty (crash() first).
+  /// Appends the collection's snapshot record to `out` in the
+  /// common/codec.h encoding: {name, id_counter, indexes: [path...],
+  /// docs: [document...]} with documents in insertion order. Each stored
+  /// document is encoded in place — the store is never copied into a
+  /// Value tree to be snapshotted.
+  void encode_snapshot(std::string& out) const;
+  /// Rebuilds state from the decoded encode_snapshot() record. The
+  /// collection must be empty (crash() first).
   void restore_snapshot(const Value& state);
 
   /// Models the process dying: drops every document and index entry in

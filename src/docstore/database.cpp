@@ -1,5 +1,7 @@
 #include "docstore/database.h"
 
+#include "common/codec.h"
+
 namespace mps::docstore {
 
 Collection& Database::collection(const std::string& name) {
@@ -54,11 +56,12 @@ void Database::attach_journal(durable::Journal* journal) {
   for (auto& [_, c] : collections_) c->attach_journal(journal);
 }
 
-Value Database::durable_snapshot() const {
-  Array collections;
-  for (const auto& [_, c] : collections_)
-    collections.push_back(c->durable_snapshot());
-  return Value(Object{{"collections", Value(std::move(collections))}});
+void Database::encode_snapshot(std::string& out) const {
+  codec::encode_object_header(1, out);
+  codec::encode_key("collections", out);
+  codec::encode_array_header(static_cast<std::uint32_t>(collections_.size()),
+                             out);
+  for (const auto& [_, c] : collections_) c->encode_snapshot(out);
 }
 
 void Database::restore_snapshot(const Value& state) {

@@ -53,9 +53,11 @@ class Database {
   /// set_metrics): mutations log "db.*" records before applying.
   void attach_journal(durable::Journal* journal);
 
-  /// Full database state as one Value ({"collections": [...]}).
-  Value durable_snapshot() const;
-  /// Rebuilds from durable_snapshot() output (crash() first).
+  /// Appends the full database state to `out` in the common/codec.h
+  /// encoding: {"collections": [record...]}, one
+  /// Collection::encode_snapshot record per collection, in name order.
+  void encode_snapshot(std::string& out) const;
+  /// Rebuilds from the decoded encode_snapshot() state (crash() first).
   void restore_snapshot(const Value& state);
   /// Re-applies one "db.*" journal record (no re-logging, no faults).
   void apply_journal_record(const Value& record);

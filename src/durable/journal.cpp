@@ -1,5 +1,7 @@
 #include "durable/journal.h"
 
+#include "common/codec.h"
+
 namespace mps::durable {
 
 Journal::Journal(StorageEnv& env, JournalConfig config, obs::Registry* metrics)
@@ -16,7 +18,9 @@ Journal::Journal(StorageEnv& env, JournalConfig config, obs::Registry* metrics)
 }
 
 std::uint64_t Journal::append(const Value& record) {
-  return wal_.append(record.to_json());
+  std::string payload;
+  codec::encode_value(record, payload);
+  return wal_.append(payload);
 }
 
 RecoveryStats Journal::recover(
@@ -33,13 +37,18 @@ RecoveryStats Journal::recover(
     after = snap->lsn;
   }
   wal_.replay(after, [&](std::uint64_t, std::string_view payload) {
+    // A record that framed correctly but doesn't decode (or doesn't
+    // apply) is a writer bug, not a storage fault; recovery keeps going
+    // so one bad record can't take the whole store down.
+    Value record;
+    if (!codec::decode_value(payload, record)) {
+      ++stats.skipped_bad;
+      return;
+    }
     try {
-      apply_fn(Value::parse_json(payload));
+      apply_fn(record);
       ++stats.replayed;
     } catch (const std::exception&) {
-      // A record that framed correctly but doesn't parse as JSON is a
-      // writer bug, not a storage fault; recovery keeps going so one
-      // bad record can't take the whole store down.
       ++stats.skipped_bad;
     }
   });
@@ -47,10 +56,10 @@ RecoveryStats Journal::recover(
   return stats;
 }
 
-void Journal::write_snapshot(const Value& state) {
+void Journal::write_snapshot(const StateWriter& write_state) {
   wal_.sync();
   std::uint64_t lsn = wal_.last_lsn();
-  stats_.snapshot_bytes = durable::write_snapshot(env_, lsn, state);
+  stats_.snapshot_bytes = durable::write_snapshot(env_, lsn, write_state);
   ++stats_.snapshots;
   wal_.truncate_through(lsn);
   prune_snapshots(env_, lsn);

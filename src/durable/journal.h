@@ -1,12 +1,12 @@
 // Journal: the Value-record durability layer the middleware writes to.
 //
-// Components don't frame bytes — they append JSON-serializable Values
-// ({"op": "db.insert", ...}) and the journal handles WAL framing,
-// group commit, snapshots and recovery. One journal (one WAL) is shared
-// by the docstore, the broker and the server, so the global LSN order
-// totally orders every state change across components; records are
-// dispatched back on recovery by their "op" prefix ("db.", "brk.",
-// "srv." — see core::ServerLifecycle).
+// Components don't frame bytes — they append Values ({"op": "db.insert",
+// ...}) and the journal handles the encoding (common/codec.h: binary,
+// exact, doubles bit for bit), WAL framing, group commit, snapshots and
+// recovery. One journal (one WAL) is shared by the docstore, the broker
+// and the server, so the global LSN order totally orders every state
+// change across components; records are dispatched back on recovery by
+// their "op" prefix ("db.", "brk.", "srv." — see core::ServerLifecycle).
 //
 // Recovery = load the newest valid snapshot (restore_fn), then replay
 // the WAL tail after the snapshot's LSN (apply_fn per record). A fresh
@@ -40,7 +40,9 @@ struct RecoveryStats {
   bool snapshot_loaded = false;
   std::uint64_t snapshot_lsn = 0;
   std::uint64_t replayed = 0;       ///< tail records applied
-  std::uint64_t skipped_bad = 0;    ///< tail records that failed to parse
+  /// Tail records that framed correctly but did not decode as exactly
+  /// one Value, or whose apply threw.
+  std::uint64_t skipped_bad = 0;
 };
 
 class Journal {
@@ -55,7 +57,7 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Logs one record (serialized to JSON); returns its LSN. Durable per
+  /// Logs one record (codec::encode_value); returns its LSN. Durable per
   /// the WAL's sync_every.
   std::uint64_t append(const Value& record);
 
@@ -68,9 +70,10 @@ class Journal {
       const std::function<void(const Value& snapshot_state)>& restore_fn,
       const std::function<void(const Value& record)>& apply_fn);
 
-  /// Writes a snapshot of `state` covering everything logged so far,
-  /// then truncates the WAL through it and prunes older snapshots.
-  void write_snapshot(const Value& state);
+  /// Writes a snapshot covering everything logged so far — `write_state`
+  /// streams the state's encoding into the file (see StateWriter) — then
+  /// truncates the WAL through it and prunes older snapshots.
+  void write_snapshot(const StateWriter& write_state);
 
   Wal& wal() { return wal_; }
   const Wal& wal() const { return wal_; }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/codec.h"
 #include "durable/wal.h"
 
 namespace mps::durable {
@@ -32,9 +33,9 @@ std::uint64_t lsn_of(const std::string& name) {
 }  // namespace
 
 std::size_t write_snapshot(StorageEnv& env, std::uint64_t lsn,
-                           const Value& state) {
+                           const StateWriter& write_state) {
   std::string framed;
-  encode_record(lsn, state.to_json(), framed);
+  encode_record(lsn, write_state, framed);
   env.write_atomic(snapshot_name(lsn), framed);
   return framed.size();
 }
@@ -49,18 +50,14 @@ std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
   for (const std::string& name : names) {
     std::string data = env.read(name);
     std::optional<DecodedRecord> rec = decode_record(data, 0);
+    LoadedSnapshot out;
     if (rec.has_value() && rec->lsn == lsn_of(name) &&
-        rec->end_offset == data.size()) {
-      try {
-        LoadedSnapshot out;
-        out.lsn = rec->lsn;
-        out.state = Value::parse_json(rec->payload);
-        return out;
-      } catch (const std::exception&) {
-        // fall through: treat unparseable payload like a CRC failure
-      }
+        rec->end_offset == data.size() &&
+        codec::decode_value(rec->payload, out.state)) {
+      out.lsn = rec->lsn;
+      return out;
     }
-    ++skipped;
+    ++skipped;  // torn, CRC-failed or undecodable: fall back to older
   }
   return std::nullopt;
 }

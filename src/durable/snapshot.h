@@ -1,8 +1,11 @@
 // Point-in-time snapshots: a CRC-framed copy of full component state,
 // named by the last LSN it covers ("snap-<lsn, zero-padded to 16>").
 //
-// A snapshot file reuses the WAL record framing (one record holding the
-// JSON-serialized state, lsn field = covered LSN), written atomically.
+// A snapshot file reuses the WAL record framing (one record, lsn field =
+// covered LSN), written atomically. Its payload is the common/codec.h
+// encoding of the state tree. Writers stream that encoding straight
+// into the framed buffer (see StateWriter) instead of building the tree
+// first; the loader decodes it back into one Value.
 // Recovery loads the *newest valid* snapshot — a corrupt newest file is
 // skipped and the loader falls back to the next older one (and finally
 // to "no snapshot, replay the whole log"), so a failure mid-snapshot
@@ -12,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -27,14 +31,18 @@ struct LoadedSnapshot {
   Value state;
 };
 
-/// Atomically writes a snapshot of `state` covering `lsn`; returns the
-/// framed size in bytes.
-std::size_t write_snapshot(StorageEnv& env, std::uint64_t lsn,
-                           const Value& state);
+/// Appends the codec encoding of the state a snapshot covers — exactly
+/// the bytes codec::encode_value would write for the state tree.
+using StateWriter = std::function<void(std::string& out)>;
 
-/// Loads the newest snapshot that passes CRC + parse, skipping corrupt
-/// ones and adding their number to `skipped`. nullopt when none is
-/// loadable.
+/// Atomically writes a snapshot covering `lsn` whose payload `write_state`
+/// appends; returns the framed size in bytes.
+std::size_t write_snapshot(StorageEnv& env, std::uint64_t lsn,
+                           const StateWriter& write_state);
+
+/// Loads the newest snapshot that passes CRC + decode (a payload that is
+/// not exactly one codec Value counts as corrupt), skipping corrupt ones
+/// and adding their number to `skipped`. nullopt when none is loadable.
 std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
                                                    std::uint64_t& skipped);
 

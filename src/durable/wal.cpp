@@ -1,96 +1,58 @@
 #include "durable/wal.h"
 
-#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
+#include "common/codec.h"
+#include "common/crc32.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace mps::durable {
 
-// ---------------------------------------------------------------- crc
+// ------------------------------------------------------------ framing
 
 namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out.append(buf, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(std::string_view buf, std::size_t off) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(buf[off])) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(buf[off + 1]))
-          << 8) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(buf[off + 2]))
-          << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(buf[off + 3]))
-          << 24);
-}
-
-std::uint64_t get_u64(std::string_view buf, std::size_t off) {
-  return static_cast<std::uint64_t>(get_u32(buf, off)) |
-         (static_cast<std::uint64_t>(get_u32(buf, off + 4)) << 32);
-}
 
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;  // len, crc, lsn
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (char ch : data)
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
 void encode_record(std::uint64_t lsn, std::string_view payload,
                    std::string& out) {
-  std::string body;
-  body.reserve(8 + payload.size());
-  put_u64(body, lsn);
-  body.append(payload.data(), payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(body));
-  out += body;
+  encode_record(
+      lsn, [payload](std::string& o) { o.append(payload); }, out);
+}
+
+void encode_record(std::uint64_t lsn,
+                   const std::function<void(std::string&)>& write_payload,
+                   std::string& out) {
+  codec::Writer w(out);
+  std::size_t start = out.size();
+  w.u32(0);  // len and crc patched once the payload exists
+  w.u32(0);
+  w.u64(lsn);
+  write_payload(out);
+  std::string_view body(out.data() + start + 8, out.size() - start - 8);
+  w.u32_at(start, static_cast<std::uint32_t>(body.size() - 8));
+  w.u32_at(start + 4, crc32(body));
 }
 
 std::optional<DecodedRecord> decode_record(std::string_view buffer,
                                            std::size_t offset) {
-  if (offset + kHeaderBytes > buffer.size()) return std::nullopt;
-  std::uint32_t len = get_u32(buffer, offset);
-  std::uint32_t stored_crc = get_u32(buffer, offset + 4);
-  std::size_t body_end = offset + kHeaderBytes + len;
-  if (body_end < offset || body_end > buffer.size()) return std::nullopt;
+  if (offset > buffer.size()) return std::nullopt;
+  codec::Reader r(buffer.substr(offset));
+  std::uint32_t len = 0;
+  std::uint32_t stored_crc = 0;
+  if (!r.u32(len) || !r.u32(stored_crc)) return std::nullopt;
+  if (r.remaining() < 8 + static_cast<std::size_t>(len)) return std::nullopt;
   std::string_view body = buffer.substr(offset + 8, 8 + len);
   if (crc32(body) != stored_crc) return std::nullopt;
   DecodedRecord rec;
-  rec.lsn = get_u64(buffer, offset + 8);
+  r.u64(rec.lsn);
   rec.payload = buffer.substr(offset + kHeaderBytes, len);
-  rec.end_offset = body_end;
+  rec.end_offset = offset + kHeaderBytes + len;
   return rec;
 }
 

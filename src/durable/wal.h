@@ -4,9 +4,11 @@
 //
 //   [u32 payload_len][u32 crc32][u64 lsn][payload bytes]
 //
-// The CRC covers the lsn field plus the payload, so a record whose
-// length field survived a torn write but whose body didn't is still
-// rejected. LSNs are assigned densely starting at 1 and never reused.
+// The CRC (common/crc32.h) covers the lsn field plus the payload, so a
+// record whose length field survived a torn write but whose body didn't
+// is still rejected. LSNs are assigned densely starting at 1 and never
+// reused. The WAL frames opaque payload bytes; the Journal above it
+// fills them with codec-encoded Values.
 //
 // Segments are files named "<prefix><first-lsn, zero-padded to 16>"
 // ("wal-0000000000000001", ...); a segment rotates once it reaches
@@ -37,11 +39,15 @@
 
 namespace mps::durable {
 
-/// Table-based CRC-32 (IEEE 802.3 polynomial, reflected).
-std::uint32_t crc32(std::string_view data, std::uint32_t seed = 0);
-
 /// Appends one framed record to `out`.
 void encode_record(std::uint64_t lsn, std::string_view payload,
+                   std::string& out);
+
+/// Appends one framed record whose payload `write_payload` appends to
+/// `out` in place — a multi-megabyte snapshot is framed without a
+/// staging copy.
+void encode_record(std::uint64_t lsn,
+                   const std::function<void(std::string&)>& write_payload,
                    std::string& out);
 
 /// One decoded record plus the offset just past it.

@@ -1,44 +1,19 @@
 #include "net/wire.h"
 
-#include <bit>
-#include <cstring>
-
-#include "durable/wal.h"  // crc32 — the same checksum the WAL frames use
+#include "common/codec.h"
+#include "common/crc32.h"
 #include "ingest/obs_batch.h"
 
 namespace mps::net::wire {
 
-namespace {
+using codec::Reader;
+using codec::Writer;
 
-/// Deepest Value nesting the decoder accepts. The middleware's documents
-/// are a handful of levels deep; anything deeper is fuzz or abuse.
-constexpr std::size_t kMaxValueDepth = 64;
+namespace {
 
 /// Largest observation count a flat publish may claim. Bounded again
 /// against the remaining bytes before any reserve.
 constexpr std::uint32_t kMaxBatchRows = 1u << 20;
-
-void put_u32(std::uint32_t v, std::string& out) {
-  char b[4];
-  b[0] = static_cast<char>(v & 0xff);
-  b[1] = static_cast<char>((v >> 8) & 0xff);
-  b[2] = static_cast<char>((v >> 16) & 0xff);
-  b[3] = static_cast<char>((v >> 24) & 0xff);
-  out.append(b, 4);
-}
-
-std::uint32_t get_u32(const char* p) {
-  const auto* u = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(u[0]) |
-         (static_cast<std::uint32_t>(u[1]) << 8) |
-         (static_cast<std::uint32_t>(u[2]) << 16) |
-         (static_cast<std::uint32_t>(u[3]) << 24);
-}
-
-std::uint64_t get_u64(const char* p) {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
 
 }  // namespace
 
@@ -75,217 +50,43 @@ void encode_frame(MsgType type, std::uint64_t request_id,
                   std::string_view body, std::string& out) {
   std::uint32_t payload_len =
       static_cast<std::uint32_t>(kFramePreludeBytes + body.size());
-  put_u32(payload_len, out);
+  Writer w(out);
+  w.u32(payload_len);
   std::size_t crc_at = out.size();
-  put_u32(0, out);  // CRC patched below, once the payload bytes exist
+  w.u32(0);  // CRC patched below, once the payload bytes exist
   std::size_t payload_at = out.size();
-  out.push_back(static_cast<char>(type));
-  put_u32(static_cast<std::uint32_t>(request_id & 0xffffffffu), out);
-  put_u32(static_cast<std::uint32_t>(request_id >> 32), out);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(request_id);
   out.append(body);
-  std::uint32_t crc = durable::crc32(
-      std::string_view(out.data() + payload_at, payload_len));
-  char b[4];
-  b[0] = static_cast<char>(crc & 0xff);
-  b[1] = static_cast<char>((crc >> 8) & 0xff);
-  b[2] = static_cast<char>((crc >> 16) & 0xff);
-  b[3] = static_cast<char>((crc >> 24) & 0xff);
-  std::memcpy(out.data() + crc_at, b, 4);
+  w.u32_at(crc_at,
+           crc32(std::string_view(out.data() + payload_at, payload_len)));
 }
 
 DecodeResult decode_frame(std::string_view buffer, std::size_t offset,
                           Frame& out) {
   if (offset > buffer.size()) return DecodeResult::kCorrupt;
-  std::size_t avail = buffer.size() - offset;
-  if (avail < kFrameHeaderBytes) return DecodeResult::kNeedMore;
-  const char* p = buffer.data() + offset;
-  std::uint32_t payload_len = get_u32(p);
+  Reader header(buffer.substr(offset));
+  std::uint32_t payload_len = 0;
+  std::uint32_t want_crc = 0;
+  if (!header.u32(payload_len) || !header.u32(want_crc))
+    return DecodeResult::kNeedMore;
   // A length that cannot hold the prelude, or exceeds the hard bound, is
   // garbage — reject before it can pin a huge reassembly buffer.
   if (payload_len < kFramePreludeBytes || payload_len > kMaxFramePayload)
     return DecodeResult::kCorrupt;
-  if (avail < kFrameHeaderBytes + payload_len) return DecodeResult::kNeedMore;
-  std::uint32_t want_crc = get_u32(p + 4);
-  std::string_view payload(p + kFrameHeaderBytes, payload_len);
-  if (durable::crc32(payload) != want_crc) return DecodeResult::kCorrupt;
-  std::uint8_t raw_type = static_cast<std::uint8_t>(payload[0]);
+  if (header.remaining() < payload_len) return DecodeResult::kNeedMore;
+  std::string_view payload =
+      buffer.substr(offset + kFrameHeaderBytes, payload_len);
+  if (crc32(payload) != want_crc) return DecodeResult::kCorrupt;
+  Reader prelude(payload);
+  std::uint8_t raw_type = 0;
+  prelude.u8(raw_type);
   if (!msg_type_valid(raw_type)) return DecodeResult::kCorrupt;
   out.type = static_cast<MsgType>(raw_type);
-  out.request_id = get_u64(payload.data() + 1);
+  prelude.u64(out.request_id);
   out.body = payload.substr(kFramePreludeBytes);
   out.end_offset = offset + kFrameHeaderBytes + payload_len;
   return DecodeResult::kOk;
-}
-
-// --- Primitive body codec ----------------------------------------------
-
-void Writer::u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-void Writer::u32(std::uint32_t v) { put_u32(v, out_); }
-void Writer::u64(std::uint64_t v) {
-  put_u32(static_cast<std::uint32_t>(v & 0xffffffffu), out_);
-  put_u32(static_cast<std::uint32_t>(v >> 32), out_);
-}
-void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-void Writer::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.append(s);
-}
-
-bool Reader::u8(std::uint8_t& v) {
-  if (data_.size() - pos_ < 1) return false;
-  v = static_cast<std::uint8_t>(data_[pos_]);
-  pos_ += 1;
-  return true;
-}
-bool Reader::u32(std::uint32_t& v) {
-  if (data_.size() - pos_ < 4) return false;
-  v = get_u32(data_.data() + pos_);
-  pos_ += 4;
-  return true;
-}
-bool Reader::u64(std::uint64_t& v) {
-  if (data_.size() - pos_ < 8) return false;
-  v = get_u64(data_.data() + pos_);
-  pos_ += 8;
-  return true;
-}
-bool Reader::i64(std::int64_t& v) {
-  std::uint64_t u = 0;
-  if (!u64(u)) return false;
-  v = static_cast<std::int64_t>(u);
-  return true;
-}
-bool Reader::f64(double& v) {
-  std::uint64_t u = 0;
-  if (!u64(u)) return false;
-  v = std::bit_cast<double>(u);
-  return true;
-}
-bool Reader::str(std::string_view& s) {
-  std::uint32_t len = 0;
-  if (!u32(len)) return false;
-  if (data_.size() - pos_ < len) return false;
-  s = data_.substr(pos_, len);
-  pos_ += len;
-  return true;
-}
-
-// --- Value codec --------------------------------------------------------
-
-namespace {
-
-void encode_value_rec(const Value& v, std::string& out) {
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(v.type()));
-  switch (v.type()) {
-    case Value::Type::kNull:
-      break;
-    case Value::Type::kBool:
-      w.u8(v.as_bool() ? 1 : 0);
-      break;
-    case Value::Type::kInt:
-      w.i64(v.as_int());
-      break;
-    case Value::Type::kDouble:
-      w.f64(v.as_double());
-      break;
-    case Value::Type::kString:
-      w.str(v.as_string());
-      break;
-    case Value::Type::kArray: {
-      const Array& a = v.as_array();
-      w.u32(static_cast<std::uint32_t>(a.size()));
-      for (const Value& e : a) encode_value_rec(e, out);
-      break;
-    }
-    case Value::Type::kObject: {
-      const Object& o = v.as_object();
-      w.u32(static_cast<std::uint32_t>(o.size()));
-      for (const auto& [key, val] : o) {
-        w.str(key);
-        encode_value_rec(val, out);
-      }
-      break;
-    }
-  }
-}
-
-bool decode_value_rec(Reader& r, Value& out, std::size_t depth) {
-  if (depth > kMaxValueDepth) return false;
-  std::uint8_t tag = 0;
-  if (!r.u8(tag)) return false;
-  switch (static_cast<Value::Type>(tag)) {
-    case Value::Type::kNull:
-      out = Value();
-      return true;
-    case Value::Type::kBool: {
-      std::uint8_t b = 0;
-      if (!r.u8(b) || b > 1) return false;
-      out = Value(b == 1);
-      return true;
-    }
-    case Value::Type::kInt: {
-      std::int64_t i = 0;
-      if (!r.i64(i)) return false;
-      out = Value(i);
-      return true;
-    }
-    case Value::Type::kDouble: {
-      double d = 0;
-      if (!r.f64(d)) return false;
-      out = Value(d);
-      return true;
-    }
-    case Value::Type::kString: {
-      std::string_view s;
-      if (!r.str(s)) return false;
-      out = Value(std::string(s));
-      return true;
-    }
-    case Value::Type::kArray: {
-      std::uint32_t n = 0;
-      if (!r.u32(n)) return false;
-      // Every element costs at least its tag byte: a count beyond the
-      // remaining bytes is a lie, rejected before the reserve.
-      if (n > r.remaining()) return false;
-      Array a;
-      a.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        Value e;
-        if (!decode_value_rec(r, e, depth + 1)) return false;
-        a.push_back(std::move(e));
-      }
-      out = Value(std::move(a));
-      return true;
-    }
-    case Value::Type::kObject: {
-      std::uint32_t n = 0;
-      if (!r.u32(n)) return false;
-      if (n > r.remaining()) return false;
-      Object o;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        std::string_view key;
-        Value val;
-        if (!r.str(key)) return false;
-        if (!decode_value_rec(r, val, depth + 1)) return false;
-        o.set(std::string(key), std::move(val));
-      }
-      out = Value(std::move(o));
-      return true;
-    }
-  }
-  return false;  // unknown tag
-}
-
-}  // namespace
-
-void encode_value(const Value& v, std::string& out) {
-  encode_value_rec(v, out);
-}
-
-bool decode_value(Reader& r, Value& out) {
-  return decode_value_rec(r, out, 0);
 }
 
 // --- Messages -----------------------------------------------------------
@@ -309,7 +110,7 @@ void encode_publish(const PublishMsg& m, std::string& out) {
   w.str(m.exchange);
   w.str(m.routing_key);
   w.i64(m.published_at);
-  encode_value(m.payload, out);
+  codec::encode_value(m.payload, out);
 }
 
 bool decode_publish(std::string_view body, PublishMsg& out) {
@@ -317,7 +118,7 @@ bool decode_publish(std::string_view body, PublishMsg& out) {
   std::string_view exchange, key;
   if (!r.str(exchange) || !r.str(key) || !r.i64(out.published_at))
     return false;
-  if (!decode_value(r, out.payload) || !r.done()) return false;
+  if (!codec::decode_value(r, out.payload) || !r.done()) return false;
   out.exchange.assign(exchange);
   out.routing_key.assign(key);
   return true;

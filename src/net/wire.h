@@ -3,7 +3,8 @@
 // queries between real socket endpoints (DESIGN.md §14).
 //
 // Frame layout (all integers little-endian, fixed width — the WAL frame
-// discipline of src/durable applied to a socket stream):
+// discipline of src/durable applied to a socket stream, with the same
+// CRC-32 from common/crc32.h):
 //
 //   [u32 payload_len][u32 crc32][u8 type][u64 request_id][body bytes]
 //
@@ -15,10 +16,11 @@
 // "corrupt" (the connection is poisoned and must be closed — unlike the
 // WAL there is no later valid prefix to resync to on a byte stream).
 //
-// Body encodings are fixed-width/length-prefixed primitives (Writer/
-// Reader below). Two payload families matter:
-//   - document publishes carry a full Value tree in a binary encoding
-//     whose doubles round-trip bit-exactly (bit_cast, not text);
+// Body encodings are the fixed-width/length-prefixed primitives of
+// common/codec.h (the encoding WAL records and snapshots use too). Two
+// payload families matter:
+//   - document publishes carry a full Value tree in the codec's Value
+//     encoding, whose doubles round-trip bit-exactly (bit_cast, not text);
 //   - flat publishes carry the ObsBatch columns row-wise; the receiving
 //     side rebuilds the batch through its own BatchPool, which is
 //     deterministic, so server-side state is byte-identical to the
@@ -112,51 +114,6 @@ enum class DecodeResult {
 DecodeResult decode_frame(std::string_view buffer, std::size_t offset,
                           Frame& out);
 
-// --- Primitive body codec ----------------------------------------------
-
-/// Appends fixed-width little-endian primitives to a byte string.
-class Writer {
- public:
-  explicit Writer(std::string& out) : out_(out) {}
-  void u8(std::uint8_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v);
-  void f64(double v);  ///< bit-exact (bit_cast to u64)
-  void str(std::string_view s);  ///< u32 length + bytes
-
- private:
-  std::string& out_;
-};
-
-/// Bounds-checked reader over one frame body. Every getter returns false
-/// (leaving the cursor unspecified) instead of reading past the end.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-  bool u8(std::uint8_t& v);
-  bool u32(std::uint32_t& v);
-  bool u64(std::uint64_t& v);
-  bool i64(std::int64_t& v);
-  bool f64(double& v);
-  bool str(std::string_view& s);  ///< views into the frame body
-  bool done() const { return pos_ == data_.size(); }
-  std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-// --- Value codec --------------------------------------------------------
-
-/// Binary encoding of a Value tree (tag byte + primitives; objects keep
-/// key order). Exact: decode(encode(v)) == v, doubles bit-for-bit.
-void encode_value(const Value& v, std::string& out);
-
-/// Decodes one Value; false on malformed/truncated/over-deep input.
-bool decode_value(Reader& r, Value& out);
-
 // --- Messages -----------------------------------------------------------
 
 struct HelloMsg {
@@ -241,9 +198,10 @@ bool decode_series_reply(std::string_view body, SeriesReplyMsg& out);
 
 // --- Sharded serving plane (DESIGN.md §16) ------------------------------
 
-/// One shipped WAL record, LSN + the exact framed payload bytes the
-/// primary logged. Shipping preserves LSNs verbatim so the follower's
-/// log is byte-compatible with the primary's history.
+/// One shipped WAL record, LSN + the exact payload bytes the primary
+/// logged (a codec-encoded journal record). Shipping preserves LSNs
+/// verbatim so the follower's log is byte-compatible with the primary's
+/// history.
 struct WalRecord {
   std::uint64_t lsn = 0;
   std::string payload;

@@ -1,20 +1,27 @@
 // ServerLifecycle end to end: the whole middleware host (broker +
 // docstore + GoFlow server) crashing and recovering in place. Covers the
-// server's durable snapshot/replay contract, the bounded ingest-dedup
+// server's durable snapshot/replay contract, the shape of the decoded
+// snapshot payload against the live store, the bounded ingest-dedup
 // regression, pending-batch resumption across a crash, drop attribution
 // when there is nothing to recover with, and the recovery-equivalence
 // property: a killed-and-recovered run ends with exactly the documents
 // an uninterrupted run stores.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
+#include "common/strings.h"
 #include "core/goflow_server.h"
 #include "core/recovery.h"
+#include "durable/snapshot.h"
 #include "durable/storage.h"
+#include "durable/wal.h"
 #include "fault/fault.h"
 #include "obs/span.h"
 
@@ -369,6 +376,91 @@ TEST(ServerRecovery, KilledRunStoresExactlyWhatUninterruptedRunStores) {
             clean_analytics.observations_stored);
   EXPECT_EQ(killed_analytics.batches_ingested,
             clean_analytics.batches_ingested);
+}
+
+/// Every collection's documents in insertion order, by collection name.
+std::map<std::string, std::vector<Value>> all_docs(docstore::Database& db) {
+  std::map<std::string, std::vector<Value>> out;
+  for (const std::string& name : db.collection_names()) {
+    std::vector<Value>& docs = out[name];
+    db.collection(name).for_each(
+        [&](const Value& doc) { docs.push_back(doc); });
+  }
+  return out;
+}
+
+// The snapshot payload is the codec encoding of the {db, brk, srv} tree
+// restore_snapshot reads; the docstore section is streamed straight from
+// the stored documents. Pins that section against the store, and the
+// crash/recover round trip of every state kind a snapshot carries.
+TEST(ServerRecovery, SnapshotPayloadMatchesStoreAndRoundTrips) {
+  Stack s;
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+
+  // Documents in two collections: accounts and observations.
+  s.server->register_account(s.admin_token, "app1", "ops", Role::kManager)
+      .value_or_throw();
+  s.broker.publish("goflow", "b", make_batch("b1", "dev1", 0, 3, 100), 200)
+      .value_or_throw();
+  // A buffered durable-queue message (no consumer).
+  broker::QueueOptions durable_q;
+  durable_q.durable = true;
+  s.broker.declare_exchange("audit", broker::ExchangeType::kDirect)
+      .throw_if_error();
+  s.broker.declare_queue("audit.q", durable_q).throw_if_error();
+  s.broker.bind_queue("audit", "audit.q", "k").throw_if_error();
+  s.broker.publish("audit", "k", Value(Object{{"n", Value(1)}}), 250)
+      .value_or_throw();
+  // A pending ingest batch: its inserts fail until the plan is disarmed.
+  fault::FaultPlan plan(7);
+  plan.set_clock([&] { return s.sim.now(); });
+  s.db.arm_faults(&plan);
+  plan.fail_next(fault::FaultSite::kDocstoreInsert, 1000);
+  s.broker.publish("goflow", "b", make_batch("b2", "dev2", 0, 2, 300), 400)
+      .value_or_throw();
+  ASSERT_EQ(s.server->pending_ingest_batches(), 1u);
+  ASSERT_EQ(s.broker.queue_depth("audit.q"), 1u);
+
+  lc.snapshot();
+  std::string newest;
+  for (const std::string& name : env.list())  // sorted: newest LSN last
+    if (starts_with(name, durable::kSnapshotPrefix)) newest = name;
+  std::string file = env.read(newest);
+  std::optional<durable::DecodedRecord> rec = durable::decode_record(file, 0);
+  ASSERT_TRUE(rec.has_value());
+  Value state;
+  ASSERT_TRUE(codec::decode_value(rec->payload, state));
+
+  const std::map<std::string, std::vector<Value>> before = all_docs(s.db);
+  ASSERT_EQ(before.at("accounts").size(), 2u);
+  ASSERT_EQ(before.at("observations").size(), 3u);
+  const Array& collections = state.at("db").at("collections").as_array();
+  ASSERT_EQ(collections.size(), before.size());
+  for (const Value& c : collections) {
+    const std::string name = c.get_string("name");
+    ASSERT_EQ(before.count(name), 1u) << name;
+    EXPECT_EQ(c.at("docs").as_array(), before.at(name)) << name;
+  }
+  EXPECT_EQ(state.at("srv").at("pending").as_array().size(), 1u);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(all_docs(s.db), before);
+  ASSERT_EQ(s.broker.queue_depth("audit.q"), 1u);
+  std::optional<broker::Message> m = s.broker.pop("audit.q");
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->payload.get_int("n"), 1);
+  EXPECT_TRUE(m->redelivered);
+  ASSERT_EQ(s.server->pending_ingest_batches(), 1u);
+
+  // The restored batch resumes once inserts succeed again.
+  s.db.arm_faults(nullptr);
+  s.sim.run_until(s.sim.now() + hours(1));
+  EXPECT_EQ(s.server->pending_ingest_batches(), 0u);
+  EXPECT_EQ(stored_keys(s.db),
+            (std::multiset<std::string>{"dev1#0", "dev1#1", "dev1#2",
+                                        "dev2#0", "dev2#1"}));
 }
 
 TEST(ServerRecovery, DurableMetricsAreExported) {

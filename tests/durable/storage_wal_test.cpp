@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "durable/storage.h"
 #include "durable/wal.h"
 #include "obs/metrics.h"

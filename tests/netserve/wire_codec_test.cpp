@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "common/value.h"
 #include "ingest/obs_batch.h"
@@ -28,6 +29,11 @@
 
 namespace mps::net::wire {
 namespace {
+
+using codec::decode_value;
+using codec::encode_value;
+using codec::Reader;
+using codec::Writer;
 
 // --- Random content generators -----------------------------------------
 
