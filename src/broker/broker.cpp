@@ -387,9 +387,9 @@ void Broker::enqueue(const std::string& queue_name, Queue& q,
   }
   // Buffering outlives the publish, so a flat view must not pin its
   // arena (or dangle once the batch is recycled): materialize into the
-  // exact document the oracle path would have published. Everything
-  // downstream of a buffer — brk.enq records, snapshots, pop() — is
-  // byte-identical between the two ingest paths.
+  // batch's document form. Everything downstream of a buffer — brk.enq
+  // records, snapshots, pop() — is byte-identical between the two input
+  // forms.
   const Message* to_store = &message;
   Message materialized;
   if (message.flat != nullptr) {

@@ -200,21 +200,6 @@ ingest::BatchPool& GoFlowClient::pool() {
   return *own_pool_;
 }
 
-Value GoFlowClient::batch_document() const {
-  Array observations;
-  observations.reserve(buffer_.size());
-  for (const phone::Observation& obs : buffer_)
-    observations.push_back(obs.to_document());
-  // The batch id makes server-side ingestion idempotent: a batch
-  // redelivered by the at-least-once transport is stored exactly once.
-  return Value(Object{{"app", Value(config_.app)},
-                      {"client", Value(config_.client_id)},
-                      {"batch_id", Value(config_.client_id + "#" +
-                                         std::to_string(batch_counter_))},
-                      {"sent_at", Value(sim_.now())},
-                      {"observations", Value(std::move(observations))}});
-}
-
 bool GoFlowClient::try_upload() {
   TimeMs now = sim_.now();
   // Head-of-line: one unconfirmed batch at a time. While the outbox is
@@ -243,17 +228,13 @@ bool GoFlowClient::try_upload() {
   TimeMs delivered_at = transfer.completed_at + extra_latency;
 
   ++batch_counter_;
-  // Flat fast path: serialize the batch once into an arena (no document
-  // tree); the same batch travels on every retransmit attempt.
-  std::shared_ptr<const ingest::ObsBatch> flat;
-  Value payload;
-  if (config_.flat_ingest) {
-    flat = pool().make_batch(
-        config_.app, config_.client_id,
-        config_.client_id + "#" + std::to_string(batch_counter_), now, buffer_);
-  } else {
-    payload = batch_document();
-  }
+  // Serialize the batch once into an arena; the same batch travels on
+  // every retransmit attempt. The batch id makes server-side ingestion
+  // idempotent: a batch redelivered by the at-least-once transport is
+  // stored exactly once.
+  std::shared_ptr<const ingest::ObsBatch> upload = pool().make_batch(
+      config_.app, config_.client_id,
+      config_.client_id + "#" + std::to_string(batch_counter_), now, buffer_);
   std::size_t batch_size = buffer_.size();
   for (const phone::Observation& obs : buffer_) {
     deliveries_.push_back(DeliveryRecord{obs.captured_at, delivered_at,
@@ -267,8 +248,7 @@ bool GoFlowClient::try_upload() {
   auto batch = std::make_unique<InFlight>();
   batch->observations = std::move(buffer_);
   buffer_.clear();
-  batch->payload = std::move(payload);
-  batch->flat = std::move(flat);
+  batch->upload = std::move(upload);
   batch->routing_key = config_.app + ".obs." + config_.client_id;
   in_flight_ = std::move(batch);
   ++stats_.uploads;
@@ -285,32 +265,23 @@ void GoFlowClient::deliver_in_flight() {
   batch.event = 0;
   ++batch.attempts;
   TimeMs now = sim_.now();
-  // Publish a copy: a lost confirm makes us retransmit the identical
-  // payload (same batch_id), which server-side idempotent ingest dedups.
-  // With a socket transport attached the same publish travels over the
-  // wire instead; its pending outbox re-frames the payload at the retry
-  // timestamp, exactly like this in-process retry, so the two paths
-  // stay byte-equivalent.
+  // A lost confirm makes us retransmit the identical batch (same
+  // batch_id), which server-side idempotent ingest dedups. With a socket
+  // transport attached the same publish travels over the wire instead;
+  // its pending outbox re-frames the batch at the retry timestamp,
+  // exactly like this in-process retry, so the two paths stay
+  // byte-equivalent.
   auto publish_once = [&]() -> Result<broker::PublishResult> {
-    if (config_.transport != nullptr) {
-      if (batch.flat != nullptr)
-        return config_.transport->publish_flat(config_.exchange,
-                                               batch.routing_key, batch.flat,
-                                               now);
-      const Value* id = batch.payload.as_object().find("batch_id");
-      return config_.transport->publish(config_.exchange, batch.routing_key,
-                                        batch.payload, now,
-                                        id != nullptr ? id->as_string() : "");
-    }
+    if (config_.transport != nullptr)
+      return config_.transport->publish_flat(config_.exchange,
+                                             batch.routing_key, batch.upload,
+                                             now);
     // Fleet routing: resolve the owning shard's broker per publish, so a
     // rebalance between attempts redirects this very retry.
     broker::Broker& target =
         config_.broker_route ? *config_.broker_route() : broker_;
-    return batch.flat != nullptr
-               ? target.publish_flat(config_.exchange, batch.routing_key,
-                                     batch.flat, now)
-               : target.publish(config_.exchange, batch.routing_key,
-                                batch.payload, now);
+    return target.publish_flat(config_.exchange, batch.routing_key,
+                               batch.upload, now);
   };
   auto result = publish_once();
   if (result.ok()) {

@@ -90,14 +90,9 @@ struct ClientConfig {
   /// arming retries never perturbs sensing randomness).
   std::uint64_t retry_seed = 0;
 
-  /// Flat ingest fast path (DESIGN.md §13): serialize the upload batch
-  /// once into an arena-backed flat ObsBatch and publish it zero-copy,
-  /// instead of building a per-upload document tree. Semantically the
-  /// same batch (same batch_id, same fields); the server's flat ingest
-  /// stores byte-identical state. Off by default so the document path
-  /// stays the oracle; the study runner and benches opt in.
-  bool flat_ingest = false;
-  /// Arena pool for flat batches. When null and flat_ingest is on, the
+  /// Arena pool for upload batches (DESIGN.md §13): every upload is
+  /// serialized once, by BatchPool::make_batch, into an arena-backed flat
+  /// ObsBatch that travels zero-copy to the docstore. When null the
   /// client creates a private pool; a study shares one pool across the
   /// whole fleet so arenas recycle fleet-wide.
   ingest::BatchPool* batch_pool = nullptr;
@@ -259,10 +254,9 @@ class GoFlowClient {
   /// retries.
   struct InFlight {
     std::vector<phone::Observation> observations;
-    Value payload;
-    /// Flat-path batch (payload stays null when set); retransmits reuse
-    /// the same serialized batch, so a retry allocates nothing.
-    std::shared_ptr<const ingest::ObsBatch> flat;
+    /// The serialized upload; retransmits reuse it, so a retry allocates
+    /// nothing.
+    std::shared_ptr<const ingest::ObsBatch> upload;
     std::string routing_key;
     int attempts = 0;
     sim::EventId event = 0;
@@ -272,7 +266,6 @@ class GoFlowClient {
   void maybe_upload();
   bool try_upload();
   void deliver_in_flight();
-  Value batch_document() const;
   ingest::BatchPool& pool();
 
   sim::Simulation& sim_;
@@ -286,7 +279,7 @@ class GoFlowClient {
   std::size_t journey_observations_ = 0;
   std::vector<phone::Observation> buffer_;
   std::unique_ptr<InFlight> in_flight_;
-  /// Private pool when flat_ingest is on but no shared pool was supplied.
+  /// Private pool when no shared pool was supplied.
   std::unique_ptr<ingest::BatchPool> own_pool_;
   Rng retry_rng_{0};
   bool down_ = false;

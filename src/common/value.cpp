@@ -150,10 +150,24 @@ bool Value::get_bool(std::string_view key, bool dflt) const {
   return (v != nullptr && v->is_bool()) ? v->as_bool() : dflt;
 }
 
+namespace {
+
+// Numbers order like BSON: NaN first and equal only to NaN, so the order
+// stays a strict weak ordering (index multimaps and sorts rely on it).
+int compare_numbers(double x, double y) {
+  if (std::isnan(x) || std::isnan(y))
+    return std::isnan(y) - std::isnan(x);
+  if (x < y) return -1;
+  if (x > y) return 1;
+  return 0;
+}
+
+}  // namespace
+
 bool Value::operator==(const Value& other) const {
   if (is_number() && other.is_number()) {
     if (is_int() && other.is_int()) return as_int() == other.as_int();
-    return as_double() == other.as_double();
+    return compare_numbers(as_double(), other.as_double()) == 0;
   }
   return data_ == other.data_;
 }
@@ -180,12 +194,8 @@ int Value::compare(const Value& a, const Value& b) {
     case Type::kBool:
       return (a.as_bool() ? 1 : 0) - (b.as_bool() ? 1 : 0);
     case Type::kInt:
-    case Type::kDouble: {
-      double x = a.as_double(), y = b.as_double();
-      if (x < y) return -1;
-      if (x > y) return 1;
-      return 0;
-    }
+    case Type::kDouble:
+      return compare_numbers(a.as_double(), b.as_double());
     case Type::kString:
       return a.as_string().compare(b.as_string());
     case Type::kArray: {

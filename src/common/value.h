@@ -119,10 +119,14 @@ class Value {
   std::string get_string(std::string_view key, std::string dflt = "") const;
   bool get_bool(std::string_view key, bool dflt = false) const;
 
+  /// Two ints compare exactly; any other pair of numbers is equal when
+  /// compare() returns 0, so NaN equals only NaN. Everything else
+  /// compares structurally.
   bool operator==(const Value& other) const;
 
   /// Total order over values (type-major, then value), used by docstore
-  /// indexes and sort. Numeric int/double compare by numeric value.
+  /// indexes and sort. Numeric int/double compare by numeric value; NaN
+  /// sorts before every other number and equals only NaN (as in BSON).
   static int compare(const Value& a, const Value& b);
 
   /// Serializes to compact JSON.

@@ -25,8 +25,8 @@ std::uint64_t token_suffix(const std::string& token) {
   return (end != digits && *end == '\0') ? n : 0;
 }
 
-// Builds the "client#span" dedup key into a reused buffer — the flat
-// path's replacement for the doc path's string concatenation.
+// Builds the "client#span" dedup key into a reused buffer, so the ingest
+// row loop does not allocate.
 void span_key(std::string_view client, std::uint64_t span, std::string& out) {
   out.assign(client);
   out.push_back('#');
@@ -125,7 +125,6 @@ void GoFlowServer::set_tracer(obs::SpanTracker* tracer) {
 
 void GoFlowServer::on_broker_drop(const broker::Message& message,
                                   broker::DropReason reason) {
-  if (tracer_ == nullptr) return;
   obs::DropStage stage = obs::DropStage::kNone;
   switch (reason) {
     case broker::DropReason::kExpired:
@@ -138,6 +137,12 @@ void GoFlowServer::on_broker_drop(const broker::Message& message,
       stage = obs::DropStage::kUnroutable;
       break;
   }
+  drop_spans(message, stage);
+}
+
+void GoFlowServer::drop_spans(const broker::Message& message,
+                              obs::DropStage stage) {
+  if (tracer_ == nullptr) return;
   if (message.flat != nullptr) {
     // Span attribution straight off the column — no rehydration.
     const ingest::ObsBatch& batch = *message.flat;
@@ -378,23 +383,12 @@ std::string GoFlowServer::publish_key(const std::string& location_id,
 
 // --- Ingestion ---------------------------------------------------------------
 
+// The input's form is the only thing that picks a path: a flat ObsBatch is
+// accepted by ingest_flat, a document by the code below, and store_batch
+// stores either — journal or not.
 void GoFlowServer::ingest(const broker::Message& message) {
   if (down_) return;  // a crashed incarnation consumes nothing
   if (message.flat != nullptr) {
-    if (journal_ != nullptr) {
-      // Durable runs take the document path: srv.batch must carry full
-      // documents (acceptance is the durability point), and the WAL has
-      // to be byte-identical to the oracle. Materialize once and recurse.
-      broker::Message copy;
-      copy.exchange = message.exchange;
-      copy.routing_key = message.routing_key;
-      copy.payload = message.flat->to_batch_document();
-      copy.sequence = message.sequence;
-      copy.published_at = message.published_at;
-      copy.redelivered = message.redelivered;
-      ingest(copy);
-      return;
-    }
     ingest_flat(message);
     return;
   }
@@ -410,36 +404,12 @@ void GoFlowServer::ingest(const broker::Message& message) {
       batch.collection = "messages";
       batch.published_at = message.published_at;
       batch.docs.push_back(std::move(doc));
-      batch.delays.push_back(0);
-      std::uint64_t id = ++pending_counter_;
-      log_batch_accepted(id, "", pending_batches_.emplace(id, std::move(batch))
-                                     .first->second);
-      store_batch(id);
+      accept(std::move(batch), "");
     }
     return;
   }
-  // Idempotent ingestion: the transport is at-least-once (store-and-
-  // forward retries, broker redelivery), so a batch may arrive twice.
   std::string batch_id = message.payload.get_string("batch_id");
-  bool batch_is_new = batch_id.empty() || seen_batch_ids_.insert(batch_id);
-  note_dedup_evictions();
-  if (!batch_is_new) {
-    ++totals_.duplicate_batches;
-    ++live_.duplicate_batches;
-    // Recovery replays the rejection so the post-crash counter agrees
-    // with what the operator saw live.
-    log_record(Value(Object{{"op", Value("srv.dupb")}}));
-    if (tracer_ != nullptr) {
-      // The batch was already stored; these redelivered copies go nowhere.
-      for (const Value& obs : observations->as_array()) {
-        if (!obs.is_object()) continue;
-        auto span = static_cast<std::uint64_t>(obs.get_int("span", 0));
-        if (span != 0)
-          tracer_->drop(span, obs::DropStage::kRejectedByServer, sim_.now());
-      }
-    }
-    return;
-  }
+  if (!accept_batch_id(batch_id, message)) return;
   AppId app = message.payload.get_string("app");
   std::string client = message.payload.get_string("client");
 
@@ -459,65 +429,99 @@ void GoFlowServer::ingest(const broker::Message& message) {
     o.set("app", Value(app));
     o.set("client", Value(client));
     o.set("received_at", Value(message.published_at));
-    TimeMs captured = doc.get_int("captured_at");
-    DurationMs delay = message.published_at - captured;
-    o.set("delay_ms", Value(delay));
+    o.set("delay_ms", Value(message.published_at - doc.get_int("captured_at")));
     batch.docs.push_back(std::move(doc));
-    batch.delays.push_back(delay);
   }
-  std::uint64_t id = ++pending_counter_;
-  log_batch_accepted(id, batch_id, pending_batches_.emplace(id, std::move(batch))
-                                       .first->second);
-  store_batch(id);
+  accept(std::move(batch), batch_id);
 }
 
-// The fast path: the batch stays flat end to end. Dedup reads the span-id
-// column, acceptance keeps a shared_ptr to the columns (no document
-// materialization), and storage goes through the docstore's column-wise
-// insert_batch. Only reached when no journal is attached — durable runs
-// fall back to the oracle path in ingest().
+// A flat batch stays flat end to end: dedup reads the span-id column, the
+// pending batch keeps a shared_ptr to the columns, and storage goes through
+// the docstore's column-wise insert_batch. Its rows become documents only
+// where state leaves the process: srv.batch, snapshots and migrations.
 void GoFlowServer::ingest_flat(const broker::Message& message) {
   const ingest::ObsBatch& flat = *message.flat;
   std::string batch_id(flat.batch_id());
-  bool batch_is_new = batch_id.empty() || seen_batch_ids_.insert(batch_id);
-  note_dedup_evictions();
-  if (!batch_is_new) {
-    ++totals_.duplicate_batches;
-    ++live_.duplicate_batches;
-    if (tracer_ != nullptr) {
-      for (std::size_t i = 0; i < flat.size(); ++i)
-        if (flat.span_id(i) != 0)
-          tracer_->drop(flat.span_id(i), obs::DropStage::kRejectedByServer,
-                        sim_.now());
-    }
-    return;
-  }
+  if (!accept_batch_id(batch_id, message)) return;
   PendingBatch batch;
   batch.collection = config_.observations_collection;
   batch.app = std::string(flat.app());
   batch.published_at = message.published_at;
   batch.flat = message.flat;
-  std::uint64_t id = ++pending_counter_;
-  pending_batches_.emplace(id, std::move(batch));
-  store_batch(id);
+  accept(std::move(batch), batch_id);
+}
+
+bool GoFlowServer::accept_batch_id(const std::string& batch_id,
+                                   const broker::Message& message) {
+  // Idempotent ingestion: the transport is at-least-once (store-and-
+  // forward retries, broker redelivery), so a batch may arrive twice.
+  bool batch_is_new = batch_id.empty() || seen_batch_ids_.insert(batch_id);
+  note_dedup_evictions();
+  if (batch_is_new) return true;
+  ++totals_.duplicate_batches;
+  ++live_.duplicate_batches;
+  // Recovery replays the rejection so the post-crash counter agrees
+  // with what the operator saw live.
+  log_record(Value(Object{{"op", Value("srv.dupb")}}));
+  // The batch was already stored; these redelivered copies go nowhere.
+  drop_spans(message, obs::DropStage::kRejectedByServer);
+  return false;
 }
 
 // Acceptance is the durability point: once srv.batch is logged, the batch
-// is the server's responsibility — a crash before the documents land is
+// is the server's responsibility — a crash before its rows land is
 // recovered by rebuilding the pending batch and resuming store_batch.
-void GoFlowServer::log_batch_accepted(std::uint64_t id,
-                                      const std::string& batch_id,
-                                      const PendingBatch& batch) {
-  if (journal_ == nullptr) return;
-  Array docs;
-  for (const Value& d : batch.docs) docs.push_back(d);
-  log_record(Value(Object{{"op", Value("srv.batch")},
-                          {"id", Value(static_cast<std::int64_t>(id))},
-                          {"bid", Value(batch_id)},
-                          {"c", Value(batch.collection)},
-                          {"app", Value(batch.app)},
-                          {"at", Value(batch.published_at)},
-                          {"docs", Value(std::move(docs))}}));
+void GoFlowServer::accept(PendingBatch batch, const std::string& batch_id) {
+  std::uint64_t id = ++pending_counter_;
+  const PendingBatch& b =
+      pending_batches_.emplace(id, std::move(batch)).first->second;
+  if (journal_ != nullptr)
+    log_record(Value(Object{{"op", Value("srv.batch")},
+                            {"id", Value(static_cast<std::int64_t>(id))},
+                            {"bid", Value(batch_id)},
+                            {"c", Value(b.collection)},
+                            {"app", Value(b.app)},
+                            {"at", Value(b.published_at)},
+                            {"docs", Value(b.documents())}}));
+  store_batch(id);
+}
+
+std::size_t GoFlowServer::PendingBatch::size() const {
+  return flat != nullptr ? flat->size() : docs.size();
+}
+
+GoFlowServer::Row GoFlowServer::PendingBatch::row(std::size_t i) const {
+  if (flat != nullptr)
+    return Row{flat->span_id(i), flat->client(),
+               published_at - flat->captured_at(i), flat->has_location(i)};
+  const Value& doc = docs[i];
+  const Value* client = doc.find("client");
+  return Row{static_cast<std::uint64_t>(doc.get_int("span", 0)),
+             client != nullptr && client->is_string()
+                 ? std::string_view(client->as_string())
+                 : std::string_view(),
+             doc.get_int("delay_ms", 0), doc.find("location") != nullptr};
+}
+
+Array GoFlowServer::PendingBatch::documents() const {
+  if (flat == nullptr) return docs;
+  Array out;
+  out.reserve(flat->size());
+  for (std::size_t i = 0; i < flat->size(); ++i)
+    out.push_back(flat->storage_document(i, published_at));
+  return out;
+}
+
+bool GoFlowServer::is_observations(const PendingBatch& batch) const {
+  return !batch.app.empty() ||
+         batch.collection == config_.observations_collection;
+}
+
+bool GoFlowServer::seen_row(const Row& row, bool observations,
+                            std::string& key) const {
+  if (!observations || row.span == 0) return false;
+  span_key(row.client, row.span, key);
+  return seen_obs_keys_.contains(key);
 }
 
 void GoFlowServer::store_batch(std::uint64_t id) {
@@ -525,161 +529,73 @@ void GoFlowServer::store_batch(std::uint64_t id) {
   auto bit = pending_batches_.find(id);
   if (bit == pending_batches_.end()) return;
   PendingBatch& batch = bit->second;
-  if (batch.flat != nullptr) {
-    store_batch_flat(id, batch);
-    return;
-  }
-  bool is_observations = !batch.app.empty() || batch.collection ==
-                                                   config_.observations_collection;
-
+  const bool observations = is_observations(batch);
   auto& collection = db_.collection(batch.collection);
-  while (batch.next < batch.docs.size()) {
-    const Value& doc = batch.docs[batch.next];
-    auto span = static_cast<std::uint64_t>(doc.get_int("span", 0));
+  std::string key;  // every row's dedup key, built in place (no allocation)
+  while (batch.next < batch.size()) {
     // Second dedup line: a crash can interrupt a client's retry cycle
     // after the broker already routed the batch, and the re-packaged
     // upload carries a fresh batch_id — so observations are also deduped
     // individually by their stable (client, span) identity.
-    std::string key;
-    if (is_observations && span != 0)
-      key = doc.get_string("client") + "#" + std::to_string(span);
-    if (!key.empty() && seen_obs_keys_.contains(key)) {
-      if (account_stored_doc(id, batch, /*dup=*/true, /*live=*/true)) return;
+    const Row row = batch.row(batch.next);
+    if (seen_row(row, observations, key)) {
+      if (account_stored(id, batch, row, /*dup=*/true, /*live=*/true, key))
+        return;
       continue;
     }
-    try {
-      collection.insert(doc);  // copies, so a failed attempt can retry
-    } catch (const fault::TransientError&) {
-      ++totals_.ingest_retries;
-      ++live_.ingest_retries;
-      ++batch.attempts;
-      DurationMs delay = fault::backoff_delay(
-          batch.attempts, config_.ingest_retry_base, config_.ingest_retry_max,
-          config_.ingest_retry_jitter, ingest_retry_rng_);
-      // The timer belongs to this incarnation: if the server crashes
-      // before it fires, recovery resumes the batch itself and a stale
-      // timer must not double-drive it.
-      sim_.after(delay, [this, id, epoch = epoch_] {
-        if (epoch == epoch_) store_batch(id);
-      });
-      return;
-    }
-    if (account_stored_doc(id, batch, /*dup=*/false, /*live=*/true)) return;
-  }
-  // A batch with no storable documents closes out immediately.
-  finish_batch(id, batch, /*live=*/true);
-}
-
-void GoFlowServer::store_batch_flat(std::uint64_t id, PendingBatch& batch) {
-  const ingest::ObsBatch& flat = *batch.flat;
-  auto& collection = db_.collection(batch.collection);
-  std::string key;
-  while (batch.next < flat.size()) {
-    // Dedup decision for the current row, same line of defense as the
-    // document path: stable (client, span) identity against repackaged
-    // uploads.
-    std::uint64_t span = flat.span_id(batch.next);
-    bool dup = false;
-    if (span != 0) {
-      span_key(flat.client(), span, key);
-      dup = seen_obs_keys_.contains(key);
-    }
-    if (dup) {
-      if (account_stored_flat(id, batch, /*dup=*/true, key)) return;
-      continue;
-    }
-    // Maximal run of consecutive non-duplicate rows, bulk-inserted with
-    // one column-wise call. Span ids are unique within a batch, so rows
-    // of the run cannot dedup against each other; the row that breaks
-    // the run is re-decided fresh at the top of the loop.
-    std::size_t run_end = batch.next + 1;
-    while (run_end < flat.size()) {
-      std::uint64_t s = flat.span_id(run_end);
-      if (s != 0) {
-        span_key(flat.client(), s, key);
-        if (seen_obs_keys_.contains(key)) break;
+    // The insert is the one step that differs by form. A document goes in
+    // alone; a flat batch goes in as its maximal run of consecutive new
+    // rows, in one column-wise call. Span ids are unique within a batch,
+    // so rows of a run cannot dedup against each other; the row that ends
+    // the run is decided afresh at the top of the loop.
+    std::size_t want = 1;
+    std::size_t stored = 0;
+    if (batch.flat != nullptr) {
+      std::size_t end = batch.next + 1;
+      while (end < batch.size() && !seen_row(batch.row(end), observations, key))
+        ++end;
+      want = end - batch.next;
+      stored = collection.insert_batch(batch.flat, batch.next, want,
+                                       batch.published_at);
+    } else {
+      try {
+        collection.insert(batch.docs[batch.next]);  // copies: a retry reuses it
+        stored = 1;
+      } catch (const fault::TransientError&) {
       }
-      ++run_end;
     }
-    std::size_t run_len = run_end - batch.next;
-    std::size_t inserted = collection.insert_batch(
-        batch.flat, batch.next, run_len, batch.published_at);
-    for (std::size_t r = 0; r < inserted; ++r)
-      if (account_stored_flat(id, batch, /*dup=*/false, key)) return;
-    if (inserted < run_len) {
-      // Transient store failure on row batch.next — identical backoff
-      // and resume-in-place behaviour to the document path.
-      ++totals_.ingest_retries;
-      ++live_.ingest_retries;
-      ++batch.attempts;
-      DurationMs delay = fault::backoff_delay(
-          batch.attempts, config_.ingest_retry_base, config_.ingest_retry_max,
-          config_.ingest_retry_jitter, ingest_retry_rng_);
-      sim_.after(delay, [this, id, epoch = epoch_] {
-        if (epoch == epoch_) store_batch(id);
-      });
+    for (std::size_t r = 0; r < stored; ++r)
+      if (account_stored(id, batch, batch.row(batch.next), /*dup=*/false,
+                         /*live=*/true, key))
+        return;
+    if (stored < want) {
+      back_off(id, batch);
       return;
     }
   }
+  // A batch with no storable rows closes out immediately.
   finish_batch(id, batch, /*live=*/true);
 }
 
-bool GoFlowServer::account_stored_flat(std::uint64_t id, PendingBatch& batch,
-                                       bool dup, std::string& key_buf) {
-  const ingest::ObsBatch& flat = *batch.flat;
-  std::size_t i = batch.next;
-  std::uint64_t span = flat.span_id(i);
-  AppState* state = nullptr;
-  auto ait = apps_.find(batch.app);
-  if (ait != apps_.end()) state = &ait->second;
-
-  if (dup) {
-    ++totals_.duplicate_observations;
-    ++live_.duplicate_observations;
-    if (tracer_ != nullptr && span != 0)
-      tracer_->drop(span, obs::DropStage::kRejectedByServer, sim_.now());
-  } else {
-    if (span != 0) {
-      span_key(flat.client(), span, key_buf);
-      seen_obs_keys_.insert(key_buf);
-      note_dedup_evictions();
-    }
-    DurationMs delay = batch.published_at - flat.captured_at(i);
-    ++totals_.observations;
-    ++live_.observations;
-    if (ingest_delay_ != nullptr)
-      ingest_delay_->observe(static_cast<double>(delay));
-    if (tracer_ != nullptr && span != 0) {
-      tracer_->stamp(span, obs::Hop::kRouted, batch.published_at);
-      tracer_->stamp(span, obs::Hop::kPersisted, sim_.now());
-    }
-    if (state != nullptr) {
-      ++state->analytics.observations_stored;
-      if (flat.has_location(i)) ++state->analytics.observations_localized;
-      state->analytics.delay_stats.add(static_cast<double>(delay));
-    }
-  }
-  ++batch.next;
-  batch.attempts = 0;
-  if (batch.next < flat.size()) return false;
-  finish_batch(id, batch, /*live=*/true);
-  return true;
+void GoFlowServer::back_off(std::uint64_t id, PendingBatch& batch) {
+  ++totals_.ingest_retries;
+  ++live_.ingest_retries;
+  ++batch.attempts;
+  DurationMs delay = fault::backoff_delay(
+      batch.attempts, config_.ingest_retry_base, config_.ingest_retry_max,
+      config_.ingest_retry_jitter, ingest_retry_rng_);
+  // The timer belongs to this incarnation: if the server crashes before it
+  // fires, recovery resumes the batch itself and a stale timer must not
+  // double-drive it.
+  sim_.after(delay, [this, id, epoch = epoch_] {
+    if (epoch == epoch_) store_batch(id);
+  });
 }
 
-bool GoFlowServer::account_stored_doc(std::uint64_t id, PendingBatch& batch,
-                                      bool dup, bool live) {
-  bool is_observations = !batch.app.empty() || batch.collection ==
-                                                   config_.observations_collection;
-  const Value& doc = batch.docs[batch.next];
-  auto span = static_cast<std::uint64_t>(doc.get_int("span", 0));
-  std::string key;
-  if (is_observations && span != 0)
-    key = doc.get_string("client") + "#" + std::to_string(span);
-  AppState* state = nullptr;
-  auto ait = apps_.find(batch.app);
-  if (ait != apps_.end()) state = &ait->second;
-
-  if (live)
+bool GoFlowServer::account_stored(std::uint64_t id, PendingBatch& batch,
+                                  const Row& row, bool dup, bool live,
+                                  std::string& key) {
+  if (live && journal_ != nullptr)
     log_record(Value(Object{{"op", Value("srv.prog")},
                             {"id", Value(static_cast<std::int64_t>(id))},
                             {"dup", Value(dup)}}));
@@ -689,43 +605,42 @@ bool GoFlowServer::account_stored_doc(std::uint64_t id, PendingBatch& batch,
     // server process (operator monitoring): replay must not double-count
     // what they already saw live.
     if (live) ++live_.duplicate_observations;
-    if (live && tracer_ != nullptr && span != 0)
-      tracer_->drop(span, obs::DropStage::kRejectedByServer, sim_.now());
-  } else {
-    if (!key.empty()) {
+    if (live && tracer_ != nullptr && row.span != 0)
+      tracer_->drop(row.span, obs::DropStage::kRejectedByServer, sim_.now());
+  } else if (is_observations(batch)) {
+    if (row.span != 0) {
+      span_key(row.client, row.span, key);
       seen_obs_keys_.insert(key);
       if (live) note_dedup_evictions();
     }
-    if (is_observations) {
-      DurationMs delay = batch.delays[batch.next];
-      ++totals_.observations;
-      if (live) ++live_.observations;
-      if (live && ingest_delay_ != nullptr)
-        ingest_delay_->observe(static_cast<double>(delay));
-      if (live && tracer_ != nullptr && span != 0) {
-        tracer_->stamp(span, obs::Hop::kRouted, batch.published_at);
-        tracer_->stamp(span, obs::Hop::kPersisted, sim_.now());
+    ++totals_.observations;
+    if (live) {
+      ++live_.observations;
+      if (ingest_delay_ != nullptr)
+        ingest_delay_->observe(static_cast<double>(row.delay));
+      if (tracer_ != nullptr && row.span != 0) {
+        tracer_->stamp(row.span, obs::Hop::kRouted, batch.published_at);
+        tracer_->stamp(row.span, obs::Hop::kPersisted, sim_.now());
       }
-      if (state != nullptr) {
-        ++state->analytics.observations_stored;
-        if (doc.find("location") != nullptr)
-          ++state->analytics.observations_localized;
-        state->analytics.delay_stats.add(static_cast<double>(delay));
-      }
+    }
+    auto ait = apps_.find(batch.app);
+    if (ait != apps_.end()) {
+      AppAnalytics& analytics = ait->second.analytics;
+      ++analytics.observations_stored;
+      if (row.localized) ++analytics.observations_localized;
+      analytics.delay_stats.add(static_cast<double>(row.delay));
     }
   }
   ++batch.next;
   batch.attempts = 0;
-  if (batch.next < batch.docs.size()) return false;
+  if (batch.next < batch.size()) return false;
   finish_batch(id, batch, live);
   return true;
 }
 
 void GoFlowServer::finish_batch(std::uint64_t id, PendingBatch& batch,
                                 bool live) {
-  bool is_observations = !batch.app.empty() || batch.collection ==
-                                                   config_.observations_collection;
-  if (is_observations) {
+  if (is_observations(batch)) {
     ++totals_.batches;
     if (live) ++live_.batches;
     auto ait = apps_.find(batch.app);
@@ -736,17 +651,10 @@ void GoFlowServer::finish_batch(std::uint64_t id, PendingBatch& batch,
 
 std::vector<std::uint64_t> GoFlowServer::pending_ingest_span_ids() const {
   std::vector<std::uint64_t> ids;
-  for (const auto& [_, batch] : pending_batches_) {
-    if (batch.flat != nullptr) {
-      for (std::size_t i = batch.next; i < batch.flat->size(); ++i)
-        if (batch.flat->span_id(i) != 0) ids.push_back(batch.flat->span_id(i));
-      continue;
-    }
-    for (std::size_t i = batch.next; i < batch.docs.size(); ++i) {
-      auto span = static_cast<std::uint64_t>(batch.docs[i].get_int("span", 0));
-      if (span != 0) ids.push_back(span);
-    }
-  }
+  for (const auto& [_, batch] : pending_batches_)
+    for (std::size_t i = batch.next; i < batch.size(); ++i)
+      if (std::uint64_t span = batch.row(i).span; span != 0)
+        ids.push_back(span);
   return ids;
 }
 
@@ -797,26 +705,17 @@ Value GoFlowServer::extract_migration(
   Array pending;
   for (auto it = pending_batches_.begin(); it != pending_batches_.end();) {
     PendingBatch& b = it->second;
-    std::string client;
-    if (b.flat != nullptr)
-      client = std::string(b.flat->client());
-    else if (!b.docs.empty())
-      client = b.docs.front().get_string("client");
+    std::string_view client = b.size() > 0 ? b.row(0).client : "";
     if (client.empty() || !pred(client)) {
       ++it;
       continue;
     }
-    Array batch_docs;
-    if (b.flat != nullptr)
-      for (std::size_t i = 0; i < b.flat->size(); ++i)
-        batch_docs.push_back(b.flat->storage_document(i, b.published_at));
-    for (const Value& d : b.docs) batch_docs.push_back(d);
     pending.push_back(Value(Object{
         {"c", Value(b.collection)},
         {"app", Value(b.app)},
         {"at", Value(b.published_at)},
         {"next", Value(static_cast<std::int64_t>(b.next))},
-        {"docs", Value(std::move(batch_docs))}}));
+        {"docs", Value(b.documents())}}));
     it = pending_batches_.erase(it);
   }
 
@@ -852,18 +751,10 @@ void GoFlowServer::adopt_migration(const Value& migration) {
       batch.published_at = p.get_int("at");
       batch.next = static_cast<std::size_t>(p.get_int("next"));
       const Value* batch_docs = p.find("docs");
-      if (batch_docs != nullptr)
-        for (const Value& d : batch_docs->as_array()) {
-          batch.delays.push_back(d.get_int("delay_ms", 0));
-          batch.docs.push_back(d);
-        }
-      std::uint64_t id = ++pending_counter_;
+      if (batch_docs != nullptr) batch.docs = batch_docs->as_array();
       // The batch id itself moved with batch_keys above; srv.batch here
       // only covers the pending work until the post-rebalance snapshot.
-      log_batch_accepted(id, "",
-                         pending_batches_.emplace(id, std::move(batch))
-                             .first->second);
-      store_batch(id);
+      accept(std::move(batch), "");
     }
   }
 }
@@ -957,21 +848,16 @@ Value GoFlowServer::durable_snapshot() const {
   };
   Array pending;
   for (const auto& [id, batch] : pending_batches_) {
-    Array docs;
-    if (batch.flat != nullptr) {
-      // Defensive: the flat path only runs journal-less, but a snapshot
-      // must never reference arena memory — materialize the oracle docs.
-      for (std::size_t i = 0; i < batch.flat->size(); ++i)
-        docs.push_back(batch.flat->storage_document(i, batch.published_at));
-    }
-    for (const Value& d : batch.docs) docs.push_back(d);
+    // A flat batch's rows are materialized as the documents srv.batch
+    // logged: a snapshot never references arena memory, and recovery
+    // rebuilds the batch in document form.
     pending.push_back(Value(Object{
         {"id", Value(static_cast<std::int64_t>(id))},
         {"c", Value(batch.collection)},
         {"app", Value(batch.app)},
         {"at", Value(batch.published_at)},
         {"next", Value(static_cast<std::int64_t>(batch.next))},
-        {"docs", Value(std::move(docs))}}));
+        {"docs", Value(batch.documents())}}));
   }
   return Value(Object{
       {"accounts", Value(std::move(accounts))},
@@ -1041,11 +927,7 @@ void GoFlowServer::restore_snapshot(const Value& state) {
       batch.published_at = p.get_int("at");
       batch.next = static_cast<std::size_t>(p.get_int("next"));
       const Value* docs = p.find("docs");
-      if (docs != nullptr)
-        for (const Value& d : docs->as_array()) {
-          batch.delays.push_back(d.get_int("delay_ms", 0));
-          batch.docs.push_back(d);
-        }
+      if (docs != nullptr) batch.docs = docs->as_array();
       pending_batches_.emplace(static_cast<std::uint64_t>(p.get_int("id")),
                                std::move(batch));
     }
@@ -1111,11 +993,7 @@ void GoFlowServer::apply_journal_record(const Value& record) {
     batch.app = record.get_string("app");
     batch.published_at = record.get_int("at");
     const Value* docs = record.find("docs");
-    if (docs != nullptr)
-      for (const Value& d : docs->as_array()) {
-        batch.delays.push_back(d.get_int("delay_ms", 0));
-        batch.docs.push_back(d);
-      }
+    if (docs != nullptr) batch.docs = docs->as_array();
     pending_counter_ = std::max(pending_counter_, id);
     auto [it, inserted] = pending_batches_.emplace(id, std::move(batch));
     if (inserted && it->second.docs.empty())
@@ -1123,10 +1001,12 @@ void GoFlowServer::apply_journal_record(const Value& record) {
   } else if (op == "srv.prog") {
     auto id = static_cast<std::uint64_t>(record.get_int("id"));
     auto it = pending_batches_.find(id);
-    if (it != pending_batches_.end() &&
-        it->second.next < it->second.docs.size())
-      account_stored_doc(id, it->second, record.get_bool("dup"),
-                         /*live=*/false);
+    if (it != pending_batches_.end() && it->second.next < it->second.size()) {
+      PendingBatch& batch = it->second;
+      std::string key;
+      account_stored(id, batch, batch.row(batch.next), record.get_bool("dup"),
+                     /*live=*/false, key);
+    }
   }
   // Unknown srv.* ops are skipped: a newer log replaying through older
   // code degrades to the records it understands.

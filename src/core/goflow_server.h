@@ -377,29 +377,56 @@ class GoFlowServer {
     AppAnalytics analytics;
   };
 
-  /// A batch accepted from the broker whose documents are not all stored
-  /// yet. Prepared documents are kept so a transient docstore failure can
-  /// resume exactly where it stopped — never re-ingesting via the broker
-  /// (which would double-count) and never dropping the tail. On the flat
-  /// fast path (`flat` set, journal-less runs only) no documents are
-  /// materialized: `next` indexes rows of the shared ObsBatch instead.
+  /// What ingest accounting reads of one row, in either input form.
+  struct Row {
+    std::uint64_t span = 0;   ///< 0 when the row carries no span
+    std::string_view client;  ///< owner of the (client, span) dedup key
+    DurationMs delay = 0;     ///< capture -> server
+    bool localized = false;   ///< the row has a location fix
+  };
+
+  /// A batch accepted from the broker whose rows are not all stored yet,
+  /// kept in the form it arrived in: `flat` for an ObsBatch (rows are read
+  /// off its columns and never materialized), `docs` for a document batch
+  /// and for every batch recovery or a migration rebuilds. Keeping the
+  /// rows lets a transient docstore failure resume exactly where it
+  /// stopped — never re-ingesting via the broker (which would
+  /// double-count) and never dropping the tail.
   struct PendingBatch {
     std::string collection;
     AppId app;  ///< empty for raw (non-observation) messages
     std::vector<Value> docs;
-    std::vector<DurationMs> delays;  ///< parallel to docs (observation path)
-    std::shared_ptr<const ingest::ObsBatch> flat;  ///< fast-path rows
+    std::shared_ptr<const ingest::ObsBatch> flat;
     TimeMs published_at = 0;
-    std::size_t next = 0;  ///< first doc (or flat row) not yet stored
-    int attempts = 0;      ///< consecutive failures on docs[next]
+    std::size_t next = 0;  ///< first row not yet stored
+    int attempts = 0;      ///< consecutive failures on row `next`
+
+    std::size_t size() const;
+    Row row(std::size_t i) const;
+    /// Every row as the document the store keeps (srv.batch records,
+    /// snapshots and migrations carry this form).
+    Array documents() const;
   };
 
   void ingest(const broker::Message& message);
-  /// Fast-path ingestion of a flat batch (journal-less runs): dedup over
-  /// the span-id column, bulk column-wise inserts, no Value trees.
+  /// Accepts a flat batch without materializing it: dedup over the
+  /// span-id column, the pending batch shares the columns, and
+  /// store_batch inserts column-wise runs. Journaled or not.
   void ingest_flat(const broker::Message& message);
+  /// Batch-id dedup; a rejected batch is counted, journaled (srv.dupb)
+  /// and its spans attributed. True when the batch is new.
+  bool accept_batch_id(const std::string& batch_id,
+                       const broker::Message& message);
+  /// Registers `batch` as pending, logs srv.batch and starts storing it.
+  void accept(PendingBatch batch, const std::string& batch_id);
   void store_batch(std::uint64_t id);
-  void store_batch_flat(std::uint64_t id, PendingBatch& batch);
+  /// Schedules the next store_batch attempt after a transient failure.
+  void back_off(std::uint64_t id, PendingBatch& batch);
+  bool is_observations(const PendingBatch& batch) const;
+  /// True when the row's (client, span) key is already stored; builds the
+  /// key into `key`.
+  bool seen_row(const Row& row, bool observations, std::string& key) const;
+  void drop_spans(const broker::Message& message, obs::DropStage stage);
   /// The admission gate consulted by the broker before routing into the
   /// ingest queue.
   bool admit(TimeMs now);
@@ -413,20 +440,14 @@ class GoFlowServer {
   void note_dedup_evictions();
   void subscribe_ingest();
   void log_record(Value record);
-  void log_batch_accepted(std::uint64_t id, const std::string& batch_id,
-                          const PendingBatch& batch);
   void attribute_pending_drops(obs::DropStage stage);
   /// Shared by store_batch (live, logs srv.prog) and replay: advances
-  /// batch.next over docs[batch.next], updating dedup/counters/analytics.
-  /// Returns true when that completed the batch (it is erased).
-  bool account_stored_doc(std::uint64_t id, PendingBatch& batch, bool dup,
-                          bool live);
-  /// Column-wise mirror of account_stored_doc for flat batches (always
-  /// live — the flat path never runs with a journal attached).
-  /// `key_buf` is the caller's scratch buffer for the dedup key, reused
-  /// across rows so the hot loop stays allocation-free.
-  bool account_stored_flat(std::uint64_t id, PendingBatch& batch, bool dup,
-                           std::string& key_buf);
+  /// batch.next over `row` (row batch.next, either form), updating dedup,
+  /// counters and analytics. `key` is the caller's dedup-key buffer,
+  /// reused across rows. Returns true when that completed the batch (it
+  /// is erased).
+  bool account_stored(std::uint64_t id, PendingBatch& batch, const Row& row,
+                      bool dup, bool live, std::string& key);
   void finish_batch(std::uint64_t id, PendingBatch& batch, bool live);
   const Account* authenticate(const std::string& token) const;
   Status require_role(const std::string& token, const AppId& app,

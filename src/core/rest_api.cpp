@@ -1,6 +1,8 @@
 #include "core/rest_api.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -56,10 +58,27 @@ std::optional<double> query_double(
   return parsed;
 }
 
+/// Integer query parameter: a value `Int` cannot hold (infinities and NaN
+/// included) cannot be cast, so it is a 400, not a silent clamp.
+template <typename Int>
+Status query_integer(const std::map<std::string, std::string>& query,
+                     const std::string& key, std::optional<Int>& out) {
+  std::optional<double> v = query_double(query, key);
+  if (!v.has_value()) return {};
+  // Int holds [min, 2^digits); both bounds are exact doubles.
+  const double lo = static_cast<double>(std::numeric_limits<Int>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  if (!(*v >= lo && *v < hi))
+    return err(ErrorCode::kInvalidArgument,
+               "query parameter '" + key + "' out of range");
+  out = static_cast<Int>(*v);
+  return {};
+}
+
 }  // namespace
 
-ObservationFilter GoFlowRestApi::parse_filter(const RestRequest& request,
-                                              const std::string& app) {
+Result<ObservationFilter> GoFlowRestApi::parse_filter(
+    const RestRequest& request, const std::string& app) {
   ObservationFilter filter;
   filter.app = app;
   const auto& q = request.query;
@@ -67,15 +86,15 @@ ObservationFilter GoFlowRestApi::parse_filter(const RestRequest& request,
   if (auto it = q.find("model"); it != q.end()) filter.model = it->second;
   if (auto it = q.find("mode"); it != q.end()) filter.mode = it->second;
   if (auto it = q.find("provider"); it != q.end()) filter.provider = it->second;
-  if (auto from = query_double(q, "from"))
-    filter.from = static_cast<TimeMs>(*from);
-  if (auto until = query_double(q, "until"))
-    filter.until = static_cast<TimeMs>(*until);
+  std::optional<std::size_t> limit;
+  Status s = query_integer(q, "from", filter.from);
+  if (s.ok()) s = query_integer(q, "until", filter.until);
+  if (s.ok()) s = query_integer(q, "limit", limit);
+  if (!s.ok()) return s.error();
   if (auto it = q.find("localized"); it != q.end())
     filter.localized_only = it->second == "true" || it->second == "1";
   if (auto acc = query_double(q, "max_accuracy")) filter.max_accuracy_m = *acc;
-  if (auto limit = query_double(q, "limit"))
-    filter.limit = static_cast<std::size_t>(*limit);
+  if (limit.has_value()) filter.limit = *limit;
   return filter;
 }
 
@@ -197,7 +216,9 @@ RestResponse GoFlowRestApi::handle_apps(const RestRequest& request,
   // /apps/{app}/observations[...]
   if (parts.size() >= 3 && parts[2] == "observations" &&
       request.method == "GET") {
-    ObservationFilter filter = parse_filter(request, app);
+    Result<ObservationFilter> parsed = parse_filter(request, app);
+    if (!parsed.ok()) return error_response(parsed.error());
+    const ObservationFilter& filter = parsed.value();
     if (parts.size() == 3) {
       auto result = server_.query_observations(request.auth_token, filter);
       if (!result.ok()) return error_response(result.error());

@@ -75,8 +75,10 @@ class GoFlowRestApi {
                            const std::vector<std::string>& parts);
   static RestResponse error_response(const Error& error);
   static RestResponse not_found();
-  static ObservationFilter parse_filter(const RestRequest& request,
-                                        const std::string& app);
+  /// The observation filter in the query string; kInvalidArgument when
+  /// from/until/limit do not fit their integer types.
+  static Result<ObservationFilter> parse_filter(const RestRequest& request,
+                                                const std::string& app);
 
   GoFlowServer& server_;
   std::map<std::string, GoFlowServer::Job> job_types_;

@@ -17,9 +17,11 @@
 // the last shared_ptr drops (epoch reset, blocks retained) — steady-state
 // uploads allocate nothing but the shared_ptr control block.
 //
-// The document path stays wired as the oracle: to_batch_document() and
-// storage_document() reproduce the exact bytes the Value path produces,
-// which the flat-vs-document equivalence suite pins.
+// The server keeps a document path for inputs that arrive as Value
+// documents. to_batch_document() and storage_document() reproduce that
+// path's exact bytes (the flat-vs-document equivalence suite pins them);
+// journal records, snapshots and migrations carry a flat batch's rows in
+// that form.
 #pragma once
 
 #include <cstdint>
@@ -79,19 +81,20 @@ class ObsBatch {
   const std::string_view* strings() const { return strings_; }
   std::size_t string_count() const { return string_count_; }
 
-  // --- Oracle materialization -------------------------------------------
+  // --- Document materialization ---------------------------------------
 
   /// Rehydrates one row as a phone::Observation (tests, assim fallback).
   phone::Observation observation_at(std::size_t i) const;
 
-  /// The full wire document, byte-identical to the Value the client's
-  /// document path publishes ({app, client, batch_id, sent_at,
-  /// observations:[...]}).
+  /// The batch as one wire document ({app, client, batch_id, sent_at,
+  /// observations:[...]}), each observation laid out as
+  /// phone::Observation::to_document() lays it out.
   Value to_batch_document() const;
 
-  /// The document the server's ingest path would hand the docstore for
-  /// row `i`: the observation document plus app/client/received_at/
-  /// delay_ms in the exact order the oracle appends them.
+  /// The document the server's document path hands the docstore for row
+  /// `i` of to_batch_document(): the observation document plus app/
+  /// client/received_at/delay_ms in the exact order that path appends
+  /// them.
   Value storage_document(std::size_t i, TimeMs received_at) const;
 
   /// The indexable value at `path` for row `i` without materializing the

@@ -103,8 +103,7 @@ void StudyRunner::build_device(const crowd::UserProfile& profile) {
   cc.sense_period = config_.sense_period;
   cc.share = profile.shares;
   if (config_.faults != nullptr) cc.retry_seed = config_.faults->seed();
-  cc.flat_ingest = config_.flat_ingest;
-  if (config_.flat_ingest) cc.batch_pool = &pool_;
+  cc.batch_pool = &pool_;
   if (config_.shard_fleet != nullptr) {
     // The router at the ingest edge: consulted per publish, so a slot
     // move between attempts redirects the very next upload (including
@@ -301,8 +300,7 @@ StudyReport StudyRunner::run() {
     if (config_.metrics != nullptr)
       config_.faults->set_metrics(config_.metrics);
   }
-  if (config_.flat_ingest && config_.metrics != nullptr)
-    pool_.set_metrics(config_.metrics);
+  if (config_.metrics != nullptr) pool_.set_metrics(config_.metrics);
   if (config_.net_server != nullptr) {
     // Must be listening before build_device captures the port.
     if (!config_.net_server->listening())

@@ -35,7 +35,10 @@ class ShardFleet;
 
 namespace mps::study {
 
-/// Study configuration.
+/// Study configuration. Every device serializes its uploads once, into
+/// flat ObsBatches from one study-wide BatchPool, and every serving plane
+/// below (in process, socket, journaled, fleet) ingests them flat
+/// (DESIGN.md §13).
 struct StudyConfig {
   std::uint64_t seed = 1;
   /// How many virtual days to run (the paper's study: ~305).
@@ -76,13 +79,6 @@ struct StudyConfig {
   /// Periodic lifecycle snapshots (0 = only the ones recovery writes).
   /// Shorter periods bound replay length at the cost of snapshot I/O.
   DurationMs snapshot_period = 0;
-  /// Flat ingest fast path (DESIGN.md §13): the fleet serializes upload
-  /// batches once into arena-backed flat ObsBatches shared through one
-  /// study-wide pool, and the server consumes them without rehydrating.
-  /// Observable state (stored documents, dedup decisions, WAL bytes,
-  /// study figures) is identical either way; off = the document oracle
-  /// path the equivalence suite compares against.
-  bool flat_ingest = true;
   /// Socket mode (DESIGN.md §14): when set, every device publishes over
   /// a real loopback socket through a per-device NetClient pointed at
   /// this server, which dispatches into the same broker — the fleet

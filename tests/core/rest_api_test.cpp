@@ -201,6 +201,38 @@ TEST_F(RestApiTest, JobRoutes) {
   EXPECT_EQ(get("/jobs/job-999").status, 404);
 }
 
+// from/until are TimeMs and limit a size_t: values those types cannot
+// hold are rejected, never cast.
+TEST_F(RestApiTest, OutOfRangeFilterValuesAre400) {
+  auto [admin, client] = bootstrap();
+  (void)client;
+  const std::map<std::string, std::vector<std::string>> bad = {
+      {"from", {"nan", "inf", "-inf", "1e19", "-1e19"}},
+      {"until", {"nan", "inf", "-inf", "9.3e18", "-9.3e18"}},
+      {"limit", {"-1", "nan", "inf", "-inf", "1e20", "-0.5"}}};
+  for (const auto& [key, values] : bad) {
+    for (const std::string& value : values) {
+      for (const char* route : {"/apps/soundcity/observations",
+                                "/apps/soundcity/observations/count",
+                                "/apps/soundcity/observations/export"}) {
+        RestResponse r = get(route, admin, {{key, value}});
+        EXPECT_EQ(r.status, 400) << route << "?" << key << "=" << value;
+        EXPECT_EQ(r.body.get_string("error"), "invalid_argument")
+            << route << "?" << key << "=" << value;
+      }
+    }
+  }
+  // In-range values, including the extremes, still answer.
+  EXPECT_EQ(get("/apps/soundcity/observations", admin,
+                {{"from", "-9.2e18"}, {"until", "9.2e18"}, {"limit", "0"}})
+                .status,
+            200);
+  EXPECT_EQ(get("/apps/soundcity/observations/count", admin,
+                {{"limit", "1e19"}})
+                .status,
+            200);
+}
+
 TEST_F(RestApiTest, TrailingSlashTolerated) {
   RestResponse r = post("/apps/", Value(Object{{"id", Value("x")}}));
   EXPECT_EQ(r.status, 201);

@@ -3,6 +3,8 @@
 // results to the full-scan reference execution, which stays reachable
 // through set_planner_enabled(false).
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -244,12 +246,22 @@ TEST(PlannerTest, UpdateManyKeepsIndexedExecutionExact) {
 
 TEST(PlannerTest, RandomizedQueriesAgreeWithReference) {
   Rng rng(2024);
+  // Ints, plus the doubles that stress the number order: NaN (which must
+  // sort before every other number and equal only NaN) and both
+  // infinities.
+  auto number = [&rng](std::int64_t lo, std::int64_t hi) {
+    double roll = rng.uniform();
+    if (roll < 0.06) return Value(std::nan(""));
+    if (roll < 0.09) return Value(std::numeric_limits<double>::infinity());
+    if (roll < 0.12) return Value(-std::numeric_limits<double>::infinity());
+    return Value(rng.uniform_int(lo, hi));
+  };
   Collection c("f");
   c.create_index("a");
   c.create_index("b");
   for (int i = 0; i < 400; ++i) {
     Object o;
-    if (!rng.bernoulli(0.1)) o.set("a", Value(rng.uniform_int(0, 20)));
+    if (!rng.bernoulli(0.1)) o.set("a", number(0, 20));
     if (!rng.bernoulli(0.1))
       o.set("b", Value("s" + std::to_string(rng.uniform_int(0, 5))));
     o.set("c", Value(rng.uniform(0.0, 1.0)));
@@ -258,14 +270,15 @@ TEST(PlannerTest, RandomizedQueriesAgreeWithReference) {
   for (int i = 0; i < 200; ++i) {
     Query q = Query::all();
     switch (rng.uniform_int(0, 4)) {
-      case 0: q = Query::eq("a", Value(rng.uniform_int(0, 20))); break;
-      case 1:
-        q = Query::range("a", Value(rng.uniform_int(0, 10)),
-                         Value(rng.uniform_int(10, 21)));
+      case 0: q = Query::eq("a", number(0, 20)); break;
+      case 1: {
+        Value lo = number(0, 10);  // draw order pinned: lo, then hi
+        q = Query::range("a", std::move(lo), number(10, 21));
         break;
+      }
       case 2: q = Query::eq("b", Value("s" + std::to_string(rng.uniform_int(0, 5)))); break;
       case 3:
-        q = Query::and_({Query::gte("a", Value(rng.uniform_int(0, 15))),
+        q = Query::and_({Query::gte("a", number(0, 15)),
                          Query::eq("b", Value("s" + std::to_string(
                                                   rng.uniform_int(0, 5))))});
         break;

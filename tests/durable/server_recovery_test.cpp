@@ -2,10 +2,11 @@
 // docstore + GoFlow server) crashing and recovering in place. Covers the
 // server's durable snapshot/replay contract, the shape of the decoded
 // snapshot payload against the live store, the bounded ingest-dedup
-// regression, pending-batch resumption across a crash, drop attribution
-// when there is nothing to recover with, and the recovery-equivalence
-// property: a killed-and-recovered run ends with exactly the documents
-// an uninterrupted run stores.
+// regression, pending-batch resumption across a crash in both input forms
+// (a document batch and a flat ObsBatch), drop attribution when there is
+// nothing to recover with, and the recovery-equivalence property: a
+// killed-and-recovered run ends with exactly the documents an
+// uninterrupted run stores.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -23,6 +24,7 @@
 #include "durable/storage.h"
 #include "durable/wal.h"
 #include "fault/fault.h"
+#include "ingest/obs_batch.h"
 #include "obs/span.h"
 
 namespace mps::core {
@@ -31,6 +33,7 @@ namespace {
 using mps::durable::MemStorageEnv;
 
 struct Stack {
+  ingest::BatchPool pool;
   sim::Simulation sim;
   broker::Broker broker;
   docstore::Database db;
@@ -70,6 +73,85 @@ Value make_batch(const std::string& batch_id, const std::string& client,
                       {"app", Value("app1")},
                       {"client", Value(client)},
                       {"observations", Value(std::move(observations))}});
+}
+
+/// The same traced observations as one flat ObsBatch, the form every
+/// GoFlow client uploads in.
+std::shared_ptr<const ingest::ObsBatch> make_flat_batch(
+    ingest::BatchPool& pool, const std::string& batch_id,
+    const std::string& client, int count, TimeMs captured_at, TimeMs sent_at,
+    obs::SpanTracker& tracer, std::vector<std::uint64_t>* spans) {
+  std::vector<phone::Observation> observations;
+  for (int i = 0; i < count; ++i) {
+    phone::Observation o;
+    o.user = "u-" + client;
+    o.model = "m";
+    o.captured_at = captured_at;
+    o.spl_db = 55.0 + i;
+    if (i % 2 == 0)
+      o.location = phone::LocationFix{phone::LocationProvider::kGps, 10.0 * i,
+                                      20.0, 8.0};
+    o.span_id = tracer.begin(captured_at);
+    if (spans != nullptr) spans->push_back(o.span_id);
+    observations.push_back(std::move(o));
+  }
+  return pool.make_batch("app1", client, batch_id, sent_at, observations);
+}
+
+/// The two forms a batch reaches the server in.
+enum class Form { kDocument, kFlat };
+
+const char* form_name(Form form) {
+  return form == Form::kFlat ? "flat" : "document";
+}
+
+/// Publishes `count` traced observations of `client` as one batch in
+/// `form`; their spans are appended to `spans`.
+Result<broker::PublishResult> publish_traced(
+    Stack& s, Form form, const std::string& batch_id,
+    const std::string& client, int count, TimeMs captured_at, TimeMs now,
+    std::vector<std::uint64_t>* spans) {
+  if (form == Form::kDocument)
+    return s.broker.publish(
+        "goflow", "b",
+        make_batch(batch_id, client, 0, count, captured_at, &s.tracer, spans),
+        now);
+  return s.broker.publish_flat(
+      "goflow", "b",
+      make_flat_batch(s.pool, batch_id, client, count, captured_at, now,
+                      s.tracer, spans),
+      now);
+}
+
+/// Stored observations by their (client, span) dedup identity.
+std::multiset<std::string> stored_spans(docstore::Database& db) {
+  std::multiset<std::string> keys;
+  db.collection("observations").for_each([&](const Value& doc) {
+    keys.insert(doc.get_string("client") + "#" +
+                std::to_string(doc.get_int("span")));
+  });
+  return keys;
+}
+
+std::multiset<std::string> span_keys(const std::string& client,
+                                     const std::vector<std::uint64_t>& spans) {
+  std::multiset<std::string> keys;
+  for (std::uint64_t span : spans)
+    keys.insert(client + "#" + std::to_string(span));
+  return keys;
+}
+
+/// The decoded payload of the newest snapshot file in `env`.
+Value newest_snapshot(MemStorageEnv& env) {
+  std::string newest;
+  for (const std::string& name : env.list())  // sorted: newest LSN last
+    if (starts_with(name, durable::kSnapshotPrefix)) newest = name;
+  std::string file = env.read(newest);
+  std::optional<durable::DecodedRecord> rec = durable::decode_record(file, 0);
+  Value state;
+  if (!rec.has_value() || !codec::decode_value(rec->payload, state))
+    ADD_FAILURE() << "undecodable snapshot " << newest;
+  return state;
 }
 
 std::multiset<std::string> stored_keys(docstore::Database& db) {
@@ -138,46 +220,132 @@ TEST(ServerRecovery, StateSurvivesCrashAndRecovery) {
 }
 
 TEST(ServerRecovery, PendingBatchResumesAfterCrash) {
+  for (Form form : {Form::kDocument, Form::kFlat}) {
+    SCOPED_TRACE(form_name(form));
+    Stack s;
+    MemStorageEnv env;
+    ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+
+    fault::FaultPlan plan(7);
+    plan.set_clock([&] { return s.sim.now(); });
+    s.db.arm_faults(&plan);
+    plan.fail_next(fault::FaultSite::kDocstoreInsert, 3);
+
+    std::vector<std::uint64_t> spans;
+    publish_traced(s, form, "b1", "dev1", 2, 100, 200, &spans)
+        .value_or_throw();
+    // First insert failed; the batch is parked awaiting a backoff retry.
+    ASSERT_EQ(s.server->pending_ingest_batches(), 1u);
+    ASSERT_EQ(s.server->total_observations(), 0u);
+    EXPECT_EQ(s.server->pending_ingest_span_ids().size(), 2u);
+
+    lc.crash();
+    // With a journal the pending batch is recoverable: nothing attributed.
+    for (std::uint64_t span : spans) {
+      const obs::SpanRecord* rec = s.tracer.find(span);
+      ASSERT_NE(rec, nullptr);
+      EXPECT_EQ(rec->dropped, obs::DropStage::kNone);
+    }
+
+    lc.recover();
+    // Recovery rebuilt the pending batch from its srv.batch record and
+    // resumed store_batch; the remaining scripted faults burn off through
+    // the epoch-guarded retry timers.
+    s.sim.run_until(s.sim.now() + hours(1));
+    EXPECT_EQ(s.server->pending_ingest_batches(), 0u);
+    EXPECT_EQ(s.server->total_observations(), 2u);
+    EXPECT_EQ(s.server->duplicate_observations(), 0u);
+    EXPECT_EQ(stored_spans(s.db), span_keys("dev1", spans));
+    for (std::uint64_t span : spans) {
+      const obs::SpanRecord* rec = s.tracer.find(span);
+      EXPECT_TRUE(rec->stamped(obs::Hop::kPersisted));
+    }
+    s.db.arm_faults(nullptr);
+  }
+}
+
+// A snapshot taken while a flat batch waits out its backoff carries the
+// batch's rows as the documents srv.batch logged, and recovery from that
+// snapshot alone resumes and stores them.
+TEST(ServerRecovery, SnapshotDuringFlatBackoffRestoresThePendingBatch) {
+  Stack s;
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  fault::FaultPlan plan(7);
+  plan.set_clock([&] { return s.sim.now(); });
+  s.db.arm_faults(&plan);
+  plan.fail_next(fault::FaultSite::kDocstoreInsert, 1000);
+
+  std::vector<std::uint64_t> spans;
+  auto batch = make_flat_batch(s.pool, "b1", "dev1", 3, 100, 200, s.tracer,
+                               &spans);
+  s.broker.publish_flat("goflow", "b", batch, 200).value_or_throw();
+  ASSERT_EQ(s.server->pending_ingest_batches(), 1u);
+  EXPECT_GT(s.server->ingest_retries(), 0u);
+
+  lc.snapshot();
+  Value state = newest_snapshot(env);
+  const Array& pending = state.at("srv").at("pending").as_array();
+  ASSERT_EQ(pending.size(), 1u);
+  const Array& docs = pending[0].at("docs").as_array();
+  ASSERT_EQ(docs.size(), batch->size());
+  for (std::size_t i = 0; i < docs.size(); ++i)
+    EXPECT_EQ(docs[i], batch->storage_document(i, 200)) << "row " << i;
+
+  lc.crash();
+  lc.recover();
+  ASSERT_EQ(s.server->pending_ingest_batches(), 1u);
+  EXPECT_EQ(s.server->total_observations(), 0u);
+
+  s.db.arm_faults(nullptr);
+  s.sim.run_until(s.sim.now() + hours(1));
+  EXPECT_EQ(s.server->pending_ingest_batches(), 0u);
+  EXPECT_EQ(s.server->total_observations(), 3u);
+  EXPECT_EQ(stored_spans(s.db), span_keys("dev1", spans));
+  auto analytics = s.server->analytics("app1").value_or_throw();
+  EXPECT_EQ(analytics.observations_stored, 3u);
+  EXPECT_EQ(analytics.observations_localized, 2u);
+  EXPECT_EQ(analytics.batches_ingested, 1u);
+}
+
+// A flat batch redelivered after recovery is rejected on its batch id, a
+// repackaged copy row by row on (client, span), and a second recovery
+// replays both rejections: each is counted once and nothing is stored
+// twice.
+TEST(ServerRecovery, DuplicateFlatBatchAfterRecoveryIsCountedOnce) {
   Stack s;
   MemStorageEnv env;
   ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
 
-  fault::FaultPlan plan(7);
-  plan.set_clock([&] { return s.sim.now(); });
-  s.db.arm_faults(&plan);
-  plan.fail_next(fault::FaultSite::kDocstoreInsert, 3);
-
   std::vector<std::uint64_t> spans;
-  s.broker.publish("goflow", "b",
-                   make_batch("b1", "dev1", 0, 2, 100, &s.tracer, &spans), 200)
-      .value_or_throw();
-  // First insert failed; the batch is parked awaiting a backoff retry.
-  ASSERT_EQ(s.server->pending_ingest_batches(), 1u);
-  ASSERT_EQ(s.server->total_observations(), 0u);
-  EXPECT_EQ(s.server->pending_ingest_span_ids().size(), 2u);
+  auto batch = make_flat_batch(s.pool, "b1", "dev1", 2, 100, 200, s.tracer,
+                               &spans);
+  s.broker.publish_flat("goflow", "b", batch, 200).value_or_throw();
+  ASSERT_EQ(s.server->total_observations(), 2u);
 
   lc.crash();
-  // With a journal the pending batch is recoverable: nothing attributed.
-  for (std::uint64_t span : spans) {
-    const obs::SpanRecord* rec = s.tracer.find(span);
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->dropped, obs::DropStage::kNone);
-  }
-
   lc.recover();
-  // Recovery rebuilt the pending batch from its srv.batch record and
-  // resumed store_batch; the remaining scripted faults burn off through
-  // the epoch-guarded retry timers.
-  s.sim.run_until(s.sim.now() + hours(1));
-  EXPECT_EQ(s.server->pending_ingest_batches(), 0u);
+  s.broker.publish_flat("goflow", "b", batch, 300).value_or_throw();
+  EXPECT_EQ(s.server->duplicate_batches(), 1u);
+  std::vector<phone::Observation> again;
+  for (std::size_t i = 0; i < batch->size(); ++i)
+    again.push_back(batch->observation_at(i));
+  s.broker
+      .publish_flat("goflow", "b",
+                    s.pool.make_batch("app1", "dev1", "b2", 400, again), 400)
+      .value_or_throw();
+  EXPECT_EQ(s.server->duplicate_observations(), 2u);
+  EXPECT_EQ(s.registry.counter("server.duplicate_batches").value(), 1u);
+  EXPECT_EQ(s.registry.counter("server.duplicate_observations").value(), 2u);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(s.server->duplicate_batches(), 1u);
+  EXPECT_EQ(s.server->duplicate_observations(), 2u);
   EXPECT_EQ(s.server->total_observations(), 2u);
-  EXPECT_EQ(s.server->duplicate_observations(), 0u);
-  EXPECT_EQ(stored_keys(s.db), (std::multiset<std::string>{"dev1#0", "dev1#1"}));
-  for (std::uint64_t span : spans) {
-    const obs::SpanRecord* rec = s.tracer.find(span);
-    EXPECT_TRUE(rec->stamped(obs::Hop::kPersisted));
-  }
-  s.db.arm_faults(nullptr);
+  EXPECT_EQ(s.server->total_batches(), 2u);  // b1 stored, b2 all-duplicate
+  EXPECT_EQ(stored_spans(s.db), span_keys("dev1", spans));
+  EXPECT_EQ(s.registry.counter("server.duplicate_batches").value(), 1u);
 }
 
 TEST(ServerRecovery, CrashWithoutJournalAttributesPendingAsLost) {
@@ -423,14 +591,7 @@ TEST(ServerRecovery, SnapshotPayloadMatchesStoreAndRoundTrips) {
   ASSERT_EQ(s.broker.queue_depth("audit.q"), 1u);
 
   lc.snapshot();
-  std::string newest;
-  for (const std::string& name : env.list())  // sorted: newest LSN last
-    if (starts_with(name, durable::kSnapshotPrefix)) newest = name;
-  std::string file = env.read(newest);
-  std::optional<durable::DecodedRecord> rec = durable::decode_record(file, 0);
-  ASSERT_TRUE(rec.has_value());
-  Value state;
-  ASSERT_TRUE(codec::decode_value(rec->payload, state));
+  Value state = newest_snapshot(env);
 
   const std::map<std::string, std::vector<Value>> before = all_docs(s.db);
   ASSERT_EQ(before.at("accounts").size(), 2u);

@@ -132,7 +132,6 @@ TEST_F(AdmissionTest, ShedFeedsClientBackoffWithoutLossOrDup) {
 
   client::ClientConfig cc =
       client::ClientConfig::v1_3("c1", channels.exchange, 1);
-  cc.flat_ingest = true;  // the shed path must also cover publish_flat
   cc.retry_seed = 7;
   client::GoFlowClient client(
       sim, broker, phone, std::move(cc), [](TimeMs) { return 55.0; },
