@@ -6,8 +6,8 @@
 //      of sharding: the batch hand-off itself is the same zero-copy
 //      publish against a different broker reference.
 //   2. WAL shipping throughput — records/s the replication pipe drains
-//      from the primary's journal into the follower env, round-tripping
-//      every record through the wire codec.
+//      from the primary's journal into the follower's Wal, each record's
+//      verified frame appended verbatim.
 //   3. Failover latency — kill + follower promotion (Journal recovery
 //      over mirrored snapshot + shipped tail) with a populated store.
 //   4. Rebalance latency — one hash slot (documents + dedup keys +
@@ -109,8 +109,8 @@ int main() {
     double secs = seconds_since(start);
     shipper.detach();
     std::printf(
-        "2) shipping: %d records in %.3fs (%.0f records/s, %llu frame "
-        "bytes)\n",
+        "2) shipping: %d records in %.3fs (%.0f records/s, %llu framed "
+        "WAL bytes)\n",
         kRecords, secs, kRecords / secs,
         static_cast<unsigned long long>(shipper.stats().bytes_shipped));
     bench_record_rate("ship_records", kRecords, secs);

@@ -19,18 +19,15 @@ std::string snapshot_name(std::uint64_t lsn) {
   return std::string(kSnapshotPrefix) + buf;
 }
 
-bool is_snapshot_name(const std::string& name) {
-  const std::string prefix = kSnapshotPrefix;
-  return name.size() == prefix.size() + 16 &&
-         name.compare(0, prefix.size(), prefix) == 0;
-}
-
-std::uint64_t lsn_of(const std::string& name) {
-  return std::strtoull(name.c_str() + std::string(kSnapshotPrefix).size(),
-                       nullptr, 10);
-}
-
 }  // namespace
+
+std::optional<std::uint64_t> snapshot_lsn(const std::string& name) {
+  const std::string prefix = kSnapshotPrefix;
+  if (name.size() != prefix.size() + 16 ||
+      name.compare(0, prefix.size(), prefix) != 0)
+    return std::nullopt;
+  return std::strtoull(name.c_str() + prefix.size(), nullptr, 10);
+}
 
 std::size_t write_snapshot(StorageEnv& env, std::uint64_t lsn,
                            const StateWriter& write_state) {
@@ -44,14 +41,14 @@ std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
                                                    std::uint64_t& skipped) {
   std::vector<std::string> names;
   for (const std::string& name : env.list())
-    if (is_snapshot_name(name)) names.push_back(name);
+    if (snapshot_lsn(name).has_value()) names.push_back(name);
   // Newest first; fall back on corruption.
   std::sort(names.rbegin(), names.rend());
   for (const std::string& name : names) {
     std::string data = env.read(name);
     std::optional<DecodedRecord> rec = decode_record(data, 0);
     LoadedSnapshot out;
-    if (rec.has_value() && rec->lsn == lsn_of(name) &&
+    if (rec.has_value() && rec->lsn == snapshot_lsn(name) &&
         rec->end_offset == data.size() &&
         codec::decode_value(rec->payload, out.state)) {
       out.lsn = rec->lsn;
@@ -63,8 +60,10 @@ std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
 }
 
 void prune_snapshots(StorageEnv& env, std::uint64_t keep_lsn) {
-  for (const std::string& name : env.list())
-    if (is_snapshot_name(name) && lsn_of(name) < keep_lsn) env.remove(name);
+  for (const std::string& name : env.list()) {
+    std::optional<std::uint64_t> lsn = snapshot_lsn(name);
+    if (lsn.has_value() && *lsn < keep_lsn) env.remove(name);
+  }
 }
 
 }  // namespace mps::durable

@@ -50,4 +50,8 @@ std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
 /// keep_lsn itself survives).
 void prune_snapshots(StorageEnv& env, std::uint64_t keep_lsn);
 
+/// The LSN a snapshot file covers, read from its name; nullopt when
+/// `name` is not a snapshot file's.
+std::optional<std::uint64_t> snapshot_lsn(const std::string& name);
+
 }  // namespace mps::durable

@@ -52,6 +52,7 @@ std::optional<DecodedRecord> decode_record(std::string_view buffer,
   DecodedRecord rec;
   r.u64(rec.lsn);
   rec.payload = buffer.substr(offset + kHeaderBytes, len);
+  rec.frame = buffer.substr(offset, kHeaderBytes + len);
   rec.end_offset = offset + kHeaderBytes + len;
   return rec;
 }
@@ -150,22 +151,36 @@ void Wal::start_segment(std::uint64_t first_lsn) {
 }
 
 std::uint64_t Wal::append(std::string_view payload) {
+  std::uint64_t lsn = next_lsn_;
+  std::string framed;
+  encode_record(lsn, payload, framed);
+  write_frame(framed, payload.size());
+  return lsn;
+}
+
+void Wal::append_frame(std::uint64_t lsn, std::string_view frame) {
+  if (segments_.empty() && lsn > 0) next_lsn_ = lsn;
+  if (lsn != next_lsn_)
+    throw std::invalid_argument("append_frame: LSN " + std::to_string(lsn) +
+                                " but the log expects " +
+                                std::to_string(next_lsn_));
+  write_frame(frame, frame.size() - kHeaderBytes);
+}
+
+void Wal::write_frame(std::string_view frame, std::size_t payload_bytes) {
   std::uint64_t lsn = next_lsn_++;
   if (segments_.empty() || segments_.back().size >= config_.segment_bytes)
     start_segment(lsn);
 
-  std::string framed;
-  encode_record(lsn, payload, framed);
   Segment& seg = segments_.back();
-  env_.append(seg.name, framed);
-  seg.size += framed.size();
+  env_.append(seg.name, frame);
+  seg.size += frame.size();
 
   ++stats_.appends;
-  stats_.bytes_appended += framed.size();
-  obs::FlightRecorder::record(obs::FrEvent::kWalAppend, lsn, payload.size());
+  stats_.bytes_appended += frame.size();
+  obs::FlightRecorder::record(obs::FrEvent::kWalAppend, lsn, payload_bytes);
   if (++unsynced_appends_ >= config_.sync_every) sync();
   if (append_listener_) append_listener_();
-  return lsn;
 }
 
 void Wal::sync() {
@@ -219,7 +234,7 @@ std::uint64_t Wal::cursor_position(std::uint64_t id) const {
 
 std::uint64_t Wal::cursor_read(
     std::uint64_t id, std::uint64_t max,
-    const std::function<void(std::uint64_t, std::string_view)>& fn) {
+    const std::function<void(const DecodedRecord&)>& fn) {
   auto it = cursors_.find(id);
   if (it == cursors_.end())
     throw std::invalid_argument("cursor_read: unknown WAL cursor");
@@ -258,7 +273,7 @@ std::uint64_t Wal::cursor_read(
       std::optional<DecodedRecord> rec = decode_record(data, local);
       if (!rec.has_value()) break;
       if (rec->lsn > cur.last_lsn) {
-        fn(rec->lsn, rec->payload);
+        fn(*rec);
         ++delivered;
         ++stats_.cursor_records;
         cur.last_lsn = rec->lsn;

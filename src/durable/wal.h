@@ -7,7 +7,8 @@
 // The CRC (common/crc32.h) covers the lsn field plus the payload, so a
 // record whose length field survived a torn write but whose body didn't
 // is still rejected. LSNs are assigned densely starting at 1 and never
-// reused. The WAL frames opaque payload bytes; the Journal above it
+// reused; a follower's log fed by append_frame starts wherever shipping
+// started. The WAL frames opaque payload bytes; the Journal above it
 // fills them with codec-encoded Values.
 //
 // Segments are files named "<prefix><first-lsn, zero-padded to 16>"
@@ -50,10 +51,12 @@ void encode_record(std::uint64_t lsn,
                    const std::function<void(std::string&)>& write_payload,
                    std::string& out);
 
-/// One decoded record plus the offset just past it.
+/// One decoded record plus the offset just past it. The views point
+/// into the scanned buffer.
 struct DecodedRecord {
   std::uint64_t lsn = 0;
-  std::string_view payload;  // views into the scanned buffer
+  std::string_view payload;
+  std::string_view frame;  ///< the whole CRC-verified record, header included
   std::size_t end_offset = 0;
 };
 
@@ -101,6 +104,15 @@ class Wal {
   /// Appends one record; returns its LSN. Durable per sync_every.
   std::uint64_t append(std::string_view payload);
 
+  /// Appends a record another Wal already framed and verified (a
+  /// DecodedRecord's `frame`), byte for byte — WAL shipping's write
+  /// path. `lsn` must equal next_lsn(), except that a log with no
+  /// segments adopts it: shipping to a wiped follower starts at the
+  /// primary's oldest retained record. Any other LSN throws
+  /// std::invalid_argument, since appending it would leave a gap the
+  /// next open truncates away.
+  void append_frame(std::uint64_t lsn, std::string_view frame);
+
   /// Forces any unsynced appends to durability now.
   void sync();
 
@@ -136,14 +148,14 @@ class Wal {
   void close_cursor(std::uint64_t id);
 
   /// Delivers up to `max` records past the cursor's position in LSN
-  /// order, advancing it. Reads only the bytes appended since the last
-  /// call (tail reads via StorageEnv::read_suffix). Returns the number
-  /// delivered; fewer than `max` means the cursor caught up with the
-  /// log tail. Throws std::invalid_argument on an unknown cursor.
+  /// order, advancing it; each record's views are valid only during its
+  /// callback. Reads only the bytes appended since the last call (tail
+  /// reads via StorageEnv::read_suffix). Returns the number delivered;
+  /// fewer than `max` means the cursor caught up with the log tail.
+  /// Throws std::invalid_argument on an unknown cursor.
   std::uint64_t cursor_read(
       std::uint64_t id, std::uint64_t max,
-      const std::function<void(std::uint64_t lsn, std::string_view payload)>&
-          fn);
+      const std::function<void(const DecodedRecord& record)>& fn);
 
   /// Last LSN delivered through the cursor (0 = nothing yet); this is
   /// the point truncate_through re-anchors to.
@@ -182,6 +194,9 @@ class Wal {
 
   void open_existing();
   void start_segment(std::uint64_t first_lsn);
+  /// The one write path under append and append_frame: rotation, stats,
+  /// group commit and the listener.
+  void write_frame(std::string_view frame, std::size_t payload_bytes);
   std::string segment_name(std::uint64_t first_lsn) const;
 
   StorageEnv& env_;

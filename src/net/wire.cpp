@@ -36,9 +36,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kPong: return "pong";
     case MsgType::kSeriesQuery: return "series_query";
     case MsgType::kSeriesReply: return "series_reply";
-    case MsgType::kWalShip: return "wal_ship";
-    case MsgType::kWalShipOk: return "wal_ship_ok";
-    case MsgType::kPromote: return "promote";
     case MsgType::kRedirect: return "redirect";
   }
   return "unknown";
@@ -286,59 +283,7 @@ bool decode_series_reply(std::string_view body, SeriesReplyMsg& out) {
   return true;
 }
 
-// --- Sharded serving plane ----------------------------------------------
-
-void encode_wal_ship(const WalShipMsg& m, std::string& out) {
-  Writer w(out);
-  w.u32(m.shard);
-  w.u32(static_cast<std::uint32_t>(m.records.size()));
-  for (const WalRecord& rec : m.records) {
-    w.u64(rec.lsn);
-    w.str(rec.payload);
-  }
-}
-
-bool decode_wal_ship(std::string_view body, WalShipMsg& out) {
-  Reader r(body);
-  std::uint32_t count = 0;
-  if (!r.u32(out.shard) || !r.u32(count)) return false;
-  // Each record is at least 12 bytes (lsn + empty-string length); bound
-  // the count against the remaining bytes before any allocation so a
-  // hostile header cannot balloon the vector.
-  if (static_cast<std::uint64_t>(count) * 12 > r.remaining()) return false;
-  out.records.clear();
-  out.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WalRecord rec;
-    std::string_view payload;
-    if (!r.u64(rec.lsn) || !r.str(payload)) return false;
-    rec.payload.assign(payload);
-    out.records.push_back(std::move(rec));
-  }
-  return r.done();
-}
-
-void encode_wal_ship_ok(const WalShipOkMsg& m, std::string& out) {
-  Writer w(out);
-  w.u32(m.shard);
-  w.u64(m.through_lsn);
-}
-
-bool decode_wal_ship_ok(std::string_view body, WalShipOkMsg& out) {
-  Reader r(body);
-  return r.u32(out.shard) && r.u64(out.through_lsn) && r.done();
-}
-
-void encode_promote(const PromoteMsg& m, std::string& out) {
-  Writer w(out);
-  w.u32(m.shard);
-  w.u64(m.through_lsn);
-}
-
-bool decode_promote(std::string_view body, PromoteMsg& out) {
-  Reader r(body);
-  return r.u32(out.shard) && r.u64(out.through_lsn) && r.done();
-}
+// --- Shard redirects ----------------------------------------------------
 
 void encode_redirect(const RedirectMsg& m, std::string& out) {
   Writer w(out);

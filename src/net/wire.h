@@ -77,11 +77,7 @@ enum class MsgType : std::uint8_t {
   kPong = 10,
   kSeriesQuery = 11, ///< windowed time-series export (obs::TimeSeries JSONL)
   kSeriesReply = 12,
-  // Sharded serving plane (DESIGN.md §16).
-  kWalShip = 13,     ///< primary -> follower: a batch of WAL records
-  kWalShipOk = 14,   ///< follower -> primary: durable through this LSN
-  kPromote = 15,     ///< controller -> follower: take over the shard
-  kRedirect = 16,    ///< server -> client: this client's shard moved
+  kRedirect = 13,    ///< server -> client: this client's shard moved
 };
 
 /// True for byte values that name a MsgType.
@@ -195,42 +191,6 @@ struct SeriesReplyMsg {
 };
 void encode_series_reply(const SeriesReplyMsg& m, std::string& out);
 bool decode_series_reply(std::string_view body, SeriesReplyMsg& out);
-
-// --- Sharded serving plane (DESIGN.md §16) ------------------------------
-
-/// One shipped WAL record, LSN + the exact payload bytes the primary
-/// logged (a codec-encoded journal record). Shipping preserves LSNs
-/// verbatim so the follower's log is byte-compatible with the primary's
-/// history.
-struct WalRecord {
-  std::uint64_t lsn = 0;
-  std::string payload;
-};
-
-/// A batch of WAL records from one shard's primary to its follower.
-struct WalShipMsg {
-  std::uint32_t shard = 0;
-  std::vector<WalRecord> records;
-};
-void encode_wal_ship(const WalShipMsg& m, std::string& out);
-bool decode_wal_ship(std::string_view body, WalShipMsg& out);
-
-/// Follower ack: everything through `through_lsn` is durable on its env.
-struct WalShipOkMsg {
-  std::uint32_t shard = 0;
-  std::uint64_t through_lsn = 0;
-};
-void encode_wal_ship_ok(const WalShipOkMsg& m, std::string& out);
-bool decode_wal_ship_ok(std::string_view body, WalShipOkMsg& out);
-
-/// Promotion order: the follower recovers from its shipped log and
-/// becomes the shard's primary (failover, DESIGN.md §16).
-struct PromoteMsg {
-  std::uint32_t shard = 0;
-  std::uint64_t through_lsn = 0;  ///< highest LSN shipped before the kill
-};
-void encode_promote(const PromoteMsg& m, std::string& out);
-bool decode_promote(std::string_view body, PromoteMsg& out);
 
 /// Shard redirect: the client's hash slot now lives on another server.
 /// Sent instead of processing a publish; the client reconnects to `port`

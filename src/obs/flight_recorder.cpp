@@ -63,19 +63,19 @@ void FlightRecorder::record_impl(FrEvent type, std::uint64_t a,
   std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t n = ring.next_slot.load(std::memory_order_relaxed);
   Slot& slot = ring.slots[n % kRingCapacity];
-  // Seqlock write: invalidate, fence, fill, publish. The release fence
-  // guarantees a reader that observes any of the new payload values will
-  // also observe seq == 0 (or the new seq) on its validating re-read —
-  // a wrapped slot is discarded whole, never decoded as a mix.
+  // Seqlock write: invalidate, fill, publish. Each payload store is a
+  // release, so a reader whose acquire load observes any of the new
+  // payload values also observes seq == 0 (or the new seq) on its
+  // validating re-read — a wrapped slot is discarded whole, never
+  // decoded as a mix.
   slot.seq.store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   // t_ms >= -1 always; +1 keeps the packed field non-negative.
   slot.type_and_time.store(
       static_cast<std::uint64_t>(type) |
           (static_cast<std::uint64_t>(t_ms + 1) << 8),
-      std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+      std::memory_order_release);
+  slot.a.store(a, std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
   slot.seq.store(seq, std::memory_order_release);
   ring.next_slot.store(n + 1, std::memory_order_release);
 }
@@ -95,10 +95,10 @@ void FlightRecorder::collect_ring(const ThreadRing& ring,
     std::uint64_t s1 = slot.seq.load(std::memory_order_acquire);
     if (s1 == 0) continue;  // never written or mid-write
     FrRecord r;
-    std::uint64_t tt = slot.type_and_time.load(std::memory_order_relaxed);
-    r.a = slot.a.load(std::memory_order_relaxed);
-    r.b = slot.b.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads: the validating re-read below cannot move above them.
+    std::uint64_t tt = slot.type_and_time.load(std::memory_order_acquire);
+    r.a = slot.a.load(std::memory_order_acquire);
+    r.b = slot.b.load(std::memory_order_acquire);
     std::uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
     if (s1 != s2) continue;  // overwritten while reading: discard, not tear
     r.seq = s1;

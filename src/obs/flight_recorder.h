@@ -15,8 +15,8 @@
 // Concurrency: the recorder is process-global (call sites live in
 // subsystems with no shared wiring), so it must be safe from pool and
 // sweep workers. Each thread owns a private ring; a write is one relaxed
-// fetch_add on the global sequence plus a handful of relaxed stores,
-// published with one release store per slot (a per-slot seqlock). A
+// fetch_add on the global sequence plus a handful of release stores
+// (a per-slot seqlock with no fences, which TSan can model). A
 // dump — which only happens at forensic moments — re-reads each slot's
 // sequence and discards slots that were concurrently overwritten, so
 // readers never block writers and TSan sees no race.
@@ -137,9 +137,9 @@ class FlightRecorder {
  private:
   // One event slot, written by its ring's owner thread, read by dumpers.
   // The seqlock protocol: the writer zeroes `seq`, stores the payload
-  // fields (relaxed), then publishes with a release store of the global
-  // sequence. A reader acquires `seq`, reads the payload, re-reads `seq`
-  // and discards the slot on mismatch.
+  // fields (release), then publishes with a release store of the global
+  // sequence. A reader acquires `seq`, reads the payload (acquire),
+  // re-reads `seq` and discards the slot on mismatch.
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> type_and_time{0};  ///< type | (t_ms+1) << 8

@@ -28,12 +28,15 @@ void ShardNode::fail_over() {
   if (!down()) kill();
   durable::StorageEnv& promoted = follower_env();
   durable::StorageEnv& dead = primary_env();
+  // The promoted journal opens its own Wal on the follower's env; one Wal
+  // per env at a time.
+  shipper_.set_follower(nullptr);
   lifecycle_.failover_to(promoted);
   primary_is_a_ = !primary_is_a_;
   // The dead primary's disk is reformatted as the new follower; shipping
-  // restarts from LSN zero against the promoted log's retained history
-  // (recovery snapshotted, so that history is one snapshot + a short
-  // tail, not the whole past).
+  // restarts at the promoted log's oldest retained record, which the
+  // empty follower Wal adopts as its first LSN (recovery snapshotted, so
+  // that history is one snapshot + a short tail, not the whole past).
   wipe(dead);
   shipper_.set_follower(&dead);
   shipper_.attach(&lifecycle_.journal()->wal());

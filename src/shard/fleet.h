@@ -9,13 +9,15 @@
 // hand-off the single-server path uses, against a different broker
 // reference.
 //
-// Replication: each node's primary journal is streamed by a WalShipper
-// to a follower StorageEnv (snapshot mirror + WAL tail, preserved LSNs).
-// kill() models the primary dying; fail_over() promotes the follower —
-// Journal recovery over the shipped files — and reverses the shipping
-// direction onto the wiped old-primary disk. Because the shipper applies
-// every record at append time and snapshots are mirrored on write,
-// nothing acknowledged is lost across a failover.
+// Replication: a WalShipper appends each record of a node's primary
+// journal, frame for frame, to a follower Wal on a second StorageEnv,
+// mirrors the primary's snapshots there and truncates the follower's log
+// with them. kill() models the primary dying; fail_over() releases the
+// follower Wal and promotes the follower — Journal recovery over the
+// shipped files — then reverses the shipping direction onto the wiped
+// old-primary disk. Because the shipper appends every record at append
+// time and snapshots are mirrored on write, nothing acknowledged is lost
+// across a failover.
 //
 // Rebalance: rebalance(slot, to) extracts the slot's per-client state
 // from its current owner (stored documents, pending ingest batches,
@@ -81,10 +83,11 @@ class ShardNode {
   /// touch the dead journal). Publishes fail until fail_over().
   void kill();
 
-  /// Promotes the follower: recovery over the mirrored snapshot + the
-  /// shipped WAL tail, then shipping restarts in the opposite direction
-  /// onto the wiped old-primary env. If the node is still up it is
-  /// killed first (a controller-driven switchover).
+  /// Promotes the follower: releases the shipper's follower Wal, recovers
+  /// over the mirrored snapshot + the shipped WAL tail, then restarts
+  /// shipping in the opposite direction onto the wiped old-primary env.
+  /// If the node is still up it is killed first (a controller-driven
+  /// switchover).
   void fail_over();
 
   /// Snapshot through the lifecycle, then mirror the new snapshot file

@@ -1,32 +1,35 @@
 // WAL shipping: the replication pipe between a shard's primary and its
 // follower (DESIGN.md §16).
 //
-// A WalShipper holds a shipping cursor (durable::Wal cursor API) on the
-// primary's journal WAL and, driven by the WAL's append listener, drains
-// every new record into kWalShip wire frames which it applies to the
-// follower's StorageEnv — appending the records byte-identically
-// (preserved LSNs, same segment framing and naming discipline) so the
-// follower's log is a valid Wal the promoted Journal can recover from.
-// The frames genuinely round-trip through the wire codec (encode then
-// decode) even in-process, so the shipped bytes are exactly what a
-// socketed follower would apply.
+// The follower's log is a durable::Wal of its own. A WalShipper holds a
+// shipping cursor (durable::Wal cursor API) on the primary's journal WAL
+// and, driven by that WAL's append listener, appends every record the
+// cursor delivers to the follower Wal verbatim: the cursor has already
+// CRC-verified the frame, and Wal::append_frame writes those exact bytes
+// under the same LSN. Built with the primary's WalConfig, the follower
+// rotates its segments at the same LSNs, so a promoted follower's log is
+// the primary's log. Each drain ends with one sync of the follower.
 //
 // Snapshots are mirrored separately: the primary's "snap-*" files are
 // copied to the follower on demand (after each lifecycle snapshot),
 // because state created before the journal attached only exists in the
 // snapshot — a follower with only the WAL tail would recover an empty
-// base. Failover = durable::Journal recovery over the follower env:
-// newest mirrored snapshot + shipped tail replay.
+// base. Mirroring then truncates the follower Wal through the newest
+// mirrored snapshot, as the primary's Journal truncates its own log, so
+// a follower holds the tail since that snapshot, not the whole history.
+// Failover = durable::Journal recovery over the follower env: newest
+// mirrored snapshot + shipped tail replay.
 //
-// The cursor pins unread segments against truncate_through (the
-// ship-while-snapshotting race fixed in the Wal), so shipping never
-// observes a gap. After a primary recovery rebuilds its Wal, re-attach:
-// the shipper remembers the last LSN it applied and re-opens its cursor
-// there.
+// Opening the follower Wal (set_follower) repairs a torn tail and gives
+// the resume point: after a primary recovery rebuilds its Wal, re-attach
+// and the cursor re-opens after the follower's last LSN. The cursor pins
+// unread segments against truncate_through (the ship-while-snapshotting
+// race fixed in the Wal), so shipping never observes a gap; a gap the
+// protocol cannot produce makes ship() throw instead of writing it.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <memory>
 
 #include "durable/storage.h"
 #include "durable/wal.h"
@@ -36,35 +39,39 @@ namespace mps::shard {
 
 struct ShipperStats {
   std::uint64_t records_shipped = 0;
-  std::uint64_t frames = 0;         ///< kWalShip frames encoded+decoded
-  std::uint64_t bytes_shipped = 0;  ///< wire frame bytes
+  /// Drains that shipped at least one record: the follower's sync points.
+  std::uint64_t frames = 0;
+  /// Framed WAL bytes appended to the follower.
+  std::uint64_t bytes_shipped = 0;
   std::uint64_t snapshots_mirrored = 0;
-  std::uint64_t follower_segments = 0;
 };
 
 class WalShipper {
  public:
-  /// `shard` tags the wire frames; `wal_config` supplies the follower's
-  /// segment discipline (prefix, rotation threshold) — use the same
-  /// config the primary journal uses so a promoted follower's log looks
-  /// exactly like a primary's. With `metrics`, registers the stats as
+  /// `shard` names the node in errors; `wal_config` is the follower log's
+  /// config (prefix, rotation threshold) — use the same config the
+  /// primary journal uses so a promoted follower's log looks exactly like
+  /// a primary's. With `metrics`, registers the stats as
   /// shard.shipped_records, shard.ship_frames and
-  /// shard.snapshots_mirrored.
+  /// shard.snapshots_mirrored. The follower Wal itself registers nothing,
+  /// so durable.* keeps counting primaries only.
   WalShipper(std::uint32_t shard, durable::WalConfig wal_config,
              obs::Registry* metrics = nullptr);
 
   WalShipper(const WalShipper&) = delete;
   WalShipper& operator=(const WalShipper&) = delete;
 
-  /// Points the shipper at (a possibly non-empty) follower env and scans
-  /// it for existing shipped segments so appends continue in place.
+  /// Opens the follower Wal on `env` (which may hold an earlier shipper's
+  /// log: the open repairs its torn tail and shipping resumes after its
+  /// last record). nullptr releases the follower Wal, which must happen
+  /// before anything else opens a Wal on that env (promotion).
   void set_follower(durable::StorageEnv* env);
 
-  /// Attaches to a (fresh) primary WAL: opens a cursor after the last
-  /// LSN already applied to the follower, registers the append listener
-  /// and ships anything the cursor can already see. Call after every
-  /// primary journal (re)construction — recovery rebuilds the Wal and
-  /// cursors do not survive it.
+  /// Attaches to a (fresh) primary WAL: opens a cursor after the
+  /// follower's last LSN, registers the append listener and ships
+  /// anything the cursor can already see. Call after every primary
+  /// journal (re)construction — recovery rebuilds the Wal and cursors do
+  /// not survive it.
   void attach(durable::Wal* wal);
 
   /// Closes the cursor and detaches the listener. MUST be called before
@@ -77,26 +84,25 @@ class WalShipper {
   void ship();
 
   /// Copies the primary's snapshot files to the follower, removing
-  /// follower snapshots the primary no longer has (pruning mirrors too).
+  /// follower snapshots the primary no longer has (pruning mirrors too),
+  /// then truncates the follower Wal through the newest snapshot.
   void mirror_snapshots(durable::StorageEnv& primary);
 
-  std::uint64_t last_shipped_lsn() const { return last_shipped_lsn_; }
+  /// The follower's log (nullptr without a follower).
+  const durable::Wal* follower() const { return follower_.get(); }
+  std::uint64_t last_shipped_lsn() const {
+    return follower_ != nullptr ? follower_->last_lsn() : 0;
+  }
   bool attached() const { return wal_ != nullptr; }
   const ShipperStats& stats() const { return stats_; }
 
  private:
-  void apply_record(std::uint64_t lsn, std::string_view payload);
-  std::string segment_name(std::uint64_t first_lsn) const;
-
   std::uint32_t shard_;
-  durable::WalConfig wal_config_;
-  durable::StorageEnv* follower_ = nullptr;
+  durable::WalConfig follower_config_;
+  durable::StorageEnv* follower_env_ = nullptr;
+  std::unique_ptr<durable::Wal> follower_;
   durable::Wal* wal_ = nullptr;
   std::uint64_t cursor_ = 0;
-  std::uint64_t last_shipped_lsn_ = 0;
-  /// Follower-side active segment (empty name = none yet).
-  std::string cur_segment_;
-  std::size_t cur_segment_size_ = 0;
   ShipperStats stats_;
   obs::Sources sources_;
 };

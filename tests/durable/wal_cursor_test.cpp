@@ -28,10 +28,9 @@ std::vector<std::pair<std::uint64_t, std::string>> drain(Wal& wal,
                                                          std::uint64_t cursor,
                                                          std::uint64_t max) {
   std::vector<std::pair<std::uint64_t, std::string>> out;
-  wal.cursor_read(cursor, max,
-                  [&](std::uint64_t lsn, std::string_view payload) {
-                    out.emplace_back(lsn, std::string(payload));
-                  });
+  wal.cursor_read(cursor, max, [&](const DecodedRecord& rec) {
+    out.emplace_back(rec.lsn, std::string(rec.payload));
+  });
   return out;
 }
 
@@ -157,9 +156,83 @@ TEST(WalCursor, UnknownCursorThrowsAndCloseIsIdempotent) {
   MemStorageEnv env;
   Wal wal(env);
   EXPECT_THROW(wal.cursor_position(42), std::invalid_argument);
-  EXPECT_THROW(wal.cursor_read(42, 1, [](std::uint64_t, std::string_view) {}),
+  EXPECT_THROW(wal.cursor_read(42, 1, [](const DecodedRecord&) {}),
                std::invalid_argument);
   wal.close_cursor(42);  // no-op
+}
+
+std::vector<std::string> segment_files(const MemStorageEnv& env) {
+  std::vector<std::string> out;
+  for (const std::string& name : env.list()) out.push_back(env.read(name));
+  return out;
+}
+
+// Shipping's write path: the frames a cursor delivers, appended to a
+// second Wal with the same config, rebuild the primary's segment files
+// byte for byte.
+TEST(WalCursor, CursorFramesAppendVerbatimIntoAnotherWal) {
+  MemStorageEnv primary_env;
+  MemStorageEnv follower_env;
+  Wal primary(primary_env, small_segments());
+  Wal follower(follower_env, small_segments());
+  for (int i = 0; i < 20; ++i) primary.append("frame-" + std::to_string(i));
+  ASSERT_GT(primary.segment_count(), 2u);
+
+  std::uint64_t cursor = primary.open_cursor(0);
+  std::uint64_t frame_bytes = 0;
+  primary.cursor_read(cursor, 1000, [&](const DecodedRecord& rec) {
+    EXPECT_EQ(rec.frame.substr(rec.frame.size() - rec.payload.size()),
+              rec.payload);
+    follower.append_frame(rec.lsn, rec.frame);
+    frame_bytes += rec.frame.size();
+  });
+  follower.sync();
+  EXPECT_EQ(follower.last_lsn(), primary.last_lsn());
+  EXPECT_EQ(follower.stats().appends, 20u);
+  EXPECT_EQ(follower.stats().bytes_appended, frame_bytes);
+  EXPECT_EQ(frame_bytes, primary.stats().bytes_appended);
+  EXPECT_EQ(follower.segment_count(), primary.segment_count());
+  EXPECT_EQ(segment_files(follower_env), segment_files(primary_env));
+  primary.close_cursor(cursor);
+}
+
+TEST(WalCursor, AppendFrameAdoptsTheFirstLsnThenRequiresTheNext) {
+  MemStorageEnv primary_env;
+  Wal primary(primary_env, small_segments());
+  for (int i = 0; i < 6; ++i) primary.append("z" + std::to_string(i));
+  std::vector<std::pair<std::uint64_t, std::string>> frames;
+  std::uint64_t cursor = primary.open_cursor(0);
+  primary.cursor_read(cursor, 1000, [&](const DecodedRecord& rec) {
+    frames.emplace_back(rec.lsn, std::string(rec.frame));
+  });
+  primary.close_cursor(cursor);
+
+  MemStorageEnv follower_env;
+  {
+    Wal follower(follower_env, small_segments());
+    // An empty log starts wherever shipping starts (here: LSN 3, as after
+    // a failover onto a primary whose older segments are truncated).
+    follower.append_frame(frames[2].first, frames[2].second);
+    EXPECT_EQ(follower.next_lsn(), 4u);
+    // A gap and a replay both throw and write nothing.
+    EXPECT_THROW(follower.append_frame(frames[4].first, frames[4].second),
+                 std::invalid_argument);
+    EXPECT_THROW(follower.append_frame(frames[2].first, frames[2].second),
+                 std::invalid_argument);
+    follower.append_frame(frames[3].first, frames[3].second);
+    EXPECT_EQ(follower.stats().appends, 2u);
+    follower.sync();
+  }
+  Wal reopened(follower_env, small_segments());
+  std::vector<std::uint64_t> lsns;
+  reopened.replay(0, [&](std::uint64_t lsn, std::string_view) {
+    lsns.push_back(lsn);
+  });
+  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(reopened.next_lsn(), 5u);
+  // A log with records no longer adopts.
+  EXPECT_THROW(reopened.append_frame(frames[0].first, frames[0].second),
+               std::invalid_argument);
 }
 
 TEST(MemStorageEnvSuffix, ReadSuffixSpansDurableAndPendingBytes) {

@@ -173,30 +173,6 @@ std::vector<std::string> random_frames(std::uint64_t seed) {
   encode_series_reply(sr, body);
   frame(MsgType::kSeriesReply);
 
-  WalShipMsg ship;
-  ship.shard = static_cast<std::uint32_t>(rng.uniform_int(0, 15));
-  int nrec = static_cast<int>(rng.uniform_int(0, 6));
-  for (int i = 0; i < nrec; ++i) {
-    WalRecord rec;
-    rec.lsn = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
-    rec.payload = random_string(rng, 48);
-    ship.records.push_back(std::move(rec));
-  }
-  encode_wal_ship(ship, body);
-  frame(MsgType::kWalShip);
-
-  WalShipOkMsg ship_ok;
-  ship_ok.shard = ship.shard;
-  ship_ok.through_lsn = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20));
-  encode_wal_ship_ok(ship_ok, body);
-  frame(MsgType::kWalShipOk);
-
-  PromoteMsg promote;
-  promote.shard = ship.shard;
-  promote.through_lsn = ship_ok.through_lsn;
-  encode_promote(promote, body);
-  frame(MsgType::kPromote);
-
   RedirectMsg redirect;
   redirect.shard = static_cast<std::uint32_t>(rng.uniform_int(0, 15));
   redirect.port = static_cast<std::uint32_t>(rng.uniform_int(1, 65535));
@@ -263,49 +239,11 @@ TEST(WireCodec, PublishRoundTripPreservesValueBitExactly) {
 }
 
 TEST(WireCodec, ShardPlaneMessagesRoundTripAndRejectTruncation) {
-  WalShipMsg ship;
-  ship.shard = 3;
-  ship.records.push_back({101, "db.insert {\"a\":1}"});
-  ship.records.push_back({102, std::string("\x00\xff binary", 9)});
-  std::string body;
-  encode_wal_ship(ship, body);
-  WalShipMsg ship2;
-  ASSERT_TRUE(decode_wal_ship(body, ship2));
-  EXPECT_EQ(ship2.shard, 3u);
-  ASSERT_EQ(ship2.records.size(), 2u);
-  EXPECT_EQ(ship2.records[0].lsn, 101u);
-  EXPECT_EQ(ship2.records[0].payload, ship.records[0].payload);
-  EXPECT_EQ(ship2.records[1].payload, ship.records[1].payload);
-  for (std::size_t cut = 0; cut < body.size(); ++cut) {
-    WalShipMsg out;
-    EXPECT_FALSE(decode_wal_ship(body.substr(0, cut), out)) << cut;
-  }
-
-  WalShipOkMsg ok{7, 9001};
-  body.clear();
-  encode_wal_ship_ok(ok, body);
-  WalShipOkMsg ok2;
-  ASSERT_TRUE(decode_wal_ship_ok(body, ok2));
-  EXPECT_EQ(ok2.shard, 7u);
-  EXPECT_EQ(ok2.through_lsn, 9001u);
-  for (std::size_t cut = 0; cut < body.size(); ++cut) {
-    WalShipOkMsg out;
-    EXPECT_FALSE(decode_wal_ship_ok(body.substr(0, cut), out)) << cut;
-  }
-
-  PromoteMsg promote{2, 512};
-  body.clear();
-  encode_promote(promote, body);
-  PromoteMsg promote2;
-  ASSERT_TRUE(decode_promote(body, promote2));
-  EXPECT_EQ(promote2.shard, 2u);
-  EXPECT_EQ(promote2.through_lsn, 512u);
-
   RedirectMsg redir;
   redir.shard = 1;
   redir.port = 19002;
   redir.reason = "rebalanced";
-  body.clear();
+  std::string body;
   encode_redirect(redir, body);
   RedirectMsg redir2;
   ASSERT_TRUE(decode_redirect(body, redir2));
@@ -327,15 +265,6 @@ TEST(WireCodec, ShardPlaneMessagesRoundTripAndRejectTruncation) {
   body.clear();
   encode_redirect(bad, body);
   EXPECT_FALSE(decode_redirect(body, redir2));
-
-  // A ship frame claiming 2^30 records in a tiny body is rejected by the
-  // count bound, not by an allocation attempt.
-  body.clear();
-  Writer w(body);
-  w.u32(0);            // shard
-  w.u32(1u << 30);     // record count
-  WalShipMsg hostile;
-  EXPECT_FALSE(decode_wal_ship(body, hostile));
 }
 
 TEST(WireCodec, PublishFlatRoundTripsEveryColumn) {
@@ -600,12 +529,6 @@ TEST(WireCodec, RandomGarbageNeverCrashesAnyDecoder) {
     decode_series_query(garbage, sq);
     SeriesReplyMsg sr;
     decode_series_reply(garbage, sr);
-    WalShipMsg ship;
-    decode_wal_ship(garbage, ship);
-    WalShipOkMsg ship_ok;
-    decode_wal_ship_ok(garbage, ship_ok);
-    PromoteMsg promote;
-    decode_promote(garbage, promote);
     RedirectMsg redirect;
     decode_redirect(garbage, redirect);
     Reader reader(garbage);
@@ -719,6 +642,17 @@ TEST(WireCodec, OversizedLengthFieldIsCorruptNotAnAllocation) {
   w.u32(0);
   bytes += std::string(64, 'x');
   EXPECT_EQ(decode_frame(bytes, 0, f), DecodeResult::kCorrupt);
+
+  // So is a CRC-valid frame whose type byte names no message: zero, the
+  // bytes past kRedirect (14-16 once carried WAL shipping and promotion
+  // frames) and the top of the range.
+  for (std::uint8_t raw : {0, 14, 15, 16, 255}) {
+    EXPECT_FALSE(msg_type_valid(raw)) << int{raw};
+    bytes.clear();
+    encode_frame(static_cast<MsgType>(raw), 7, "body", bytes);
+    EXPECT_EQ(decode_frame(bytes, 0, f), DecodeResult::kCorrupt)
+        << int{raw};
+  }
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 // WalShipper: the replication stream that keeps a follower disk
-// promotable. Every appended record must arrive on the follower byte-
-// compatible with the primary's log (same LSNs, same payloads), shipping
-// must survive detach/re-attach (recovery rebuilds the Wal and the
-// cursor with it), and a fresh shipper pointed at a half-shipped
-// follower must resume where the previous one left off — not re-ship
-// from zero and not skip the gap.
+// promotable. Every appended record must arrive in the follower's Wal
+// as the primary framed it (same LSNs, same bytes), shipping must
+// survive detach/re-attach (recovery rebuilds the Wal and the cursor
+// with it), and a fresh shipper pointed at a half-shipped follower must
+// resume where the previous one left off — not re-ship from zero, not
+// skip the gap, and not append behind a torn tail. Mirroring a snapshot
+// truncates the follower's log as writing it truncated the primary's.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
+#include "common/value.h"
+#include "durable/journal.h"
 #include "durable/storage.h"
 #include "durable/wal.h"
 #include "shard/wal_shipper.h"
@@ -74,7 +79,7 @@ TEST(WalShipper, CatchesUpOnAttachAndRotatesFollowerSegments) {
   shipper.set_follower(&follower);
   shipper.attach(&wal);
   EXPECT_EQ(shipper.last_shipped_lsn(), wal.last_lsn());
-  EXPECT_GT(shipper.stats().follower_segments, 1u);
+  EXPECT_GT(shipper.follower()->segment_count(), 1u);
   EXPECT_EQ(replay_all(follower, config), replay_all(primary, config));
 }
 
@@ -102,6 +107,128 @@ TEST(WalShipper, FreshShipperResumesFromFollowerContents) {
   // Exactly the gap was shipped — no re-ship, no skip.
   EXPECT_EQ(second.stats().records_shipped, 10u);
   EXPECT_EQ(replay_all(follower, config), replay_all(primary, config));
+}
+
+// A follower whose last write tore (half a frame, then the shipper went
+// away) must be repaired before shipping resumes: records appended after
+// the torn bytes would be cut off by the follower's next open.
+TEST(WalShipper, ResumesPastATornFollowerTail) {
+  WalConfig config;
+  MemStorageEnv primary;
+  MemStorageEnv follower;
+  Wal wal(primary, config);
+  {
+    WalShipper first(0, config);
+    first.set_follower(&follower);
+    first.attach(&wal);
+    for (int i = 0; i < 10; ++i) wal.append("before-" + std::to_string(i));
+    first.detach();
+  }
+  std::string active;
+  for (const std::string& name : follower.list())
+    if (name.rfind(config.prefix, 0) == 0) active = name;
+  ASSERT_FALSE(active.empty());
+  std::string torn;
+  durable::encode_record(11, "never finished", torn);
+  follower.append(active, std::string_view(torn).substr(0, torn.size() / 2));
+  follower.sync(active);
+
+  {
+    WalShipper second(0, config);
+    second.set_follower(&follower);
+    second.attach(&wal);
+    for (int i = 0; i < 10; ++i) wal.append("after-" + std::to_string(i));
+    second.detach();
+  }
+  Records replayed = replay_all(follower, config);
+  EXPECT_EQ(replayed.size(), 20u);
+  EXPECT_EQ(replayed, replay_all(primary, config));
+}
+
+// A follower that cannot continue the primary's log — the records after
+// its last LSN were truncated from the primary while nobody shipped —
+// refuses the next record instead of writing a gap its next open would
+// cut off.
+TEST(WalShipper, RefusesToShipAcrossAGap) {
+  WalConfig config;
+  config.segment_bytes = 64;
+  MemStorageEnv primary;
+  MemStorageEnv follower;
+  Wal wal(primary, config);
+  WalShipper shipper(0, config);
+  shipper.set_follower(&follower);
+  shipper.attach(&wal);
+  for (int i = 0; i < 5; ++i) wal.append("r-" + std::to_string(i));
+  shipper.detach();
+  for (int i = 5; i < 20; ++i) wal.append("r-" + std::to_string(i));
+  wal.truncate_through(15);  // no cursor open: drops LSN 6 onwards too
+
+  EXPECT_THROW(shipper.attach(&wal), std::logic_error);
+  shipper.detach();
+  shipper.set_follower(nullptr);
+  Records replayed = replay_all(follower, config);
+  ASSERT_EQ(replayed.size(), 5u);
+  EXPECT_EQ(replayed.back().first, 5u);
+}
+
+std::size_t wal_bytes(const MemStorageEnv& env, const WalConfig& config) {
+  std::size_t total = 0;
+  for (const std::string& name : env.list())
+    if (name.rfind(config.prefix, 0) == 0) total += env.read(name).size();
+  return total;
+}
+
+// A follower holds what its primary holds: the tail since the newest
+// snapshot. Mirroring a snapshot truncates the follower's log as writing
+// it truncated the primary's, and the follower still recovers the
+// snapshot plus exactly the records logged after it.
+TEST(WalShipper, FollowerLogIsTruncatedWithTheMirroredSnapshot) {
+  durable::JournalConfig jc;
+  jc.wal.segment_bytes = 256;
+  MemStorageEnv primary;
+  MemStorageEnv follower;
+  durable::Journal journal(primary, jc);
+  WalShipper shipper(0, jc.wal);
+  shipper.set_follower(&follower);
+  shipper.attach(&journal.wal());
+
+  auto record = [](int round, int i) {
+    return Value(Object{{"op", Value("test.put")},
+                        {"round", Value(round)},
+                        {"i", Value(i)}});
+  };
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 40; ++i) journal.append(record(round, i));
+    journal.write_snapshot([round](std::string& out) {
+      codec::encode_value(Value(Object{{"rounds", Value(round + 1)}}), out);
+    });
+    shipper.mirror_snapshots(primary);
+    std::size_t primary_bytes = wal_bytes(primary, jc.wal);
+    std::size_t follower_bytes = wal_bytes(follower, jc.wal);
+    EXPECT_LE(follower_bytes, primary_bytes + jc.wal.segment_bytes)
+        << "round " << round;
+    EXPECT_LE(primary_bytes, follower_bytes + jc.wal.segment_bytes)
+        << "round " << round;
+  }
+  // The tail after the last snapshot, shipped but not yet snapshotted.
+  std::vector<Value> tail;
+  for (int i = 0; i < 7; ++i) {
+    tail.push_back(record(99, i));
+    journal.append(tail.back());
+  }
+  shipper.detach();
+  shipper.set_follower(nullptr);
+
+  durable::Journal promoted(follower, jc);
+  Value restored;
+  std::vector<Value> replayed;
+  durable::RecoveryStats stats = promoted.recover(
+      [&](const Value& state) { restored = state; },
+      [&](const Value& rec) { replayed.push_back(rec); });
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.snapshot_lsn, journal.wal().last_lsn() - tail.size());
+  EXPECT_EQ(restored, Value(Object{{"rounds", Value(6)}}));
+  EXPECT_EQ(replayed, tail);
 }
 
 TEST(WalShipper, ShipsNothingWithoutAFollower) {
