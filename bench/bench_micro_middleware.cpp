@@ -171,13 +171,13 @@ void BM_DocstoreScanQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_DocstoreScanQuery);
 
-// Sorted page query (find sorted by an indexed field, limit 20): the
-// planner walks the index in key order and stops at the page boundary;
-// the disabled variant materializes and stable_sorts every match.
+// Sorted page query (find sorted by captured_at, limit 20): with the
+// index the planner walks it in key order and stops at the page
+// boundary; without it (planner:0) find materializes and stable_sorts
+// every match.
 void BM_DocstoreSortedQuery(benchmark::State& state) {
   docstore::Collection collection("obs");
-  collection.set_planner_enabled(state.range(0) != 0);
-  collection.create_index("captured_at");
+  if (state.range(0) != 0) collection.create_index("captured_at");
   Rng rng(5);
   for (int i = 0; i < 50'000; ++i) {
     collection.insert(Value(Object{
@@ -199,7 +199,7 @@ BENCHMARK(BM_DocstoreSortedQuery)
 // Batch ingest, client serialization through broker routing, admission,
 // dedup and indexed storage against a real server. The document variant
 // is the oracle path (nested Value batch, per-observation rehydration);
-// the flat variant is the arena-backed SoA fast path (DESIGN.md §13).
+// the flat variant is the SoA fast path (DESIGN.md §13).
 // Fixed iteration counts keep the *_exact counters deterministic.
 constexpr std::size_t kIngestObsPerBatch = 64;
 constexpr int kIngestBatches = 2000;
@@ -312,11 +312,12 @@ void BM_IngestBatchFlat(benchmark::State& state) {
       static_cast<double>(stack.server.total_observations());
   state.counters["sheds_exact"] =
       static_cast<double>(stack.server.admission_sheds());
-  // Allocation behavior: the steady-state arena footprint must not creep.
+  // Allocation behavior: one exact-size block per batch, so the block
+  // count is the batch count and the largest block must not grow.
   state.counters["arena_high_water_bytes"] =
-      static_cast<double>(pool.arena_high_water());
+      static_cast<double>(pool.stats().largest_block_bytes);
   state.counters["arenas_created_exact"] =
-      static_cast<double>(pool.stats().arenas_created);
+      static_cast<double>(pool.stats().blocks);
 }
 BENCHMARK(BM_IngestBatchFlat)->Iterations(kIngestBatches);
 

@@ -15,7 +15,7 @@ namespace {
 Value message_to_value(const Message& m) {
   // Flat messages are materialized before they ever buffer, so `flat`
   // should be null here; materialize defensively anyway — serialized
-  // state must never dangle on an arena.
+  // state is always the document form.
   return Value(Object{{"ex", Value(m.exchange)},
                       {"rk", Value(m.routing_key)},
                       {"p", m.flat != nullptr ? m.flat->to_batch_document()
@@ -385,11 +385,10 @@ void Broker::enqueue(const std::string& queue_name, Queue& q,
     c.callback(message);
     return;
   }
-  // Buffering outlives the publish, so a flat view must not pin its
-  // arena (or dangle once the batch is recycled): materialize into the
-  // batch's document form. Everything downstream of a buffer — brk.enq
-  // records, snapshots, pop() — is byte-identical between the two input
-  // forms.
+  // A buffered message is journaled (brk.enq), snapshotted and popped
+  // as a document, so a flat view is materialized into the batch's
+  // document form here. Everything downstream of a buffer is then
+  // byte-identical between the two input forms.
   const Message* to_store = &message;
   Message materialized;
   if (message.flat != nullptr) {

@@ -201,7 +201,7 @@ class Broker {
   /// carries the shared batch view instead of a Value payload. Consumers
   /// see Message::flat set and Message::payload null; if the message has
   /// to buffer it is materialized via ObsBatch::to_batch_document() so
-  /// durable state never depends on the arena's lifetime.
+  /// durable state never depends on the batch's lifetime.
   Result<PublishResult> publish_flat(
       const std::string& exchange, const std::string& routing_key,
       std::shared_ptr<const ingest::ObsBatch> flat, TimeMs now = 0);

@@ -228,7 +228,7 @@ bool GoFlowClient::try_upload() {
   TimeMs delivered_at = transfer.completed_at + extra_latency;
 
   ++batch_counter_;
-  // Serialize the batch once into an arena; the same batch travels on
+  // Serialize the batch once into one block; the same batch travels on
   // every retransmit attempt. The batch id makes server-side ingestion
   // idempotent: a batch redelivered by the at-least-once transport is
   // stored exactly once.

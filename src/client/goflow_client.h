@@ -90,11 +90,11 @@ struct ClientConfig {
   /// arming retries never perturbs sensing randomness).
   std::uint64_t retry_seed = 0;
 
-  /// Arena pool for upload batches (DESIGN.md §13): every upload is
-  /// serialized once, by BatchPool::make_batch, into an arena-backed flat
-  /// ObsBatch that travels zero-copy to the docstore. When null the
-  /// client creates a private pool; a study shares one pool across the
-  /// whole fleet so arenas recycle fleet-wide.
+  /// Batch factory for uploads (DESIGN.md §13): every upload is
+  /// serialized once, by BatchPool::make_batch, into a flat ObsBatch that
+  /// travels zero-copy to the docstore. When null the client creates a
+  /// private pool; a study shares one pool across the whole fleet so its
+  /// ingest.* counters cover every upload.
   ingest::BatchPool* batch_pool = nullptr;
 
   /// Socket transport (DESIGN.md §14): when set, publishes travel over a

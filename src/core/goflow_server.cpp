@@ -849,7 +849,7 @@ Value GoFlowServer::durable_snapshot() const {
   Array pending;
   for (const auto& [id, batch] : pending_batches_) {
     // A flat batch's rows are materialized as the documents srv.batch
-    // logged: a snapshot never references arena memory, and recovery
+    // logged: a snapshot never references batch memory, and recovery
     // rebuilds the batch in document form.
     pending.push_back(Value(Object{
         {"id", Value(static_cast<std::int64_t>(id))},

@@ -295,7 +295,6 @@ void Collection::note_find(bool indexed) const {
 
 Collection::Plan Collection::plan(const Query& query) const {
   Plan plan;
-  if (!planner_enabled_) return plan;
   // Candidate slots per indexable clause: the root itself, or any conjunct
   // reachable through ANDs (nested ANDs are flattened — Query::range
   // desugars to one, so "user == u AND time in [lo, hi)" yields two sets).
@@ -347,7 +346,7 @@ std::vector<Document> Collection::find(const Query& query,
                                        const FindOptions& options) const {
   std::vector<Document> out;
   Plan p = plan(query);
-  if (!p.use_index && planner_enabled_ && !options.sort_by.empty()) {
+  if (!p.use_index && !options.sort_by.empty()) {
     auto idx_it = indexes_.find(options.sort_by);
     if (idx_it != indexes_.end()) {
       note_plan(PlanKind::kSortIndex);
@@ -541,13 +540,11 @@ bool Collection::covered_count(const Query& query, std::size_t& out) const {
 
 std::size_t Collection::count(const Query& query) const {
   if (query.op() == QueryOp::kAll) return id_to_slot_.size();
-  if (planner_enabled_) {
-    std::size_t covered = 0;
-    if (covered_count(query, covered)) {
-      note_plan(PlanKind::kCovered);
-      note_find(/*indexed=*/true);
-      return covered;
-    }
+  std::size_t covered = 0;
+  if (covered_count(query, covered)) {
+    note_plan(PlanKind::kCovered);
+    note_find(/*indexed=*/true);
+    return covered;
   }
   std::size_t n = 0;
   Plan p = plan(query);
@@ -709,7 +706,7 @@ bool walk_index_groups(const Entries& entries, GroupFn&& group) {
 
 std::vector<Value> Collection::distinct(const std::string& path,
                                         const Query& query) const {
-  if (planner_enabled_ && query.op() == QueryOp::kAll) {
+  if (query.op() == QueryOp::kAll) {
     auto index_it = indexes_.find(path);
     if (index_it != indexes_.end()) {
       // Covered: one representative per key group, already in compare
@@ -751,7 +748,7 @@ std::vector<Value> Collection::distinct(const std::string& path,
 
 std::vector<std::pair<Value, std::size_t>> Collection::group_count(
     const std::string& path, const Query& query) const {
-  if (planner_enabled_ && query.op() == QueryOp::kAll) {
+  if (query.op() == QueryOp::kAll) {
     auto index_it = indexes_.find(path);
     if (index_it != indexes_.end()) {
       // Covered: group sizes are key-group widths in the index — the scan

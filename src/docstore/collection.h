@@ -113,13 +113,6 @@ class Collection {
   /// path — including inside a top-level AND — use the index.
   void create_index(const std::string& path);
 
-  /// Testing/diagnostics kill switch: with planning disabled every
-  /// find/count/distinct/group falls back to the full-scan reference
-  /// execution (and FindOptions sorting to stable_sort), which the planner
-  /// tests compare indexed execution against. Default on.
-  void set_planner_enabled(bool enabled) { planner_enabled_ = enabled; }
-  bool planner_enabled() const { return planner_enabled_; }
-
   /// True when an index exists on `path`.
   bool has_index(const std::string& path) const;
 
@@ -228,7 +221,7 @@ class Collection {
 
   /// A slot whose document has not been rehydrated from its flat batch
   /// yet (insert_batch fast path). The shared_ptr keeps the batch's
-  /// arena alive until every lazy row is materialized or removed. The
+  /// block alive until every lazy row is materialized or removed. The
   /// _id is reconstructed from the generator counter on rehydration
   /// (generate_id is deterministic: name_ + "-" + counter), so the row
   /// carries no per-row heap string.
@@ -279,7 +272,6 @@ class Collection {
   std::unordered_map<std::string, Slot> id_to_slot_;
   std::map<std::string, Index> indexes_;
   std::uint64_t id_counter_ = 0;
-  bool planner_enabled_ = true;
   mutable CollectionStats stats_;
   fault::FaultPoint insert_fault_;
   fault::FaultPoint update_fault_;

@@ -1,6 +1,7 @@
 #include "ingest/obs_batch.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace mps::ingest {
 
@@ -115,48 +116,67 @@ bool ObsBatch::index_value(std::string_view path, std::size_t i,
 std::shared_ptr<const ObsBatch> BatchPool::make_batch(
     std::string_view app, std::string_view client, std::string_view batch_id,
     TimeMs sent_at, const std::vector<phone::Observation>& observations) {
-  std::shared_ptr<Inner> inner = inner_;
-  std::unique_ptr<Arena> arena;
-  if (!inner->free.empty()) {
-    arena = std::move(inner->free.back());
-    inner->free.pop_back();
-    ++inner->stats.arenas_reused;
-  } else {
-    arena = std::make_unique<Arena>();
-    ++inner->stats.arenas_created;
+  // Sizing pass: the distinct users and models in first-seen order, and
+  // the characters the block holds.
+  std::vector<std::string_view> distinct;
+  auto intern = [&distinct](std::string_view s) -> std::uint32_t {
+    // The table is tiny (one user, a handful of models per client), so a
+    // linear probe beats any hashing.
+    for (std::size_t k = 0; k < distinct.size(); ++k)
+      if (distinct[k] == s) return static_cast<std::uint32_t>(k);
+    distinct.push_back(s);
+    return static_cast<std::uint32_t>(distinct.size() - 1);
+  };
+  std::size_t chars = app.size() + client.size() + batch_id.size();
+  for (const phone::Observation& obs : observations) {
+    intern(obs.user);
+    intern(obs.model);
   }
+  for (std::string_view s : distinct) chars += s.size();
 
-  auto* batch = new ObsBatch();
-  Arena& a = *arena;
+  // One block, laid out in decreasing alignment so no column needs
+  // padding: six 8-byte columns, the string table, two 4-byte index
+  // columns, four 1-byte columns, then the characters. Every byte is
+  // written below, so the block is not zero-filled.
+  constexpr std::size_t kRowBytes = 6 * 8 + 2 * 4 + 4 * 1;
   const std::size_t n = observations.size();
-  batch->app_ = a.copy_string(app);
-  batch->client_ = a.copy_string(client);
-  batch->batch_id_ = a.copy_string(batch_id);
+  const std::size_t bytes =
+      n * kRowBytes + distinct.size() * sizeof(std::string_view) + chars;
+  std::shared_ptr<ObsBatch> batch(new ObsBatch());
+  batch->block_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
+  std::byte* cursor = batch->block_.get();
+  auto carve = [&cursor]<typename T>(T*& column, std::size_t count) {
+    column = reinterpret_cast<T*>(cursor);
+    cursor += count * sizeof(T);
+  };
+  carve(batch->span_ids_, n);
+  carve(batch->captured_at_, n);
+  carve(batch->spl_, n);
+  carve(batch->x_, n);
+  carve(batch->y_, n);
+  carve(batch->accuracy_, n);
+  carve(batch->strings_, distinct.size());
+  carve(batch->user_idx_, n);
+  carve(batch->model_idx_, n);
+  carve(batch->mode_, n);
+  carve(batch->activity_, n);
+  carve(batch->has_location_, n);
+  carve(batch->provider_, n);
+  auto copy = [&cursor](std::string_view s) -> std::string_view {
+    char* out = reinterpret_cast<char*>(cursor);
+    if (!s.empty()) std::memcpy(out, s.data(), s.size());
+    cursor += s.size();
+    return {out, s.size()};
+  };
+
+  batch->app_ = copy(app);
+  batch->client_ = copy(client);
+  batch->batch_id_ = copy(batch_id);
   batch->sent_at_ = sent_at;
   batch->count_ = n;
-  batch->span_ids_ = a.alloc_array<std::uint64_t>(n);
-  batch->captured_at_ = a.alloc_array<std::int64_t>(n);
-  batch->spl_ = a.alloc_array<double>(n);
-  batch->mode_ = a.alloc_array<std::uint8_t>(n);
-  batch->activity_ = a.alloc_array<std::uint8_t>(n);
-  batch->has_location_ = a.alloc_array<std::uint8_t>(n);
-  batch->provider_ = a.alloc_array<std::uint8_t>(n);
-  batch->x_ = a.alloc_array<double>(n);
-  batch->y_ = a.alloc_array<double>(n);
-  batch->accuracy_ = a.alloc_array<double>(n);
-  batch->user_idx_ = a.alloc_array<std::uint32_t>(n);
-  batch->model_idx_ = a.alloc_array<std::uint32_t>(n);
-  // Worst case every row brings a distinct user and model.
-  batch->strings_ = a.alloc_array<std::string_view>(2 * n);
-
-  auto intern = [&](std::string_view s) -> std::uint32_t {
-    // The table is tiny (one user, a handful of models per client), so a
-    // linear probe beats any hashing and allocates nothing.
-    for (std::size_t k = 0; k < batch->string_count_; ++k)
-      if (batch->strings_[k] == s) return static_cast<std::uint32_t>(k);
-    batch->strings_[batch->string_count_] = a.copy_string(s);
-    return static_cast<std::uint32_t>(batch->string_count_++);
-  };
+  for (std::size_t k = 0; k < distinct.size(); ++k)
+    batch->strings_[k] = copy(distinct[k]);
+  batch->string_count_ = distinct.size();
 
   for (std::size_t i = 0; i < n; ++i) {
     const phone::Observation& obs = observations[i];
@@ -171,38 +191,28 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
       batch->x_[i] = obs.location->x_m;
       batch->y_[i] = obs.location->y_m;
       batch->accuracy_[i] = obs.location->accuracy_m;
+    } else {
+      batch->has_location_[i] = 0;
+      batch->provider_[i] = 0;
+      batch->x_[i] = batch->y_[i] = batch->accuracy_[i] = 0.0;
     }
     batch->user_idx_[i] = intern(obs.user);
     batch->model_idx_[i] = intern(obs.model);
   }
 
-  inner->high_water = std::max(inner->high_water, a.bytes_allocated());
-  ++inner->stats.batches;
-
-  batch->arena_ = std::move(arena);
-  // The deleter recycles the arena into the pool (epoch reset, blocks
-  // retained); if the pool died first the arena simply dies with it.
-  std::weak_ptr<Inner> weak = inner;
-  return std::shared_ptr<const ObsBatch>(batch, [weak](const ObsBatch* b) {
-    auto* mutable_batch = const_cast<ObsBatch*>(b);
-    if (std::shared_ptr<Inner> pool = weak.lock()) {
-      mutable_batch->arena_->reset();
-      pool->free.push_back(std::move(mutable_batch->arena_));
-    }
-    delete mutable_batch;
-  });
+  ++stats_.blocks;
+  stats_.largest_block_bytes =
+      std::max<std::uint64_t>(stats_.largest_block_bytes, bytes);
+  return batch;
 }
 
 void BatchPool::set_metrics(obs::Registry* registry) {
   sources_.detach();
   if (registry == nullptr) return;
   obs::Registry& r = *registry;
-  const Inner& inner = *inner_;
-  sources_.counter(r, "ingest.flat_batches", inner.stats.batches);
-  sources_.counter(r, "ingest.arena_created", inner.stats.arenas_created);
-  sources_.counter(r, "ingest.arena_reused", inner.stats.arenas_reused);
-  sources_.gauge(r, "ingest.arena_high_water_bytes", [&inner] {
-    return static_cast<double>(inner.high_water);
+  sources_.counter(r, "ingest.arena_created", stats_.blocks);
+  sources_.gauge(r, "ingest.arena_high_water_bytes", [this] {
+    return static_cast<double>(stats_.largest_block_bytes);
   });
 }
 

@@ -1,21 +1,21 @@
-// Flat, arena-backed observation batches — the allocation-free ingest
-// fast path (DESIGN.md §13).
+// Flat observation batches — the zero-copy ingest fast path
+// (DESIGN.md §13).
 //
 // The document ingest path materializes a heap-heavy Value tree per
 // observation at every hop: the client serializes the batch, the broker
 // copies the payload, the server rehydrates and re-copies each document,
 // and the docstore copies once more on insert. An ObsBatch serializes the
-// batch exactly once, as struct-of-arrays columns inside one Arena, and
+// batch exactly once, as struct-of-arrays columns inside one block, and
 // every downstream stage consumes it by view through a shared_ptr:
 //
-//   header   app / client / batch_id / sent_at     (interned, batch-level)
+//   header   app / client / batch_id / sent_at     (batch-level)
 //   columns  span_id  captured_at  spl  mode  activity
 //            has_location  provider  x  y  accuracy
 //            user_idx  model_idx  -> interned-string table
 //
-// Batches come from a BatchPool, which recycles each batch's Arena when
-// the last shared_ptr drops (epoch reset, blocks retained) — steady-state
-// uploads allocate nothing but the shared_ptr control block.
+// BatchPool::make_batch sizes the block exactly from the row count and
+// the distinct strings and allocates it once, without zero-filling it;
+// the block lives exactly as long as the last shared_ptr to the batch.
 //
 // The server keeps a document path for inputs that arrive as Value
 // documents. to_batch_document() and storage_document() reproduce that
@@ -24,13 +24,13 @@
 // that form.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/types.h"
 #include "common/value.h"
 #include "obs/metrics.h"
@@ -39,7 +39,7 @@
 namespace mps::ingest {
 
 /// One client upload as flat columns. Immutable after construction;
-/// owns the Arena every column and interned string lives in.
+/// owns the one block every column and string lives in.
 class ObsBatch {
  public:
   std::size_t size() const { return count_; }
@@ -103,9 +103,6 @@ class ObsBatch {
   bool index_value(std::string_view path, std::size_t i, TimeMs received_at,
                    Value& out) const;
 
-  /// Bytes the batch occupies in its arena.
-  std::size_t arena_bytes() const { return arena_->bytes_allocated(); }
-
  private:
   friend class BatchPool;
   ObsBatch() = default;
@@ -113,7 +110,7 @@ class ObsBatch {
   /// Row `i`'s observation document (the to_document() byte layout).
   Object observation_object(std::size_t i) const;
 
-  std::unique_ptr<Arena> arena_;
+  std::unique_ptr<std::byte[]> block_;
   std::string_view app_, client_, batch_id_;
   TimeMs sent_at_ = 0;
   std::size_t count_ = 0;
@@ -133,21 +130,18 @@ class ObsBatch {
   std::size_t string_count_ = 0;
 };
 
-/// Pool statistics (registered with the registry via set_metrics).
+/// Batch statistics (registered with the registry via set_metrics).
+/// Every batch is one block, so blocks allocated = batches built.
 struct BatchPoolStats {
-  std::uint64_t batches = 0;        ///< batches built
-  std::uint64_t arenas_created = 0; ///< arenas newly allocated
-  std::uint64_t arenas_reused = 0;  ///< arenas recycled via epoch reset
+  std::uint64_t blocks = 0;               ///< batch blocks allocated
+  std::uint64_t largest_block_bytes = 0;  ///< size of the largest block
 };
 
-/// Builds ObsBatches and recycles their arenas. When the last shared_ptr
-/// to a batch drops, its arena is epoch-reset and returned to the pool
-/// (or freed if the pool died first) — the allocation-free steady state.
-/// Single-threaded, like everything inside the simulation.
+/// The one factory for ObsBatches: builds each as one exact-size block
+/// and counts the blocks. Single-threaded, like everything inside the
+/// simulation.
 class BatchPool {
  public:
-  BatchPool() : inner_(std::make_shared<Inner>()) {}
-
   /// Serializes `observations` into one flat batch. `batch_id` is the
   /// idempotency key the server dedups on (same convention as the
   /// document path: "<client>#<counter>").
@@ -155,23 +149,15 @@ class BatchPool {
       std::string_view app, std::string_view client, std::string_view batch_id,
       TimeMs sent_at, const std::vector<phone::Observation>& observations);
 
-  const BatchPoolStats& stats() const { return inner_->stats; }
-  std::size_t free_arenas() const { return inner_->free.size(); }
-  /// Largest arena epoch ever built by this pool's batches.
-  std::size_t arena_high_water() const { return inner_->high_water; }
+  const BatchPoolStats& stats() const { return stats_; }
 
-  /// Registers the pool statistics with `registry` under "ingest.*"
-  /// names (flat_batches, arena_created, arena_reused counters and the
-  /// ingest.arena_high_water_bytes gauge). Pass nullptr to detach.
+  /// Registers the statistics with `registry`: the ingest.arena_created
+  /// counter (blocks) and the ingest.arena_high_water_bytes gauge
+  /// (largest_block_bytes). Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
  private:
-  struct Inner {
-    std::vector<std::unique_ptr<Arena>> free;
-    BatchPoolStats stats;
-    std::size_t high_water = 0;
-  };
-  std::shared_ptr<Inner> inner_;
+  BatchPoolStats stats_;
   obs::Sources sources_;
 };
 

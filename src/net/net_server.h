@@ -18,9 +18,9 @@
 // machinery re-send (the WAL's torn-tail rule, applied to a socket).
 //
 // Dispatch goes straight into the same broker the in-process path uses:
-// flat publishes are rebuilt through the server's own BatchPool (a
-// deterministic function of the carried rows, so server-side state is
-// byte-identical to the zero-copy hand-off), acks/sheds carry the exact
+// flat publishes are rebuilt by BatchPool::make_batch (a deterministic
+// function of the carried rows, so server-side state is byte-identical
+// to the zero-copy hand-off), acks/sheds carry the exact
 // Result the broker produced, and metrics queries serve the attached
 // registry's text export. crash()/recover() mirror ServerLifecycle: a
 // crash closes every socket and the listener; recovery rebinds the same
@@ -208,7 +208,7 @@ class NetServer {
   RedirectFn redirect_fn_;
   fault::FaultPoint drop_conn_fault_;
   /// Rebuilds flat batches out of wire rows (deterministic — the
-  /// equivalence anchor) with fleet-style arena recycling.
+  /// equivalence anchor).
   ingest::BatchPool pool_;
   obs::Registry* served_registry_ = nullptr;
   obs::TimeSeries* served_series_ = nullptr;

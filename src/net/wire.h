@@ -22,8 +22,8 @@
 //   - document publishes carry a full Value tree in the codec's Value
 //     encoding, whose doubles round-trip bit-exactly (bit_cast, not text);
 //   - flat publishes carry the ObsBatch columns row-wise; the receiving
-//     side rebuilds the batch through its own BatchPool, which is
-//     deterministic, so server-side state is byte-identical to the
+//     side rebuilds the batch with BatchPool::make_batch, a pure function
+//     of the rows, so server-side state is byte-identical to the
 //     in-process hand-off.
 //
 // Every decoder is hostile-input safe: lengths are bounded against the
@@ -131,7 +131,7 @@ void encode_publish(const PublishMsg& m, std::string& out);
 bool decode_publish(std::string_view body, PublishMsg& out);
 
 /// Flat-path publish: the ObsBatch serialized row-wise. The receiver
-/// rebuilds the batch through its own BatchPool (deterministic), so the
+/// rebuilds the batch with BatchPool::make_batch (deterministic), so the
 /// server-visible batch is identical to the in-process shared_ptr.
 struct PublishFlatMsg {
   std::string exchange;

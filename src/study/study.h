@@ -180,8 +180,8 @@ class StudyRunner {
   broker::Broker& broker_;
   core::GoFlowServer& server_;
   crowd::AmbientModel ambient_;
-  /// Shared arena pool for the whole fleet's flat batches: a handful of
-  /// arenas recycle across thousands of uploads.
+  /// The whole fleet's one batch factory, so its ingest.* counters cover
+  /// every upload.
   ingest::BatchPool pool_;
   std::string admin_token_;
   std::string client_token_;

@@ -1,7 +1,7 @@
 // Planner tests: the query planner must (a) pick indexed access paths and
 // say so through the stats counters, and (b) return byte-identical
-// results to the full-scan reference execution, which stays reachable
-// through set_planner_enabled(false).
+// results to the full-scan reference execution: the same documents in an
+// index-free collection (scan_twin.h).
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "docstore/collection.h"
+#include "scan_twin.h"
 
 namespace mps::docstore {
 namespace {
@@ -40,15 +41,12 @@ Collection make_indexed_collection() {
   return c;
 }
 
-/// Runs `find` twice — planner on and planner off — and asserts identical
-/// results (order included) before returning them.
-std::vector<Document> find_both_ways(Collection& c, const Query& q,
+/// Runs `find` twice — on `c` and on its index-free twin — and asserts
+/// identical results (order included) before returning them.
+std::vector<Document> find_both_ways(const Collection& c, const Query& q,
                                      const FindOptions& options = {}) {
-  c.set_planner_enabled(true);
   auto fast = c.find(q, options);
-  c.set_planner_enabled(false);
-  auto reference = c.find(q, options);
-  c.set_planner_enabled(true);
+  auto reference = scan_twin(c).find(q, options);
   EXPECT_EQ(fast.size(), reference.size()) << q.to_string();
   for (std::size_t i = 0; i < std::min(fast.size(), reference.size()); ++i)
     EXPECT_EQ(fast[i], reference[i]) << q.to_string() << " at " << i;
@@ -71,14 +69,6 @@ TEST(PlannerTest, NonIndexedFieldFallsBackToScan) {
   EXPECT_FALSE(results.empty());
   EXPECT_EQ(c.stats().scanned_finds, before + 1);
   EXPECT_GE(c.stats().plans_scan, 1u);
-}
-
-TEST(PlannerTest, PlannerDisabledCountsAsScan) {
-  Collection c = make_indexed_collection();
-  c.set_planner_enabled(false);
-  std::uint64_t before = c.stats().scanned_finds;
-  c.find(Query::eq("user", Value("u3")));
-  EXPECT_EQ(c.stats().scanned_finds, before + 1);
 }
 
 TEST(PlannerTest, IndexedExecutionEqualsScanExecution) {
@@ -166,14 +156,9 @@ TEST(PlannerTest, CoveredCountMatchesScanCount) {
       Query::exists("captured_at"),
       Query::range("captured_at", Value(100), Value(101)),
   };
-  for (const Query& q : queries) {
-    c.set_planner_enabled(true);
-    std::size_t fast = c.count(q);
-    c.set_planner_enabled(false);
-    std::size_t reference = c.count(q);
-    c.set_planner_enabled(true);
-    EXPECT_EQ(fast, reference) << q.to_string();
-  }
+  Collection reference = scan_twin(c);
+  for (const Query& q : queries)
+    EXPECT_EQ(c.count(q), reference.count(q)) << q.to_string();
   EXPECT_GE(c.stats().plans_covered, queries.size() - 1);
 }
 
@@ -190,28 +175,24 @@ TEST(PlannerTest, CrossTypeNumericKeysStayExact) {
   c.insert(Value(Object{{"k", Value(1)}}));
   c.insert(Value(Object{{"k", Value(1.0)}}));
   c.insert(Value(Object{{"k", Value(2)}}));
+  Collection reference = scan_twin(c);
   for (const Query& q :
        {Query::eq("k", Value(1)), Query::eq("k", Value(1.0))}) {
-    c.set_planner_enabled(true);
     std::size_t fast = c.count(q);
-    c.set_planner_enabled(false);
-    EXPECT_EQ(fast, c.count(q)) << q.to_string();
-    c.set_planner_enabled(true);
+    EXPECT_EQ(fast, reference.count(q)) << q.to_string();
     EXPECT_EQ(fast, 2u);
   }
 }
 
 TEST(PlannerTest, CoveredDistinctAndGroupCountMatchScan) {
   Collection c = make_indexed_collection();
-  c.set_planner_enabled(true);
   std::uint64_t before = c.stats().plans_covered;
   auto fast_distinct = c.distinct("user");
   auto fast_groups = c.group_count("user");
   EXPECT_GT(c.stats().plans_covered, before);
-  c.set_planner_enabled(false);
-  auto ref_distinct = c.distinct("user");
-  auto ref_groups = c.group_count("user");
-  c.set_planner_enabled(true);
+  Collection reference = scan_twin(c);
+  auto ref_distinct = reference.distinct("user");
+  auto ref_groups = reference.group_count("user");
   EXPECT_EQ(fast_distinct, ref_distinct);
   ASSERT_EQ(fast_groups.size(), ref_groups.size());
   for (std::size_t i = 0; i < fast_groups.size(); ++i) {
@@ -223,12 +204,7 @@ TEST(PlannerTest, CoveredDistinctAndGroupCountMatchScan) {
 TEST(PlannerTest, DistinctWithFilterStillCorrect) {
   Collection c = make_indexed_collection();
   Query q = Query::lt("captured_at", Value(100));
-  c.set_planner_enabled(true);
-  auto fast = c.distinct("user", q);
-  c.set_planner_enabled(false);
-  auto reference = c.distinct("user", q);
-  c.set_planner_enabled(true);
-  EXPECT_EQ(fast, reference);
+  EXPECT_EQ(c.distinct("user", q), scan_twin(c).distinct("user", q));
 }
 
 TEST(PlannerTest, UpdateManyKeepsIndexedExecutionExact) {
@@ -267,6 +243,7 @@ TEST(PlannerTest, RandomizedQueriesAgreeWithReference) {
     o.set("c", Value(rng.uniform(0.0, 1.0)));
     c.insert(Value(std::move(o)));
   }
+  Collection reference = scan_twin(c);
   for (int i = 0; i < 200; ++i) {
     Query q = Query::all();
     switch (rng.uniform_int(0, 4)) {
@@ -292,12 +269,7 @@ TEST(PlannerTest, RandomizedQueriesAgreeWithReference) {
       options.limit = static_cast<std::size_t>(rng.uniform_int(0, 30));
     }
     find_both_ways(c, q, options);
-    c.set_planner_enabled(true);
-    std::size_t fast_count = c.count(q);
-    c.set_planner_enabled(false);
-    std::size_t ref_count = c.count(q);
-    c.set_planner_enabled(true);
-    EXPECT_EQ(fast_count, ref_count) << q.to_string();
+    EXPECT_EQ(c.count(q), reference.count(q)) << q.to_string();
   }
 }
 

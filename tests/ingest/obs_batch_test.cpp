@@ -1,8 +1,10 @@
 // ObsBatch / BatchPool: SoA round trips, oracle byte-identity of the
-// materialization methods, string interning and arena recycling.
+// materialization methods, string interning, and the memory a batch
+// holds and gives back.
 #include "ingest/obs_batch.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <string>
 #include <vector>
@@ -207,24 +209,58 @@ TEST(ObsBatch, InternsRepeatedUsersAndModels) {
   EXPECT_EQ(batch->model_index(0), batch->model_index(2));
 }
 
-TEST(BatchPool, RecyclesArenasThroughEpochReset) {
+TEST(ObsBatch, RowsWithoutALocationReadZeroLocationColumns) {
   BatchPool pool;
-  std::vector<Observation> obs = random_observations(3, 10);
+  // Release batches whose location columns are all non-zero, so the heap
+  // the next batch is carved from holds stale non-zero bytes.
+  std::vector<Observation> located = random_observations(31, 16);
+  for (Observation& o : located)
+    o.location = LocationFix{LocationProvider::kFused, 17.0, -23.0, 99.0};
   {
-    auto batch = pool.make_batch("a", "c", "c#1", 0, obs);
-    EXPECT_EQ(pool.stats().arenas_created, 1u);
-    EXPECT_EQ(pool.free_arenas(), 0u);
+    std::vector<std::shared_ptr<const ObsBatch>> dirty;
+    for (int k = 0; k < 64; ++k)
+      dirty.push_back(pool.make_batch("a", "c", "c#0", 0, located));
   }
-  // Batch dropped: its arena returns to the pool, reset for reuse.
-  EXPECT_EQ(pool.free_arenas(), 1u);
-  {
-    auto batch = pool.make_batch("a", "c", "c#2", 0, obs);
-    EXPECT_EQ(pool.stats().arenas_created, 1u);  // no new arena
-    EXPECT_EQ(pool.stats().arenas_reused, 1u);
-    EXPECT_EQ(pool.free_arenas(), 0u);
+
+  std::vector<Observation> mixed = located;
+  for (std::size_t i = 1; i < mixed.size(); i += 2) mixed[i].location.reset();
+  auto batch = pool.make_batch("a", "c", "c#1", 0, mixed);
+  auto twin = pool.make_batch("a", "c", "c#1", 0, mixed);
+  ASSERT_EQ(batch->size(), mixed.size());
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    ASSERT_EQ(batch->has_location(i), i % 2 == 0) << i;
+    if (!batch->has_location(i)) {
+      EXPECT_EQ(static_cast<int>(batch->provider(i)), 0) << i;
+      EXPECT_EQ(batch->x_m(i), 0.0) << i;
+      EXPECT_EQ(batch->y_m(i), 0.0) << i;
+      EXPECT_EQ(batch->accuracy_m(i), 0.0) << i;
+    }
+    // Same input, same columns — every byte an accessor reaches.
+    EXPECT_EQ(batch->span_id(i), twin->span_id(i)) << i;
+    EXPECT_EQ(batch->captured_at(i), twin->captured_at(i)) << i;
+    EXPECT_EQ(batch->spl_db(i), twin->spl_db(i)) << i;
+    EXPECT_EQ(batch->mode(i), twin->mode(i)) << i;
+    EXPECT_EQ(batch->activity(i), twin->activity(i)) << i;
+    EXPECT_EQ(batch->has_location(i), twin->has_location(i)) << i;
+    EXPECT_EQ(batch->provider(i), twin->provider(i)) << i;
+    EXPECT_EQ(batch->x_m(i), twin->x_m(i)) << i;
+    EXPECT_EQ(batch->y_m(i), twin->y_m(i)) << i;
+    EXPECT_EQ(batch->accuracy_m(i), twin->accuracy_m(i)) << i;
+    EXPECT_EQ(batch->user(i), twin->user(i)) << i;
+    EXPECT_EQ(batch->model(i), twin->model(i)) << i;
+    EXPECT_EQ(batch->model_index(i), twin->model_index(i)) << i;
   }
-  EXPECT_EQ(pool.free_arenas(), 1u);
-  EXPECT_EQ(pool.stats().batches, 2u);
+  ASSERT_EQ(batch->string_count(), twin->string_count());
+  for (std::size_t k = 0; k < batch->string_count(); ++k)
+    EXPECT_EQ(batch->strings()[k], twin->strings()[k]) << k;
+
+  // A batch of no rows is valid and keeps its header.
+  auto none = pool.make_batch("a", "c", "c#2", 7, {});
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(none->string_count(), 0u);
+  EXPECT_EQ(none->batch_id(), "c#2");
+  EXPECT_EQ(none->to_batch_document().to_json(),
+            oracle_batch_document({}, "a", "c", "c#2", 7).to_json());
 }
 
 TEST(BatchPool, TwoLiveBatchesUseTwoArenas) {
@@ -232,10 +268,9 @@ TEST(BatchPool, TwoLiveBatchesUseTwoArenas) {
   std::vector<Observation> obs = random_observations(4, 5);
   auto b1 = pool.make_batch("a", "c", "c#1", 0, obs);
   auto b2 = pool.make_batch("a", "c", "c#2", 0, obs);
-  EXPECT_EQ(pool.stats().arenas_created, 2u);
-  b1.reset();
-  b2.reset();
-  EXPECT_EQ(pool.free_arenas(), 2u);
+  // One block per batch: ingest.arena_created counts batch blocks.
+  EXPECT_EQ(pool.stats().blocks, 2u);
+  EXPECT_NE(b1->batch_id().data(), b2->batch_id().data());
 }
 
 TEST(BatchPool, BatchOutlivesPool) {
@@ -245,10 +280,39 @@ TEST(BatchPool, BatchOutlivesPool) {
     BatchPool pool;
     batch = pool.make_batch("a", "c", "c#1", 0, obs);
   }
-  // The pool died first: the batch (and its arena) must stay valid and
-  // simply free on drop instead of recycling.
+  // The pool died first: the batch owns its block and stays valid.
   EXPECT_EQ(batch->user(0), "alice");
   batch.reset();
+}
+
+std::size_t heap_in_use_bytes() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(BatchPool, HeldBatchesCostTheirOwnBytesAndReturnThem) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan replaces the allocator mallinfo2 reports on";
+#endif
+  constexpr std::size_t kBatches = 256;
+  constexpr std::size_t kBudget = 4096;  // bytes per held batch
+  BatchPool pool;
+  std::vector<Observation> obs = random_observations(12, 16);
+  std::vector<std::shared_ptr<const ObsBatch>> held;
+  held.reserve(kBatches);
+
+  const std::size_t before = heap_in_use_bytes();
+  for (std::size_t k = 0; k < kBatches; ++k)
+    held.push_back(
+        pool.make_batch("soundcity", "c1", "c1#" + std::to_string(k), 0, obs));
+  const std::size_t holding = heap_in_use_bytes() - before;
+  held.clear();
+  const std::size_t after = heap_in_use_bytes();
+  const std::size_t kept = after > before ? after - before : 0;
+
+  EXPECT_LT(holding, kBatches * kBudget)
+      << holding / kBatches << " B per held batch";
+  EXPECT_LT(kept, kBatches * kBudget) << kept << " B kept after release";
 }
 
 TEST(BatchPool, HighWaterAndMetricsMirrored) {
@@ -258,12 +322,12 @@ TEST(BatchPool, HighWaterAndMetricsMirrored) {
   std::vector<Observation> obs = random_observations(8, 50);
   { auto b = pool.make_batch("a", "c", "c#1", 0, obs); }
   { auto b = pool.make_batch("a", "c", "c#2", 0, obs); }
-  EXPECT_GT(pool.arena_high_water(), 0u);
-  obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_TRUE(registry.has_counter("ingest.flat_batches"));
+  EXPECT_GT(pool.stats().largest_block_bytes, 0u);
   EXPECT_TRUE(registry.has_counter("ingest.arena_created"));
-  EXPECT_TRUE(registry.has_counter("ingest.arena_reused"));
   EXPECT_TRUE(registry.has_gauge("ingest.arena_high_water_bytes"));
+  EXPECT_EQ(registry.counter("ingest.arena_created").value(), 2u);
+  EXPECT_EQ(registry.gauge("ingest.arena_high_water_bytes").value(),
+            static_cast<double>(pool.stats().largest_block_bytes));
 }
 
 }  // namespace

@@ -145,7 +145,6 @@ TEST(RegistryAudit, ChaosRunExportsEveryMetricFamily) {
   // Ingest fast path & admission control (DESIGN.md §13).
   EXPECT_TRUE(registry.has_counter("server.admission_shed"));
   EXPECT_TRUE(registry.has_counter("server.admission_accepted"));
-  EXPECT_TRUE(registry.has_counter("ingest.flat_batches"));
   EXPECT_TRUE(registry.has_counter("ingest.arena_created"));
   EXPECT_TRUE(registry.has_gauge("ingest.arena_high_water_bytes"));
   EXPECT_TRUE(registry.has_counter("fault.checked.admission_shed"));
