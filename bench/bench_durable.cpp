@@ -1,5 +1,5 @@
 // Durability plane: what the WAL + snapshot machinery costs and what it
-// buys. Four measurements, all on MemStorageEnv (the environment the
+// buys. Five measurements, all on MemStorageEnv (the environment the
 // simulation itself runs on, so the numbers are the sim's own overhead,
 // deterministic and disk-independent):
 //
@@ -13,6 +13,10 @@
 //      each restored from a snapshot plus a 100-record tail — the case
 //      the snapshot_period knob is there to create. Reports the snapshot
 //      write time and size per point, so the curve has both axes.
+//   5. The next snapshot: 1k/10k/50k stored documents snapshotted, 100
+//      more inserted, snapshotted again. A snapshot seals only what was
+//      appended since the previous one, so the second snapshot's bytes
+//      and time track the 100 new documents, not n.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -55,6 +59,15 @@ void build_log(durable::MemStorageEnv& env, int n) {
   db.attach_journal(nullptr);
 }
 
+/// Writes a {"db": ...} snapshot of `db` through `journal`.
+void snapshot_db(durable::Journal& journal, docstore::Database& db) {
+  journal.write_snapshot([&](durable::SnapshotWriter& writer) {
+    codec::encode_object_header(1, writer.out());
+    codec::encode_key("db", writer.out());
+    db.encode_snapshot(writer);
+  });
+}
+
 /// Times one full recovery (journal open + snapshot restore + tail
 /// replay) into a fresh database; returns wall seconds.
 double time_recovery(durable::MemStorageEnv& env, std::uint64_t* replayed) {
@@ -62,9 +75,9 @@ double time_recovery(durable::MemStorageEnv& env, std::uint64_t* replayed) {
   auto start = std::chrono::steady_clock::now();
   durable::Journal journal(env);
   durable::RecoveryStats stats = journal.recover(
-      [&](const Value& state) {
-        const Value* db_state = state.find("db");
-        if (db_state != nullptr) db.restore_snapshot(*db_state);
+      [&](durable::LoadedSnapshot& snap) {
+        const Value* db_state = snap.state.find("db");
+        if (db_state != nullptr) db.restore_snapshot(*db_state, snap.segments);
       },
       [&](const Value& record) { db.apply_journal_record(record); });
   double secs = seconds_since(start);
@@ -161,11 +174,7 @@ int main() {
     auto& c = db.collection("observations");
     for (int i = 0; i < n - kTail; ++i) c.insert(observation_doc(i));
     auto snap_start = std::chrono::steady_clock::now();
-    journal.write_snapshot([&](std::string& out) {
-      codec::encode_object_header(1, out);
-      codec::encode_key("db", out);
-      db.encode_snapshot(out);
-    });
+    snapshot_db(journal, db);
     double snap_secs = seconds_since(snap_start);
     const double snap_bytes =
         static_cast<double>(journal.stats().snapshot_bytes);
@@ -184,6 +193,36 @@ int main() {
     bench_record("recover_snapshot_" + tag + "_seconds", secs);
     bench_record("recover_snapshot_" + tag + "_tail_records",
                  static_cast<double>(replayed));
+  }
+
+  // --- 5. The next snapshot, by state size ---------------------------------
+  constexpr int kNext = 100;
+  std::printf("\n5) next snapshot after %d more inserts:\n", kNext);
+  for (int n : {1'000, 10'000, 50'000}) {
+    durable::MemStorageEnv env;
+    durable::Journal journal(env);
+    docstore::Database db;
+    db.attach_journal(&journal);
+    auto& c = db.collection("observations");
+    for (int i = 0; i < n; ++i) c.insert(observation_doc(i));
+    snapshot_db(journal, db);
+    for (int i = n; i < n + kNext; ++i) c.insert(observation_doc(i));
+    const std::uint64_t written_before = journal.stats().snapshot_bytes_written;
+    auto start = std::chrono::steady_clock::now();
+    snapshot_db(journal, db);
+    double secs = seconds_since(start);
+    db.attach_journal(nullptr);
+    const double written = static_cast<double>(
+        journal.stats().snapshot_bytes_written - written_before);
+    std::printf("   %6d docs: %.0f bytes written in %.6fs (snapshot %llu "
+                "bytes in %llu segments)\n",
+                n, written, secs,
+                static_cast<unsigned long long>(journal.stats().snapshot_bytes),
+                static_cast<unsigned long long>(
+                    journal.stats().snapshot_segments));
+    const std::string tag = std::to_string(n);
+    bench_record("snapshot_next_" + tag + "_bytes", written);
+    bench_record("snapshot_next_write_" + tag + "_seconds", secs);
   }
   return 0;
 }

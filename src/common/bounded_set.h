@@ -8,7 +8,10 @@
 // oldest keys preserves dedup where it matters while bounding memory.
 //
 // Keys iterate in insertion order, which makes snapshots deterministic and
-// lets recovery rebuild the exact same eviction queue.
+// lets recovery rebuild the exact same eviction queue. That order is a
+// sealed sequence (common/sealed.h): snapshots write each key once, and
+// an eviction or an extract_if that removes a sealed key makes the next
+// snapshot write the whole order again.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +20,8 @@
 #include <string>
 #include <unordered_set>
 #include <vector>
+
+#include "common/sealed.h"
 
 namespace mps {
 
@@ -27,14 +32,16 @@ class BoundedKeySet {
   /// Inserts `key`; returns false when it was already present. When the
   /// set is full the oldest key is evicted first.
   bool insert(const std::string& key) {
-    if (keys_.count(key) > 0) return false;
-    while (order_.size() >= capacity_ && !order_.empty()) {
-      keys_.erase(order_.front());
-      order_.pop_front();
-      ++evictions_;
-    }
+    if (!make_room(key)) return false;
     order_.push_back(key);
     keys_.insert(key);
+    return true;
+  }
+  /// The same, moving `key` into the insertion order (recovery).
+  bool insert(std::string&& key) {
+    if (!make_room(key)) return false;
+    keys_.insert(key);
+    order_.push_back(std::move(key));
     return true;
   }
 
@@ -50,9 +57,14 @@ class BoundedKeySet {
   /// an identical eviction queue.
   const std::deque<std::string>& ordered() const { return order_; }
 
+  /// The prefix of ordered() the snapshots have sealed; the snapshot
+  /// writer advances it, and recovery sets it from the loaded segments.
+  SealedPrefix& sealed() { return sealed_; }
+
   void clear() {
     keys_.clear();
     order_.clear();
+    sealed_.forget();
   }
 
   /// Removes every key matching `pred` and returns them oldest-first.
@@ -64,8 +76,11 @@ class BoundedKeySet {
   std::vector<std::string> extract_if(Pred pred) {
     std::vector<std::string> out;
     std::deque<std::string> kept;
-    for (auto& key : order_) {
+    bool sealed_changed = false;
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      std::string& key = order_[i];
       if (pred(key)) {
+        sealed_changed |= i < sealed_.end;
         keys_.erase(key);
         out.push_back(std::move(key));
       } else {
@@ -73,14 +88,29 @@ class BoundedKeySet {
       }
     }
     order_ = std::move(kept);
+    if (sealed_changed) sealed_.forget();
     return out;
   }
 
  private:
+  /// False when `key` is present; otherwise evicts the oldest keys until
+  /// one more fits.
+  bool make_room(const std::string& key) {
+    if (keys_.count(key) > 0) return false;
+    while (order_.size() >= capacity_ && !order_.empty()) {
+      keys_.erase(order_.front());
+      order_.pop_front();
+      ++evictions_;
+      if (sealed_.end > 0) sealed_.forget();  // the oldest key was sealed
+    }
+    return true;
+  }
+
   std::size_t capacity_;
   std::unordered_set<std::string> keys_;
   std::deque<std::string> order_;  ///< insertion order, front = oldest
   std::uint64_t evictions_ = 0;
+  SealedPrefix sealed_;
 };
 
 }  // namespace mps

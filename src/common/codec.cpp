@@ -108,6 +108,17 @@ void encode_array_header(std::uint32_t elements, std::string& out) {
   w.u32(elements);
 }
 
+void encode_string(std::string_view s, std::string& out) {
+  Writer w(out);
+  w.u8(static_cast<std::uint8_t>(Value::Type::kString));
+  w.str(s);
+}
+
+void patch_array_header(std::size_t offset, std::uint32_t elements,
+                        std::string& out) {
+  Writer(out).u32_at(offset + 1, elements);  // past the tag byte
+}
+
 void encode_key(std::string_view key, std::string& out) {
   Writer(out).str(key);
 }
@@ -131,8 +142,7 @@ void encode_value(const Value& v, std::string& out) {
       w.f64(v.as_double());
       break;
     case Value::Type::kString:
-      w.u8(static_cast<std::uint8_t>(Value::Type::kString));
-      w.str(v.as_string());
+      encode_string(v.as_string(), out);
       break;
     case Value::Type::kArray: {
       const Array& a = v.as_array();

@@ -87,6 +87,14 @@ void encode_value(const Value& v, std::string& out);
 void encode_object_header(std::uint32_t fields, std::string& out);
 void encode_array_header(std::uint32_t elements, std::string& out);
 void encode_key(std::string_view key, std::string& out);
+/// Appends exactly the bytes encode_value(Value(s)) would, without the
+/// Value.
+void encode_string(std::string_view s, std::string& out);
+/// Sets the element count of the array header encode_array_header wrote
+/// at `offset` of `out` — for a writer that learns the count only once
+/// the elements are written.
+void patch_array_header(std::size_t offset, std::uint32_t elements,
+                        std::string& out);
 
 /// Decodes one Value at the reader's position; false on malformed,
 /// truncated or over-deep input.

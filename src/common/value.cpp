@@ -91,6 +91,11 @@ const std::string& Value::as_string() const {
   type_error("string", type());
 }
 
+std::string& Value::as_string() {
+  if (std::string* s = std::get_if<std::string>(&data_)) return *s;
+  type_error("string", type());
+}
+
 const Array& Value::as_array() const {
   if (const Array* a = std::get_if<Array>(&data_)) return *a;
   type_error("array", type());

@@ -98,6 +98,7 @@ class Value {
   /// Numeric value as double; accepts both int and double payloads.
   double as_double() const;
   const std::string& as_string() const;
+  std::string& as_string();
   const Array& as_array() const;
   Array& as_array();
   const Object& as_object() const;

@@ -4,9 +4,11 @@
 #include <charconv>
 #include <cstdlib>
 
+#include "common/codec.h"
 #include "common/log.h"
 #include "common/strings.h"
 #include "durable/journal.h"
+#include "durable/snapshot.h"
 #include "ingest/obs_batch.h"
 #include "obs/flight_recorder.h"
 
@@ -813,7 +815,35 @@ void GoFlowServer::finish_recovery() {
   update_admission_gate();
 }
 
-Value GoFlowServer::durable_snapshot() const {
+namespace {
+
+/// A dedup set's insertion order as a sealed sequence of key strings.
+void encode_keys(durable::SnapshotWriter& writer, BoundedKeySet& set) {
+  writer.sequence(set.sealed(), set.size(),
+                  [&set](std::size_t first, std::string& segment) {
+                    const std::deque<std::string>& keys = set.ordered();
+                    for (std::size_t i = first; i < keys.size(); ++i)
+                      codec::encode_string(keys[i], segment);
+                    return static_cast<std::uint32_t>(keys.size() - first);
+                  });
+}
+
+/// Re-inserts the keys of the segments `names` lists in eviction order,
+/// which rebuilds the exact FIFO queue.
+void restore_keys(const Value* names, durable::Segments& segments,
+                  BoundedKeySet& set) {
+  if (names == nullptr) return;
+  SealedPrefix sealed = segments.take(*names, [&set](Value&& key) {
+    set.insert(std::move(key.as_string()));
+  });
+  // Sealed only if the set now holds exactly those keys (a smaller
+  // capacity evicts some on the way in).
+  if (set.size() == sealed.end) set.sealed() = std::move(sealed);
+}
+
+}  // namespace
+
+void GoFlowServer::encode_snapshot(durable::SnapshotWriter& writer) {
   Array accounts;
   for (const auto& [token, a] : tokens_)
     accounts.push_back(Value(Object{
@@ -841,11 +871,6 @@ Value GoFlowServer::durable_snapshot() const {
                             {"min", Value(ds.min())},
                             {"max", Value(ds.max())}})}}));
   }
-  auto keys_array = [](const BoundedKeySet& set) {
-    Array out;
-    for (const std::string& k : set.ordered()) out.push_back(Value(k));
-    return out;
-  };
   Array pending;
   for (const auto& [id, batch] : pending_batches_) {
     // A flat batch's rows are materialized as the documents srv.batch
@@ -859,11 +884,9 @@ Value GoFlowServer::durable_snapshot() const {
         {"next", Value(static_cast<std::int64_t>(batch.next))},
         {"docs", Value(batch.documents())}}));
   }
-  return Value(Object{
+  const Object inline_state{
       {"accounts", Value(std::move(accounts))},
       {"apps", Value(std::move(apps))},
-      {"seen_batches", Value(keys_array(seen_batch_ids_))},
-      {"seen_obs", Value(keys_array(seen_obs_keys_))},
       {"pending", Value(std::move(pending))},
       {"token_counter", Value(static_cast<std::int64_t>(token_counter_))},
       {"job_counter", Value(static_cast<std::int64_t>(job_counter_))},
@@ -876,10 +899,22 @@ Value GoFlowServer::durable_snapshot() const {
        Value(static_cast<std::int64_t>(totals_.duplicate_observations))},
       {"ingest_retries",
        Value(static_cast<std::int64_t>(totals_.ingest_retries))},
-      {"pending_counter", Value(static_cast<std::int64_t>(pending_counter_))}});
+      {"pending_counter", Value(static_cast<std::int64_t>(pending_counter_))}};
+  std::string& out = writer.out();
+  codec::encode_object_header(
+      static_cast<std::uint32_t>(inline_state.size() + 2), out);
+  for (const auto& [key, value] : inline_state) {
+    codec::encode_key(key, out);
+    codec::encode_value(value, out);
+  }
+  codec::encode_key("seen_batches", out);
+  encode_keys(writer, seen_batch_ids_);
+  codec::encode_key("seen_obs", out);
+  encode_keys(writer, seen_obs_keys_);
 }
 
-void GoFlowServer::restore_snapshot(const Value& state) {
+void GoFlowServer::restore_snapshot(const Value& state,
+                                    durable::Segments& segments) {
   const Value* accounts = state.find("accounts");
   if (accounts != nullptr) {
     for (const Value& a : accounts->as_array()) {
@@ -909,15 +944,8 @@ void GoFlowServer::restore_snapshot(const Value& state) {
             ds->get_double("m2"), ds->get_double("min"), ds->get_double("max"));
     }
   }
-  // Re-inserting in eviction order rebuilds the exact FIFO queue.
-  const Value* seen_batches = state.find("seen_batches");
-  if (seen_batches != nullptr)
-    for (const Value& k : seen_batches->as_array())
-      seen_batch_ids_.insert(k.as_string());
-  const Value* seen_obs = state.find("seen_obs");
-  if (seen_obs != nullptr)
-    for (const Value& k : seen_obs->as_array())
-      seen_obs_keys_.insert(k.as_string());
+  restore_keys(state.find("seen_batches"), segments, seen_batch_ids_);
+  restore_keys(state.find("seen_obs"), segments, seen_obs_keys_);
   const Value* pending = state.find("pending");
   if (pending != nullptr) {
     for (const Value& p : pending->as_array()) {

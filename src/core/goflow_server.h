@@ -41,6 +41,8 @@
 
 namespace mps::durable {
 class Journal;
+class SnapshotWriter;
+struct Segments;
 }  // namespace mps::durable
 
 namespace mps::core {
@@ -314,11 +316,14 @@ class GoFlowServer {
   /// srv.* records only carry the server's own bookkeeping.
   void attach_journal(durable::Journal* journal);
 
-  /// Full server state as one Value: accounts, apps (with analytics),
-  /// counters, both dedup sets (in eviction order) and pending batches.
-  Value durable_snapshot() const;
-  /// Rebuilds from durable_snapshot() output (crash() first).
-  void restore_snapshot(const Value& state);
+  /// Appends the server state to the writer's manifest: accounts, apps
+  /// (with analytics), counters and pending batches inline, and both
+  /// dedup sets (in eviction order) as sealed sequences, so a snapshot
+  /// writes only the keys inserted since the previous one.
+  void encode_snapshot(durable::SnapshotWriter& writer);
+  /// Rebuilds from the decoded encode_snapshot() state and the loaded
+  /// segments it names (crash() first).
+  void restore_snapshot(const Value& state, durable::Segments& segments);
   /// Re-applies one "srv.*" journal record (no re-logging).
   void apply_journal_record(const Value& record);
 

@@ -52,17 +52,19 @@ void ServerLifecycle::attach(durable::Journal* journal) {
 
 void ServerLifecycle::snapshot() {
   if (down_) return;
-  // The {db, brk, srv} state tree, streamed: the docstore encodes its
-  // documents in place, the broker and server encode their (small)
-  // Value snapshots.
-  journal_->write_snapshot([this](std::string& out) {
+  // The {db, brk, srv} state tree, streamed: the docstore and the
+  // server seal what they appended since the last snapshot (documents,
+  // dedup keys) into segments and list them; the broker's small Value
+  // snapshot goes inline.
+  journal_->write_snapshot([this](durable::SnapshotWriter& writer) {
+    std::string& out = writer.out();
     codec::encode_object_header(3, out);
     codec::encode_key("db", out);
-    db_.encode_snapshot(out);
+    db_.encode_snapshot(writer);
     codec::encode_key("brk", out);
     codec::encode_value(broker_.durable_snapshot(), out);
     codec::encode_key("srv", out);
-    codec::encode_value(server_.durable_snapshot(), out);
+    server_.encode_snapshot(writer);
   });
   obs::FlightRecorder::record(obs::FrEvent::kServerSnapshot, ++snapshots_, 0,
                               sim_.now());
@@ -95,13 +97,14 @@ void ServerLifecycle::recover() {
   // Re-opening the journal repairs any torn WAL tail in place.
   journal_ = std::make_unique<durable::Journal>(*env_, config_, metrics_);
   last_ = journal_->recover(
-      [this](const Value& state) {
-        const Value* db_state = state.find("db");
-        if (db_state != nullptr) db_.restore_snapshot(*db_state);
-        const Value* brk_state = state.find("brk");
+      [this](durable::LoadedSnapshot& snap) {
+        const Value* db_state = snap.state.find("db");
+        if (db_state != nullptr) db_.restore_snapshot(*db_state, snap.segments);
+        const Value* brk_state = snap.state.find("brk");
         if (brk_state != nullptr) broker_.restore_snapshot(*brk_state);
-        const Value* srv_state = state.find("srv");
-        if (srv_state != nullptr) server_.restore_snapshot(*srv_state);
+        const Value* srv_state = snap.state.find("srv");
+        if (srv_state != nullptr)
+          server_.restore_snapshot(*srv_state, snap.segments);
       },
       [this](const Value& record) {
         const std::string op = record.get_string("op");

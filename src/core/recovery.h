@@ -58,11 +58,14 @@ class ServerLifecycle {
   /// valid snapshot into all three components, replays the tail in
   /// global LSN order, flags restored durable-queue messages redelivered
   /// and resumes the server's pending batches before it re-subscribes.
-  /// Finishes by writing a fresh snapshot of the recovered state.
+  /// Finishes by writing a fresh snapshot of the recovered state, which
+  /// lists the loaded segments and seals only the replayed tail.
   void recover();
 
-  /// Point-in-time snapshot of broker + database + server; truncates the
-  /// WAL through it. No-op while crashed.
+  /// Point-in-time snapshot of broker + database + server: a manifest
+  /// plus segments sealing the documents and dedup keys added since the
+  /// previous snapshot through this journal (DESIGN.md §11); truncates
+  /// the WAL through it. No-op while crashed.
   void snapshot();
 
   /// Failover (DESIGN.md §16): abandons the current storage env and

@@ -6,6 +6,7 @@
 #include "common/codec.h"
 #include "common/strings.h"
 #include "durable/journal.h"
+#include "durable/snapshot.h"
 #include "ingest/obs_batch.h"
 
 namespace mps::docstore {
@@ -358,36 +359,47 @@ std::vector<Document> Collection::find(const Query& query,
                 ? (p.intersected ? PlanKind::kIntersect : PlanKind::kIndexed)
                 : PlanKind::kScan);
   note_find(p.use_index);
+  // Matches are sorted and paged by (sort key, slot) before any document
+  // is copied, so a limited query over many matches copies only its page.
+  // The keys point into the stored documents, which stay put meanwhile.
+  struct Match {
+    const Value* key;
+    Slot slot;
+  };
+  std::vector<Match> matches;
+  auto consider = [&](Slot s) {
+    if (!slot_alive(s)) return;
+    const Document& doc = doc_at(s);
+    if (!query.matches(doc)) return;
+    matches.push_back(Match{
+        options.sort_by.empty() ? nullptr : doc.find_path(options.sort_by),
+        s});
+  };
   if (p.use_index) {
-    for (Slot s : p.candidates)
-      if (slot_alive(s) && query.matches(doc_at(s))) out.push_back(doc_at(s));
+    for (Slot s : p.candidates) consider(s);
   } else {
-    for (Slot s = 0; s < slots_.size(); ++s)
-      if (slot_alive(s) && query.matches(doc_at(s))) out.push_back(doc_at(s));
+    for (Slot s = 0; s < slots_.size(); ++s) consider(s);
   }
 
   if (!options.sort_by.empty()) {
-    std::stable_sort(out.begin(), out.end(),
-                     [&](const Document& a, const Document& b) {
-                       const Value* va = a.find_path(options.sort_by);
-                       const Value* vb = b.find_path(options.sort_by);
-                       Value null_value;
-                       int c = Value::compare(va ? *va : null_value,
-                                              vb ? *vb : null_value);
+    const Value null_value;
+    std::stable_sort(matches.begin(), matches.end(),
+                     [&](const Match& a, const Match& b) {
+                       int c = Value::compare(a.key ? *a.key : null_value,
+                                              b.key ? *b.key : null_value);
                        return options.descending ? c > 0 : c < 0;
                      });
   }
-  if (options.skip > 0) {
-    if (options.skip >= out.size()) {
-      out.clear();
-    } else {
-      out.erase(out.begin(),
-                out.begin() + static_cast<std::ptrdiff_t>(options.skip));
-    }
-  }
-  if (options.limit > 0 && out.size() > options.limit) out.resize(options.limit);
-  if (!options.projection.empty()) {
-    for (Document& d : out) d = project(d, options.projection);
+  const std::size_t first = std::min(options.skip, matches.size());
+  std::size_t last = matches.size();
+  if (options.limit > 0 && last - first > options.limit)
+    last = first + options.limit;
+  out.reserve(last - first);
+  for (std::size_t i = first; i < last; ++i) {
+    const Document& doc = doc_at(matches[i].slot);
+    out.push_back(options.projection.empty()
+                      ? doc
+                      : project(doc, options.projection));
   }
   return out;
 }
@@ -583,6 +595,7 @@ bool Collection::replace_checked(const std::string& id, Document doc,
                             {"c", Value(name_)},
                             {"id", Value(id)},
                             {"doc", doc}}));
+  if (slot < sealed_.end) sealed_.forget();
   unindex_document(slot, doc_at(slot));
   slots_[slot] = std::move(doc);
   index_document(slot, *slots_[slot]);
@@ -619,6 +632,7 @@ std::size_t Collection::update_many(
                             {"c", Value(name_)},
                             {"id", Value(id)},
                             {"doc", next}}));
+    if (slot < sealed_.end) sealed_.forget();
     unindex_document(slot, doc_at(slot));
     slots_[slot] = std::move(next);
     index_document(slot, *slots_[slot]);
@@ -643,6 +657,7 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
                             {"c", Value(name_)},
                             {"id", Value(id)}}));
   Slot slot = it->second;
+  if (slot < sealed_.end) sealed_.forget();
   unindex_document(slot, doc_at(slot));
   slots_[slot].reset();
   id_to_slot_.erase(it);
@@ -813,7 +828,8 @@ void Collection::for_each(
     if (slot_alive(s)) fn(doc_at(s));
 }
 
-void Collection::encode_snapshot(std::string& out) const {
+void Collection::encode_snapshot(durable::SnapshotWriter& writer) {
+  std::string& out = writer.out();
   codec::encode_object_header(4, out);
   codec::encode_key("name", out);
   codec::encode_value(Value(name_), out);
@@ -822,19 +838,27 @@ void Collection::encode_snapshot(std::string& out) const {
   codec::encode_key("indexes", out);
   codec::encode_array_header(static_cast<std::uint32_t>(indexes_.size()), out);
   for (const auto& [path, _] : indexes_) codec::encode_value(Value(path), out);
-  // Every live slot owns exactly one id_to_slot_ entry.
   codec::encode_key("docs", out);
-  codec::encode_array_header(static_cast<std::uint32_t>(id_to_slot_.size()),
-                             out);
-  for (Slot s = 0; s < slots_.size(); ++s)
-    if (slot_alive(s)) codec::encode_value(doc_at(s), out);
+  writer.sequence(sealed_, slots_.size(),
+                  [this](std::size_t first, std::string& segment) {
+                    std::uint32_t n = 0;
+                    for (Slot s = first; s < slots_.size(); ++s) {
+                      if (!slot_alive(s)) continue;
+                      codec::encode_value(doc_at(s), segment);
+                      ++n;
+                    }
+                    return n;
+                  });
 }
 
-void Collection::restore_snapshot(const Value& state) {
+void Collection::restore_snapshot(const Value& state,
+                                  durable::Segments& segments) {
   id_counter_ = static_cast<std::uint64_t>(state.get_int("id_counter"));
-  if (const Value* docs = state.find("docs"))
-    for (const Value& doc : docs->as_array())
-      insert_checked(doc, /*journaled=*/false);
+  if (const Value* docs = state.find("docs")) {
+    sealed_ = segments.take(*docs, [this](Value&& doc) {
+      insert_checked(std::move(doc), /*journaled=*/false);
+    });
+  }
   // Indexes after documents: one bulk build instead of per-doc inserts.
   if (const Value* paths = state.find("indexes"))
     for (const Value& path : paths->as_array())
@@ -842,6 +866,7 @@ void Collection::restore_snapshot(const Value& state) {
 }
 
 void Collection::crash() {
+  sealed_.forget();
   slots_.clear();
   lazy_rows_.clear();
   id_to_slot_.clear();

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/sealed.h"
 #include "common/types.h"
 #include "docstore/query.h"
 #include "fault/fault.h"
@@ -18,6 +19,8 @@
 
 namespace mps::durable {
 class Journal;
+class SnapshotWriter;
+struct Segments;
 }
 
 namespace mps::ingest {
@@ -183,19 +186,23 @@ class Collection {
   bool apply_remove(const std::string& id);
   void apply_create_index(const std::string& path);
 
-  /// Appends the collection's snapshot record to `out` in the
-  /// common/codec.h encoding: {name, id_counter, indexes: [path...],
-  /// docs: [document...]} with documents in insertion order. Each stored
-  /// document is encoded in place — the store is never copied into a
-  /// Value tree to be snapshotted.
-  void encode_snapshot(std::string& out) const;
-  /// Rebuilds state from the decoded encode_snapshot() record. The
-  /// collection must be empty (crash() first).
-  void restore_snapshot(const Value& state);
+  /// Appends the collection's snapshot record to the writer's manifest
+  /// in the common/codec.h encoding: {name, id_counter, indexes:
+  /// [path...], docs: [segment name...]}. The documents, in slot order,
+  /// are a sealed sequence (SnapshotWriter::sequence): only those
+  /// inserted since the previous snapshot are encoded, in place, into a
+  /// new segment — unless a remove, replace or update touched a sealed
+  /// document since, which writes them all again.
+  void encode_snapshot(durable::SnapshotWriter& writer);
+  /// Rebuilds state from the decoded encode_snapshot() record, moving
+  /// the documents out of the loaded `segments`. The collection must be
+  /// empty (crash() first).
+  void restore_snapshot(const Value& state, durable::Segments& segments);
 
   /// Models the process dying: drops every document and index entry in
-  /// place (the object survives — callers hold references) and fixes
-  /// the documents gauge. Journal and metrics attachments survive.
+  /// place (the object survives — callers hold references), forgets what
+  /// the snapshots sealed and fixes the documents gauge. Journal and
+  /// metrics attachments survive.
   void crash();
 
  private:
@@ -272,6 +279,8 @@ class Collection {
   std::unordered_map<std::string, Slot> id_to_slot_;
   std::map<std::string, Index> indexes_;
   std::uint64_t id_counter_ = 0;
+  /// Slots the snapshots have sealed (see encode_snapshot).
+  SealedPrefix sealed_;
   mutable CollectionStats stats_;
   fault::FaultPoint insert_fault_;
   fault::FaultPoint update_fault_;

@@ -1,6 +1,7 @@
 #include "docstore/database.h"
 
 #include "common/codec.h"
+#include "durable/journal.h"
 
 namespace mps::docstore {
 
@@ -56,19 +57,21 @@ void Database::attach_journal(durable::Journal* journal) {
   for (auto& [_, c] : collections_) c->attach_journal(journal);
 }
 
-void Database::encode_snapshot(std::string& out) const {
+void Database::encode_snapshot(durable::SnapshotWriter& writer) {
+  std::string& out = writer.out();
   codec::encode_object_header(1, out);
   codec::encode_key("collections", out);
   codec::encode_array_header(static_cast<std::uint32_t>(collections_.size()),
                              out);
-  for (const auto& [_, c] : collections_) c->encode_snapshot(out);
+  for (const auto& [_, c] : collections_) c->encode_snapshot(writer);
 }
 
-void Database::restore_snapshot(const Value& state) {
+void Database::restore_snapshot(const Value& state,
+                                durable::Segments& segments) {
   const Value* collections = state.find("collections");
   if (collections == nullptr) return;
   for (const Value& snap : collections->as_array())
-    collection(snap.get_string("name")).restore_snapshot(snap);
+    collection(snap.get_string("name")).restore_snapshot(snap, segments);
 }
 
 void Database::apply_journal_record(const Value& record) {

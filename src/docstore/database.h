@@ -53,12 +53,13 @@ class Database {
   /// set_metrics): mutations log "db.*" records before applying.
   void attach_journal(durable::Journal* journal);
 
-  /// Appends the full database state to `out` in the common/codec.h
-  /// encoding: {"collections": [record...]}, one
+  /// Appends the database state to the writer's manifest in the
+  /// common/codec.h encoding: {"collections": [record...]}, one
   /// Collection::encode_snapshot record per collection, in name order.
-  void encode_snapshot(std::string& out) const;
-  /// Rebuilds from the decoded encode_snapshot() state (crash() first).
-  void restore_snapshot(const Value& state);
+  void encode_snapshot(durable::SnapshotWriter& writer);
+  /// Rebuilds from the decoded encode_snapshot() state and the loaded
+  /// segments it names (crash() first).
+  void restore_snapshot(const Value& state, durable::Segments& segments);
   /// Re-applies one "db.*" journal record (no re-logging, no faults).
   void apply_journal_record(const Value& record);
 

@@ -16,8 +16,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
+#include "common/sealed.h"
 #include "common/value.h"
 #include "durable/snapshot.h"
 #include "durable/storage.h"
@@ -30,8 +34,14 @@ struct JournalConfig {
 };
 
 struct JournalStats {
-  std::uint64_t snapshots = 0;       ///< snapshots written
-  std::uint64_t snapshot_bytes = 0;  ///< framed size of the last one written
+  std::uint64_t snapshots = 0;  ///< snapshots written
+  /// Framed bytes of the newest snapshot written: its manifest plus every
+  /// segment it lists — what a recovery from it reads.
+  std::uint64_t snapshot_bytes = 0;
+  /// Segments the newest snapshot written lists.
+  std::uint64_t snapshot_segments = 0;
+  /// Framed bytes of every manifest and segment written.
+  std::uint64_t snapshot_bytes_written = 0;
   std::uint64_t snapshots_corrupt_skipped = 0;  ///< passed over by recover()
   std::uint64_t recoveries = 0;
 };
@@ -45,12 +55,47 @@ struct RecoveryStats {
   std::uint64_t skipped_bad = 0;
 };
 
+class Journal;
+
+/// What Journal::write_snapshot hands the state writer. Components append
+/// their small state inline to out() with the codec's streaming calls,
+/// and write each large append-mostly sequence with sequence().
+class SnapshotWriter {
+ public:
+  /// The manifest's state encoding.
+  std::string& out() { return out_; }
+
+  /// Appends to out() the segment names holding a sequence of `end`
+  /// entries, of which `sealed` says which prefix earlier snapshots
+  /// wrote. Entries [sealed.end, end) are sealed first, as one new
+  /// segment: `encode_from(first, segment)` appends the codec encodings
+  /// of the entries from position `first` on and returns how many it
+  /// appended (none: no segment is written). A prefix sealed through
+  /// another journal, or reaching past `end`, is forgotten first, so the
+  /// whole sequence is written. Updates `sealed`.
+  void sequence(SealedPrefix& sealed, std::size_t end,
+                const std::function<std::uint32_t(std::size_t first,
+                                                  std::string& segment)>&
+                    encode_from);
+
+ private:
+  friend class Journal;
+  SnapshotWriter(Journal& journal, std::string& out)
+      : journal_(journal), out_(out) {}
+
+  Journal& journal_;
+  std::string& out_;
+  std::vector<std::string> listed_;  ///< every segment the manifest lists
+};
+
 class Journal {
  public:
   /// With `metrics`, registers the WAL's counters (see Wal) and the
-  /// journal's as durable.snapshots, durable.snapshots_corrupt_skipped
-  /// and durable.recoveries, plus the last snapshot's size as the
-  /// durable.snapshot_bytes gauge, summed over every attached journal.
+  /// journal's as durable.snapshots, durable.snapshot_bytes_written,
+  /// durable.snapshots_corrupt_skipped and durable.recoveries, plus the
+  /// newest snapshot's size and segment count as the
+  /// durable.snapshot_bytes and durable.snapshot_segments gauges, summed
+  /// over every attached journal.
   explicit Journal(StorageEnv& env, JournalConfig config = {},
                    obs::Registry* metrics = nullptr);
 
@@ -64,24 +109,42 @@ class Journal {
   /// Forces group-committed appends durable.
   void sync() { wal_.sync(); }
 
-  /// Full recovery: restore_fn(snapshot state) if a snapshot loads,
-  /// then apply_fn(record) for each valid tail record in LSN order.
+  /// Full recovery: restore_fn(snapshot) if a snapshot loads — its
+  /// segments owned by this journal, for components to take their
+  /// sequences from — then apply_fn(record) for each valid tail record
+  /// in LSN order.
   RecoveryStats recover(
-      const std::function<void(const Value& snapshot_state)>& restore_fn,
+      const std::function<void(LoadedSnapshot& snapshot)>& restore_fn,
       const std::function<void(const Value& record)>& apply_fn);
 
-  /// Writes a snapshot covering everything logged so far — `write_state`
-  /// streams the state's encoding into the file (see StateWriter) — then
-  /// truncates the WAL through it and prunes older snapshots.
-  void write_snapshot(const StateWriter& write_state);
+  /// Writes a snapshot covering everything logged so far. `write_state`
+  /// streams the state tree through the writer: sequences seal their new
+  /// entries into segment files (write_atomic) as it goes, and the
+  /// manifest follows once the tree is complete. Then the WAL is
+  /// truncated through the snapshot's LSN, and older manifests and every
+  /// segment the new manifest does not list are deleted. A crash before
+  /// the manifest lands leaves the previous snapshot intact; the next
+  /// snapshot deletes the orphaned segments.
+  void write_snapshot(const std::function<void(SnapshotWriter&)>& write_state);
 
   Wal& wal() { return wal_; }
   const Wal& wal() const { return wal_; }
   const JournalStats& stats() const { return stats_; }
 
  private:
+  friend class SnapshotWriter;
+
   StorageEnv& env_;
   Wal wal_;
+  /// Process-unique: the owner of the sealed prefixes this journal
+  /// writes or restores (see SealedPrefix).
+  std::uint64_t id_;
+  /// Id of the next segment written: past every segment name present
+  /// when the journal opened, so a name never repeats within the env.
+  std::uint64_t next_segment_ = 1;
+  /// Framed size of every segment this journal wrote or loaded that is
+  /// still on disk.
+  std::map<std::string, std::size_t> segment_bytes_;
   JournalStats stats_;
   obs::Sources sources_;
 };

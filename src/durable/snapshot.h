@@ -1,57 +1,82 @@
-// Point-in-time snapshots: a CRC-framed copy of full component state,
-// named by the last LSN it covers ("snap-<lsn, zero-padded to 16>").
+// Point-in-time snapshots: a small manifest over immutable segment files
+// (DESIGN.md §11), the LevelDB/RocksDB manifest model.
 //
-// A snapshot file reuses the WAL record framing (one record, lsn field =
-// covered LSN), written atomically. Its payload is the common/codec.h
-// encoding of the state tree. Writers stream that encoding straight
-// into the framed buffer (see StateWriter) instead of building the tree
-// first; the loader decodes it back into one Value.
-// Recovery loads the *newest valid* snapshot — a corrupt newest file is
-// skipped and the loader falls back to the next older one (and finally
-// to "no snapshot, replay the whole log"), so a failure mid-snapshot
-// can never brick recovery. After a successful snapshot the WAL is
-// truncated through the covered LSN and older snapshot files pruned.
+// A manifest ("snap-<lsn, zero-padded to 16>") is one record in the WAL
+// framing (lsn field = the last LSN the snapshot covers), written
+// atomically. Its payload is the common/codec.h encoding of
+//   {"state": <state tree>, "segments": [segment name...]}
+// The state tree carries everything small inline; each large
+// append-mostly sequence (a collection's documents, a dedup set's keys)
+// appears in it as the ordered list of segments that hold its entries.
+// A segment ("seg-<id, zero-padded to 16>") is one record in the same
+// framing (lsn field = its id) whose payload encodes an array of
+// entries. Segments are immutable and their names never repeat within
+// an env, so a later manifest lists an earlier segment by name instead
+// of encoding its entries again (see Journal::write_snapshot for the
+// write order and pruning).
+//
+// Recovery loads the *newest loadable* manifest: its frame must be valid
+// and every segment it lists must exist, pass its CRC and decode as an
+// array. Anything else is skipped and counted, and the loader falls back
+// to the next older manifest (and finally to "no snapshot, replay the
+// whole log"), so a failure mid-snapshot can never brick recovery.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 
+#include "common/sealed.h"
 #include "common/value.h"
 #include "durable/storage.h"
 
 namespace mps::durable {
 
 inline constexpr const char* kSnapshotPrefix = "snap-";
+inline constexpr const char* kSegmentPrefix = "seg-";
+
+/// The file name of the manifest covering `lsn`.
+std::string snapshot_name(std::uint64_t lsn);
+/// The file name of segment `id`.
+std::string segment_name(std::uint64_t id);
+
+/// The LSN a manifest covers, read from its name; nullopt when `name` is
+/// not a manifest's.
+std::optional<std::uint64_t> snapshot_lsn(const std::string& name);
+/// A segment's id, read from its name; nullopt when `name` is not a
+/// segment's.
+std::optional<std::uint64_t> segment_id(const std::string& name);
+
+/// The decoded segments a loaded manifest lists. Restore moves each
+/// sequence's entries out of them into the live store.
+struct Segments {
+  /// Id of the journal that loaded them (0 outside a journal).
+  std::uint64_t owner = 0;
+  std::map<std::string, Array> arrays;
+
+  /// Passes every entry of the segments `names` lists to `add`, in order,
+  /// moving it out, and returns the prefix they seal. Each segment is
+  /// taken once. Throws std::runtime_error when `names` is not an array
+  /// of segment names this snapshot loaded.
+  SealedPrefix take(const Value& names,
+                    const std::function<void(Value&& entry)>& add);
+};
 
 struct LoadedSnapshot {
   std::uint64_t lsn = 0;  ///< log position the state covers
-  Value state;
+  Value state;            ///< the manifest's state tree
+  Segments segments;
+  /// Framed size of each segment the manifest lists.
+  std::map<std::string, std::size_t> segment_bytes;
 };
 
-/// Appends the codec encoding of the state a snapshot covers — exactly
-/// the bytes codec::encode_value would write for the state tree.
-using StateWriter = std::function<void(std::string& out)>;
-
-/// Atomically writes a snapshot covering `lsn` whose payload `write_state`
-/// appends; returns the framed size in bytes.
-std::size_t write_snapshot(StorageEnv& env, std::uint64_t lsn,
-                           const StateWriter& write_state);
-
-/// Loads the newest snapshot that passes CRC + decode (a payload that is
-/// not exactly one codec Value counts as corrupt), skipping corrupt ones
-/// and adding their number to `skipped`. nullopt when none is loadable.
+/// Loads the newest manifest that passes CRC + decode and whose segments
+/// all load, skipping the others and adding their number to `skipped`.
+/// nullopt when none is loadable.
 std::optional<LoadedSnapshot> load_latest_snapshot(StorageEnv& env,
                                                    std::uint64_t& skipped);
-
-/// Removes every snapshot older than `keep_lsn` (the one covering
-/// keep_lsn itself survives).
-void prune_snapshots(StorageEnv& env, std::uint64_t keep_lsn);
-
-/// The LSN a snapshot file covers, read from its name; nullopt when
-/// `name` is not a snapshot file's.
-std::optional<std::uint64_t> snapshot_lsn(const std::string& name);
 
 }  // namespace mps::durable

@@ -97,13 +97,20 @@ void Wal::open_existing() {
   }
 
   // Scan every segment, validating the record chain. The log's valid
-  // prefix ends at the first torn or corrupt record; everything after
-  // (rest of that segment plus any later segments) is discarded so the
-  // next append continues from a consistent state.
+  // prefix ends at the first torn or corrupt record, or at a segment
+  // that does not start at the next expected LSN (a hole: only the first
+  // surviving segment may start anywhere, because truncation removes a
+  // prefix). Everything after (rest of that segment plus any later
+  // segments) is discarded so the next append continues from a
+  // consistent state.
   bool chain_broken = false;
   std::size_t keep_segments = 0;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     Segment& seg = segments_[i];
+    if (!chain_broken && keep_segments > 0 && seg.first_lsn != next_lsn_) {
+      ++stats_.discarded_tail_records;
+      chain_broken = true;
+    }
     if (chain_broken) {
       stats_.discarded_tail_bytes += env_.read(seg.name).size();
       env_.remove(seg.name);

@@ -90,10 +90,10 @@ class ShardNode {
   /// switchover).
   void fail_over();
 
-  /// Snapshot through the lifecycle, then mirror the new snapshot file
-  /// to the follower (the shipped tail alone cannot recover pre-attach
-  /// state). Use this — not lifecycle().snapshot() — so the follower
-  /// stays promotable.
+  /// Snapshot through the lifecycle, then mirror the new manifest and
+  /// segments to the follower (the shipped tail alone cannot recover
+  /// pre-attach state). Use this — not lifecycle().snapshot() — so the
+  /// follower stays promotable.
   void snapshot();
 
   std::uint64_t failovers() const { return failovers_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -68,31 +69,45 @@ void WalShipper::ship() {
   ++stats_.frames;
 }
 
+namespace {
+
+bool is_snapshot_file(const std::string& name) {
+  return durable::snapshot_lsn(name).has_value() ||
+         durable::segment_id(name).has_value();
+}
+
+}  // namespace
+
 void WalShipper::mirror_snapshots(durable::StorageEnv& primary) {
   if (follower_ == nullptr) return;
-  std::vector<std::string> primary_snaps;
+  std::set<std::string> primary_files;
+  std::vector<std::string> manifests;
   std::uint64_t newest = 0;
   for (const std::string& name : primary.list()) {
-    std::optional<std::uint64_t> lsn = durable::snapshot_lsn(name);
-    if (!lsn.has_value()) continue;
-    primary_snaps.push_back(name);
-    newest = std::max(newest, *lsn);
+    if (!is_snapshot_file(name)) continue;
+    primary_files.insert(name);
+    if (std::optional<std::uint64_t> lsn = durable::snapshot_lsn(name)) {
+      manifests.push_back(name);
+      newest = std::max(newest, *lsn);
+    } else if (!follower_env_->exists(name)) {
+      // Segments are immutable and their names never repeat, so one the
+      // follower holds is already these bytes: only missing ones are
+      // read, and they land before the manifests that list them.
+      follower_env_->write_atomic(name, primary.read(name));
+    }
   }
-  // Prune first (the primary prunes after writing, so mirrored state
-  // matches), then copy anything new or changed.
-  for (const std::string& name : follower_env_->list()) {
-    if (!durable::snapshot_lsn(name).has_value()) continue;
-    if (std::find(primary_snaps.begin(), primary_snaps.end(), name) ==
-        primary_snaps.end())
-      follower_env_->remove(name);
-  }
-  for (const std::string& name : primary_snaps) {
+  for (const std::string& name : manifests) {
     std::string data = primary.read(name);
     if (follower_env_->exists(name) && follower_env_->read(name) == data)
       continue;
     follower_env_->write_atomic(name, data);
     ++stats_.snapshots_mirrored;
   }
+  // Then the files the primary pruned go, so the follower converges on
+  // the primary's file set.
+  for (const std::string& name : follower_env_->list())
+    if (is_snapshot_file(name) && primary_files.count(name) == 0)
+      follower_env_->remove(name);
   // The newest snapshot covers the log through its LSN, so the follower
   // drops those segments just as the primary's Journal did.
   follower_->truncate_through(newest);

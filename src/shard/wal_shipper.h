@@ -10,11 +10,14 @@
 // rotates its segments at the same LSNs, so a promoted follower's log is
 // the primary's log. Each drain ends with one sync of the follower.
 //
-// Snapshots are mirrored separately: the primary's "snap-*" files are
-// copied to the follower on demand (after each lifecycle snapshot),
-// because state created before the journal attached only exists in the
-// snapshot — a follower with only the WAL tail would recover an empty
-// base. Mirroring then truncates the follower Wal through the newest
+// Snapshots are mirrored separately, on demand (after each lifecycle
+// snapshot), because state created before the journal attached only
+// exists in the snapshot — a follower with only the WAL tail would
+// recover an empty base. A snapshot is a manifest ("snap-*") over
+// immutable segment files ("seg-*", durable/snapshot.h): mirroring
+// copies the segments the follower lacks, then the manifest, and never
+// reads a segment the follower already holds, so each sealed entry
+// crosses once. It then truncates the follower Wal through the newest
 // mirrored snapshot, as the primary's Journal truncates its own log, so
 // a follower holds the tail since that snapshot, not the whole history.
 // Failover = durable::Journal recovery over the follower env: newest
@@ -83,9 +86,10 @@ class WalShipper {
   /// calls are for tests and post-recovery catch-up).
   void ship();
 
-  /// Copies the primary's snapshot files to the follower, removing
-  /// follower snapshots the primary no longer has (pruning mirrors too),
-  /// then truncates the follower Wal through the newest snapshot.
+  /// Copies the primary's segments the follower lacks, then its changed
+  /// manifests (counted in snapshots_mirrored), removes follower snapshot
+  /// files the primary no longer has (pruning mirrors too), then
+  /// truncates the follower Wal through the newest snapshot.
   void mirror_snapshots(durable::StorageEnv& primary);
 
   /// The follower's log (nullptr without a follower).

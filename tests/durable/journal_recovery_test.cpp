@@ -5,13 +5,18 @@
 // redelivered flag, non-durable queues drained). Also the binary
 // codec's guarantees on this path: doubles come back bit-exact, and
 // validly framed but undecodable records and snapshots are skipped and
-// counted, never fatal.
+// counted, never fatal. And the snapshot's manifest-over-segments
+// contract: a manifest with a missing or damaged segment is skipped, and
+// a crash between writing segments and the manifest keeps the previous
+// snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,10 +46,10 @@ using mps::docstore::Query;
 // by their "op" prefix.
 RecoveryStats recover_pair(Journal& journal, Database& db, Broker& broker) {
   return journal.recover(
-      [&](const Value& state) {
-        const Value* db_state = state.find("db");
-        if (db_state != nullptr) db.restore_snapshot(*db_state);
-        const Value* brk_state = state.find("brk");
+      [&](LoadedSnapshot& snap) {
+        const Value* db_state = snap.state.find("db");
+        if (db_state != nullptr) db.restore_snapshot(*db_state, snap.segments);
+        const Value* brk_state = snap.state.find("brk");
         if (brk_state != nullptr) broker.restore_snapshot(*brk_state);
       },
       [&](const Value& record) {
@@ -55,12 +60,14 @@ RecoveryStats recover_pair(Journal& journal, Database& db, Broker& broker) {
 }
 
 // Mirrors ServerLifecycle::snapshot for the pair: the {db, brk} state
-// tree, with the docstore streamed and the broker's Value encoded.
-void snapshot_pair(Journal& journal, const Database& db, const Broker& broker) {
-  journal.write_snapshot([&](std::string& out) {
+// tree, with the docstore sealing its new documents into segments and
+// the broker's Value inline.
+void snapshot_pair(Journal& journal, Database& db, const Broker& broker) {
+  journal.write_snapshot([&](SnapshotWriter& writer) {
+    std::string& out = writer.out();
     codec::encode_object_header(2, out);
     codec::encode_key("db", out);
-    db.encode_snapshot(out);
+    db.encode_snapshot(writer);
     codec::encode_key("brk", out);
     codec::encode_value(broker.durable_snapshot(), out);
   });
@@ -443,12 +450,14 @@ TEST(JournalRecovery, UndecodableSnapshotIsSkippedAndCounted) {
     db.collection("obs").insert(Value(Object{{"k", Value("a")}}));
     snapshot_pair(journal, db, broker);
     db.collection("obs").insert(Value(Object{{"k", Value("b")}}));
-    // A newer snapshot whose frame and CRC are valid but whose payload is
+    // A newer manifest whose frame and CRC are valid but whose payload is
     // not one codec Value: recovery must fall back to the older one.
-    write_snapshot(env, journal.wal().last_lsn(), [](std::string& out) {
-      codec::encode_object_header(1, out);
-      out += "\x09";
-    });
+    std::string payload;
+    codec::encode_object_header(1, payload);
+    payload += "\x09";
+    std::string framed;
+    encode_record(journal.wal().last_lsn(), payload, framed);
+    env.write_atomic(snapshot_name(journal.wal().last_lsn()), framed);
     db.attach_journal(nullptr);
   }
   db.crash();
@@ -463,8 +472,14 @@ TEST(JournalRecovery, UndecodableSnapshotIsSkippedAndCounted) {
 }
 
 TEST(JournalRecovery, MutatedSnapshotPayloadsNeverCrashLoading) {
-  // A real snapshot payload: documents, an index and broker topology.
-  std::string payload;
+  // A real snapshot: documents, an index and broker topology, as a
+  // manifest plus the segment holding the documents.
+  struct File {
+    std::string name;
+    std::uint64_t lsn = 0;  ///< the frame's lsn field
+    std::string payload;
+  };
+  std::vector<File> files;
   {
     MemStorageEnv env;
     Database db;
@@ -480,26 +495,34 @@ TEST(JournalRecovery, MutatedSnapshotPayloadsNeverCrashLoading) {
     snapshot_pair(journal, db, broker);
     db.attach_journal(nullptr);
     broker.attach_journal(nullptr);
-    for (const std::string& name : env.list())
-      if (name.rfind(kSnapshotPrefix, 0) == 0) {
-        std::string file = env.read(name);
-        std::optional<DecodedRecord> rec = decode_record(file, 0);
-        ASSERT_TRUE(rec.has_value());
-        payload.assign(rec->payload);
-      }
+    for (const std::string& name : env.list()) {
+      if (!snapshot_lsn(name).has_value() && !segment_id(name).has_value())
+        continue;
+      std::string file = env.read(name);
+      std::optional<DecodedRecord> rec = decode_record(file, 0);
+      ASSERT_TRUE(rec.has_value());
+      files.push_back(File{name, rec->lsn, std::string(rec->payload)});
+    }
   }
-  ASSERT_FALSE(payload.empty());
+  ASSERT_EQ(files.size(), 2u);  // one segment, one manifest
 
-  // Re-framed with a correct CRC, so the decoder itself meets the damage;
-  // loading either yields a Value or skips the file — never a crash or an
-  // over-read (ASan/UBSan run this suite). A tree that decodes but is the
-  // wrong shape may make restore throw; that too must stay an exception.
+  // Each file in turn is re-framed with a correct CRC around a damaged
+  // payload, beside the intact other, so the decoder itself meets the
+  // damage; loading either yields a snapshot or skips it — never a crash
+  // or an over-read (ASan/UBSan run this suite). A tree that decodes but
+  // is the wrong shape may make restore throw; that too must stay an
+  // exception.
   std::size_t loaded = 0;
   std::size_t skipped_total = 0;
-  auto load = [&](const std::string& mutated) {
+  std::size_t payload_bytes = 0;
+  auto load = [&](std::size_t damaged, const std::string& mutated) {
     MemStorageEnv env;
-    write_snapshot(env, 1,
-                   [&](std::string& out) { out.append(mutated); });
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      std::string framed;
+      encode_record(files[i].lsn, i == damaged ? mutated : files[i].payload,
+                    framed);
+      env.write_atomic(files[i].name, framed);
+    }
     std::uint64_t skipped = 0;
     std::optional<LoadedSnapshot> snap = load_latest_snapshot(env, skipped);
     EXPECT_EQ(snap.has_value() ? 0u : 1u, skipped);
@@ -509,24 +532,187 @@ TEST(JournalRecovery, MutatedSnapshotPayloadsNeverCrashLoading) {
     Database db;
     Broker broker;
     try {
-      if (const Value* d = snap->state.find("db")) db.restore_snapshot(*d);
+      if (const Value* d = snap->state.find("db"))
+        db.restore_snapshot(*d, snap->segments);
       if (const Value* b = snap->state.find("brk")) broker.restore_snapshot(*b);
     } catch (const std::exception&) {
     }
   };
   Rng rng(65);
-  for (std::size_t pos = 0; pos < payload.size(); ++pos) {
-    std::string flipped = payload;
-    flipped[pos] = static_cast<char>(static_cast<unsigned char>(flipped[pos]) ^
-                                     (1u << rng.uniform_int(0, 7)));
-    load(flipped);
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    SCOPED_TRACE(files[f].name);
+    const std::string& payload = files[f].payload;
+    payload_bytes += payload.size();
+    for (std::size_t pos = 0; pos < payload.size(); ++pos) {
+      std::string flipped = payload;
+      flipped[pos] = static_cast<char>(
+          static_cast<unsigned char>(flipped[pos]) ^
+          (1u << rng.uniform_int(0, 7)));
+      load(f, flipped);
+    }
+    for (std::size_t cut = 0; cut < payload.size(); ++cut)
+      load(f, payload.substr(0, cut));
   }
-  for (std::size_t cut = 0; cut < payload.size(); ++cut)
-    load(payload.substr(0, cut));
   // Both outcomes occur: flips inside string and number bytes still
   // decode, while damaged tags, lengths and every truncation do not.
   EXPECT_GT(loaded, 0u);
-  EXPECT_GE(skipped_total, payload.size());
+  EXPECT_GE(skipped_total, payload_bytes);
+}
+
+// --- Manifest over segments -----------------------------------------------
+
+std::vector<std::string> files_with(const MemStorageEnv& env,
+                                    const char* prefix) {
+  std::vector<std::string> out;
+  for (const std::string& name : env.list())
+    if (starts_with(name, prefix)) out.push_back(name);
+  return out;
+}
+
+// The newest manifest loads only when every segment it lists loads. A
+// missing segment, a CRC failure and a valid frame around something
+// other than an array each skip it (counted), and recovery falls back to
+// the older manifest plus the longer WAL tail.
+TEST(JournalRecovery, ManifestWithAMissingOrCorruptSegmentIsSkipped) {
+  enum class Damage { kMissing, kCrc, kNotAnArray };
+  for (Damage damage : {Damage::kMissing, Damage::kCrc, Damage::kNotAnArray}) {
+    SCOPED_TRACE(static_cast<int>(damage));
+    MemStorageEnv env;
+    Database db;
+    Broker broker;
+    std::string older_name;
+    std::string older_manifest;
+    {
+      Journal journal(env);
+      db.attach_journal(&journal);
+      db.collection("obs").insert(Value(Object{{"k", Value("a")}}));
+      snapshot_pair(journal, db, broker);
+      older_name = files_with(env, kSnapshotPrefix).at(0);
+      older_manifest = env.read(older_name);
+      std::vector<std::string> older_segments = files_with(env, kSegmentPrefix);
+      ASSERT_EQ(older_segments.size(), 1u);
+
+      db.collection("obs").insert(Value(Object{{"k", Value("b")}}));
+      snapshot_pair(journal, db, broker);
+      db.attach_journal(nullptr);
+      // The newer manifest lists the older segment plus one new one.
+      std::vector<std::string> segments = files_with(env, kSegmentPrefix);
+      ASSERT_EQ(segments.size(), 2u);
+      ASSERT_EQ(segments[0], older_segments[0]);
+      // Keep the older manifest (pruned by the newer one), then damage
+      // the segment only the newer manifest lists.
+      env.write_atomic(older_name, older_manifest);
+      const std::string& newest = segments[1];
+      if (damage == Damage::kMissing) {
+        env.remove(newest);
+      } else if (damage == Damage::kCrc) {
+        std::string bytes = env.read(newest);
+        bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+        env.write_atomic(newest, bytes);
+      } else {
+        std::string payload;
+        codec::encode_value(Value(Object{{"k", Value("not an array")}}),
+                            payload);
+        std::string framed;
+        encode_record(*segment_id(newest), payload, framed);
+        env.write_atomic(newest, framed);
+      }
+    }
+    db.crash();
+    obs::Registry registry;
+    Journal reopened(env, {}, &registry);
+    RecoveryStats stats = recover_pair(reopened, db, broker);
+    EXPECT_EQ(registry.counter("durable.snapshots_corrupt_skipped").value(),
+              1u);
+    EXPECT_TRUE(stats.snapshot_loaded);
+    EXPECT_EQ(stats.snapshot_lsn, *snapshot_lsn(older_name));
+    EXPECT_EQ(stats.replayed, 1u);  // "b", from the older manifest's tail
+    EXPECT_EQ(doc_keys(db, "obs").size(), 2u);
+  }
+}
+
+/// A storage env that dies (throws) on the first manifest write after
+/// `arm()`: the snapshot's segments are written, its manifest never is.
+class ManifestCutEnv final : public StorageEnv {
+ public:
+  void arm() { armed_ = true; }
+  MemStorageEnv& mem() { return mem_; }
+
+  std::vector<std::string> list() const override { return mem_.list(); }
+  bool exists(const std::string& name) const override {
+    return mem_.exists(name);
+  }
+  std::string read(const std::string& name) const override {
+    return mem_.read(name);
+  }
+  void append(const std::string& name, std::string_view data) override {
+    mem_.append(name, data);
+  }
+  void write_atomic(const std::string& name, std::string_view data) override {
+    if (armed_ && snapshot_lsn(name).has_value()) {
+      armed_ = false;
+      throw std::runtime_error("power cut before " + name);
+    }
+    mem_.write_atomic(name, data);
+  }
+  void remove(const std::string& name) override { mem_.remove(name); }
+  void sync(const std::string& name) override { mem_.sync(name); }
+  void crash() override { mem_.crash(); }
+
+ private:
+  MemStorageEnv mem_;
+  bool armed_ = false;
+};
+
+TEST(JournalRecovery, CrashBetweenSegmentsAndManifestKeepsThePreviousSnapshot) {
+  ManifestCutEnv env;
+  Database db;
+  Broker broker;
+  std::string previous;
+  std::vector<std::string> orphans;
+  {
+    Journal journal(env);
+    db.attach_journal(&journal);
+    db.collection("obs").insert(Value(Object{{"k", Value("a")}}));
+    snapshot_pair(journal, db, broker);
+    previous = files_with(env.mem(), kSnapshotPrefix).at(0);
+    std::vector<std::string> before = files_with(env.mem(), kSegmentPrefix);
+
+    db.collection("obs").insert(Value(Object{{"k", Value("b")}}));
+    env.arm();
+    EXPECT_THROW(snapshot_pair(journal, db, broker), std::runtime_error);
+    db.attach_journal(nullptr);
+    // The new segment landed; the manifest listing it did not.
+    for (const std::string& name : files_with(env.mem(), kSegmentPrefix))
+      if (std::find(before.begin(), before.end(), name) == before.end())
+        orphans.push_back(name);
+    ASSERT_EQ(orphans.size(), 1u);
+    EXPECT_EQ(files_with(env.mem(), kSnapshotPrefix),
+              std::vector<std::string>{previous});
+  }
+  env.crash();
+  db.crash();
+
+  Journal reopened(env);
+  RecoveryStats stats = recover_pair(reopened, db, broker);
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.snapshot_lsn, *snapshot_lsn(previous));
+  EXPECT_EQ(stats.replayed, 1u);
+  const std::multiset<std::string> recovered = doc_keys(db, "obs");
+  EXPECT_EQ(recovered.size(), 2u);
+
+  // The next snapshot seals the replayed tail under a fresh name and
+  // prunes the orphan.
+  snapshot_pair(reopened, db, broker);
+  std::vector<std::string> segments = files_with(env.mem(), kSegmentPrefix);
+  EXPECT_EQ(segments.size(), 2u);
+  EXPECT_TRUE(std::find(segments.begin(), segments.end(), orphans[0]) ==
+              segments.end());
+  db.crash();
+  Journal third(env);
+  stats = recover_pair(third, db, broker);
+  EXPECT_EQ(stats.replayed, 0u);
+  EXPECT_EQ(doc_keys(db, "obs"), recovered);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // (a document batch and a flat ObsBatch), drop attribution when there is
 // nothing to recover with, and the recovery-equivalence property: a
 // killed-and-recovered run ends with exactly the documents an
-// uninterrupted run stores.
+// uninterrupted run stores. Also the sealed-segment snapshot contract:
+// a snapshot writes only what changed since the previous one, a change
+// to a sealed entry rewrites its sequence, and snapshots into another
+// env write everything.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -16,13 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "common/codec.h"
-#include "common/strings.h"
+#include "common/rng.h"
 #include "core/goflow_server.h"
 #include "core/recovery.h"
 #include "durable/snapshot.h"
 #include "durable/storage.h"
-#include "durable/wal.h"
 #include "fault/fault.h"
 #include "ingest/obs_batch.h"
 #include "obs/span.h"
@@ -141,17 +142,26 @@ std::multiset<std::string> span_keys(const std::string& client,
   return keys;
 }
 
-/// The decoded payload of the newest snapshot file in `env`.
-Value newest_snapshot(MemStorageEnv& env) {
-  std::string newest;
-  for (const std::string& name : env.list())  // sorted: newest LSN last
-    if (starts_with(name, durable::kSnapshotPrefix)) newest = name;
-  std::string file = env.read(newest);
-  std::optional<durable::DecodedRecord> rec = durable::decode_record(file, 0);
-  Value state;
-  if (!rec.has_value() || !codec::decode_value(rec->payload, state))
-    ADD_FAILURE() << "undecodable snapshot " << newest;
-  return state;
+/// The newest snapshot in `env`: its manifest's state tree and the
+/// decoded segments it lists.
+durable::LoadedSnapshot newest_snapshot(MemStorageEnv& env) {
+  std::uint64_t skipped = 0;
+  std::optional<durable::LoadedSnapshot> snap =
+      durable::load_latest_snapshot(env, skipped);
+  if (!snap.has_value() || skipped != 0) {
+    ADD_FAILURE() << "no loadable snapshot (" << skipped << " skipped)";
+    return {};
+  }
+  return std::move(*snap);
+}
+
+/// The entries of a sealed sequence: the segments `names` lists, in
+/// order.
+std::vector<Value> sequence_entries(durable::LoadedSnapshot& snap,
+                                    const Value& names) {
+  std::vector<Value> out;
+  snap.segments.take(names, [&](Value&& v) { out.push_back(std::move(v)); });
+  return out;
 }
 
 std::multiset<std::string> stored_keys(docstore::Database& db) {
@@ -284,8 +294,8 @@ TEST(ServerRecovery, SnapshotDuringFlatBackoffRestoresThePendingBatch) {
   EXPECT_GT(s.server->ingest_retries(), 0u);
 
   lc.snapshot();
-  Value state = newest_snapshot(env);
-  const Array& pending = state.at("srv").at("pending").as_array();
+  durable::LoadedSnapshot snap = newest_snapshot(env);
+  const Array& pending = snap.state.at("srv").at("pending").as_array();
   ASSERT_EQ(pending.size(), 1u);
   const Array& docs = pending[0].at("docs").as_array();
   ASSERT_EQ(docs.size(), batch->size());
@@ -591,19 +601,30 @@ TEST(ServerRecovery, SnapshotPayloadMatchesStoreAndRoundTrips) {
   ASSERT_EQ(s.broker.queue_depth("audit.q"), 1u);
 
   lc.snapshot();
-  Value state = newest_snapshot(env);
+  durable::LoadedSnapshot snap = newest_snapshot(env);
 
   const std::map<std::string, std::vector<Value>> before = all_docs(s.db);
   ASSERT_EQ(before.at("accounts").size(), 2u);
   ASSERT_EQ(before.at("observations").size(), 3u);
-  const Array& collections = state.at("db").at("collections").as_array();
+  const Array& collections = snap.state.at("db").at("collections").as_array();
   ASSERT_EQ(collections.size(), before.size());
   for (const Value& c : collections) {
     const std::string name = c.get_string("name");
     ASSERT_EQ(before.count(name), 1u) << name;
-    EXPECT_EQ(c.at("docs").as_array(), before.at(name)) << name;
+    EXPECT_EQ(sequence_entries(snap, c.at("docs")), before.at(name)) << name;
   }
-  EXPECT_EQ(state.at("srv").at("pending").as_array().size(), 1u);
+  const Value& srv = snap.state.at("srv");
+  EXPECT_EQ(srv.at("pending").as_array().size(), 1u);
+  // The dedup sets, in eviction order, as the server holds them. b2's
+  // batch id is in (accepted, pending), its observations not yet.
+  std::vector<Value> batch_ids;
+  for (const std::string& k : s.server->seen_batch_ids().ordered())
+    batch_ids.push_back(Value(k));
+  EXPECT_EQ(sequence_entries(snap, srv.at("seen_batches")), batch_ids);
+  EXPECT_EQ(sequence_entries(snap, srv.at("seen_obs")).size(),
+            s.server->seen_obs_keys().size());
+  // Every segment the manifest lists was taken by exactly one sequence.
+  EXPECT_TRUE(snap.segments.arrays.empty());
 
   lc.crash();
   lc.recover();
@@ -622,6 +643,238 @@ TEST(ServerRecovery, SnapshotPayloadMatchesStoreAndRoundTrips) {
   EXPECT_EQ(stored_keys(s.db),
             (std::multiset<std::string>{"dev1#0", "dev1#1", "dev1#2",
                                         "dev2#0", "dev2#1"}));
+}
+
+/// Every file in `env` with its bytes.
+std::map<std::string, std::string> files_of(const MemStorageEnv& env) {
+  std::map<std::string, std::string> out;
+  for (const std::string& name : env.list()) out[name] = env.read(name);
+  return out;
+}
+
+/// Bytes of the files in `env` that are not in `before` or differ from
+/// it: what the step between the two listings created or replaced.
+std::size_t changed_bytes(const MemStorageEnv& env,
+                          const std::map<std::string, std::string>& before) {
+  std::size_t total = 0;
+  for (const auto& [name, bytes] : files_of(env)) {
+    auto it = before.find(name);
+    if (it == before.end() || it->second != bytes) total += bytes.size();
+  }
+  return total;
+}
+
+/// Publishes `count` traced observations in batches of ten, one new batch
+/// id and a rotating client each.
+void store_observations(Stack& s, int count, int& batch) {
+  for (int done = 0; done < count; done += 10, ++batch)
+    s.broker
+        .publish("goflow", "b",
+                 make_batch("batch-" + std::to_string(batch),
+                            "dev" + std::to_string(batch % 7), done, 10,
+                            100 + batch, &s.tracer),
+                 200 + batch)
+        .value_or_throw();
+}
+
+// A snapshot seals only the entries appended since the previous one
+// (documents and both dedup sets) and lists the earlier segments by
+// name, so its bytes track the change, not the store.
+TEST(ServerRecovery, SnapshotWritesOnlyWhatChangedSinceThePrevious) {
+  constexpr int kMore = 20;
+  auto second_snapshot_bytes = [](int n) {
+    Stack s;
+    MemStorageEnv env;
+    ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+    int batch = 0;
+    store_observations(s, n, batch);
+    lc.snapshot();
+    store_observations(s, kMore, batch);
+    const std::map<std::string, std::string> before = files_of(env);
+    lc.snapshot();
+    EXPECT_EQ(s.db.collection("observations").size(),
+              static_cast<std::size_t>(n + kMore));
+    return changed_bytes(env, before);
+  };
+  const std::size_t small = second_snapshot_bytes(100);
+  const std::size_t large = second_snapshot_bytes(1000);
+  EXPECT_GT(small, 0u);
+  // Only digits grow with n (longer _ids and keys): well inside 10%.
+  EXPECT_LE(large, small + small / 10) << "n=100: " << small
+                                       << " B, n=1000: " << large << " B";
+}
+
+/// The segment names the newest snapshot lists for a collection's
+/// documents.
+std::vector<std::string> document_segments(MemStorageEnv& env,
+                                           const std::string& collection) {
+  durable::LoadedSnapshot snap = newest_snapshot(env);
+  std::vector<std::string> out;
+  for (const Value& c : snap.state.at("db").at("collections").as_array())
+    if (c.get_string("name") == collection)
+      for (const Value& name : c.at("docs").as_array())
+        out.push_back(name.as_string());
+  return out;
+}
+
+TEST(ServerRecovery, RemovedSealedRowsRewriteTheCollection) {
+  Stack s;
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  // Three snapshots, each sealing one client's batch into a segment.
+  for (int b = 0; b < 3; ++b) {
+    s.broker
+        .publish("goflow", "b",
+                 make_batch("batch-" + std::to_string(b),
+                            "dev" + std::to_string(b), 0, 5, 100 + b),
+                 200 + b)
+        .value_or_throw();
+    lc.snapshot();
+  }
+  const std::vector<std::string> sealed =
+      document_segments(env, "observations");
+  ASSERT_EQ(sealed.size(), 3u);
+
+  // A purge of rows sealed two snapshots ago.
+  EXPECT_EQ(s.db.collection("observations")
+                .remove_many(docstore::Query::eq("client", Value("dev1"))),
+            5u);
+  lc.snapshot();
+  const std::vector<std::string> rewritten =
+      document_segments(env, "observations");
+  ASSERT_EQ(rewritten.size(), 1u);
+  for (const std::string& name : sealed) EXPECT_FALSE(env.exists(name)) << name;
+
+  const std::map<std::string, std::vector<Value>> live = all_docs(s.db);
+  EXPECT_EQ(live.at("observations").size(), 10u);
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(all_docs(s.db), live);
+}
+
+// Property: under any mix of inserts, removes, replaces, dedup inserts
+// (with evictions), duplicate redeliveries, snapshots and crashes,
+// recovery rebuilds exactly the pre-crash documents, in slot order, and
+// both dedup sets in eviction order.
+TEST(ServerRecovery, SealedSequencesRecoverExactlyUnderRandomOperations) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    ServerConfig config;
+    config.batch_dedup_capacity = 12;
+    config.obs_dedup_capacity = 40;
+    Stack s(config);
+    MemStorageEnv env;
+    ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+    Rng rng(seed);
+    auto& obs = s.db.collection("observations");
+    auto& notes = s.db.collection("notes");
+    auto keys = [](const BoundedKeySet& set) {
+      return std::vector<std::string>(set.ordered().begin(),
+                                      set.ordered().end());
+    };
+    auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    auto random_id = [&](docstore::Collection& c) -> std::string {
+      std::vector<Value> docs = c.find(docstore::Query::all());
+      if (docs.empty()) return "";
+      return docs[pick(docs.size())].get_string("_id");
+    };
+    int batch = 0;
+    std::vector<Value> published;
+    int crashes = 0;
+    for (int step = 0; step < 300; ++step) {
+      const std::int64_t op = rng.uniform_int(0, 99);
+      if (op < 35) {
+        Value payload = make_batch(
+            "batch-" + std::to_string(batch),
+            "dev" + std::to_string(rng.uniform_int(0, 4)), batch * 10,
+            static_cast<int>(rng.uniform_int(1, 4)), 100 + batch, &s.tracer);
+        ++batch;
+        s.broker.publish("goflow", "b", payload, 200 + batch).value_or_throw();
+        published.push_back(std::move(payload));
+      } else if (op < 40 && !published.empty()) {
+        // A redelivery: a duplicate batch, or one evicted and accepted.
+        const Value& again = published[pick(published.size())];
+        s.broker.publish("goflow", "b", again, 200 + batch).value_or_throw();
+      } else if (op < 50) {
+        std::string id = random_id(obs);
+        if (!id.empty()) obs.remove(id);
+      } else if (op < 58) {
+        std::string id = random_id(obs);
+        if (!id.empty()) {
+          Value doc = *obs.get(id);
+          doc.as_object().set("spl", Value(static_cast<double>(step)));
+          obs.replace(id, doc);
+        }
+      } else if (op < 70) {
+        notes.insert(Value(Object{{"step", Value(step)}}));
+      } else if (op < 74) {
+        notes.remove_many(docstore::Query::lt("step", Value(step - 20)));
+      } else if (op < 77) {
+        notes.update_many(docstore::Query::all(), [](Value& doc) {
+          doc.as_object().set("touched", Value(true));
+        });
+      } else if (op < 92) {
+        lc.snapshot();
+      } else {
+        const std::map<std::string, std::vector<Value>> docs = all_docs(s.db);
+        const std::vector<std::string> batches =
+            keys(s.server->seen_batch_ids());
+        const std::vector<std::string> obs_keys =
+            keys(s.server->seen_obs_keys());
+        lc.crash();
+        lc.recover();
+        ++crashes;
+        ASSERT_EQ(all_docs(s.db), docs) << "step " << step;
+        ASSERT_EQ(keys(s.server->seen_batch_ids()), batches) << "step " << step;
+        ASSERT_EQ(keys(s.server->seen_obs_keys()), obs_keys) << "step " << step;
+      }
+    }
+    EXPECT_GT(crashes, 5);
+    EXPECT_GT(s.server->dedup_evictions(), 0u);
+  }
+}
+
+// Sealing belongs to one journal's env: components snapshotted through
+// a second lifecycle on another env write every sequence whole there,
+// and then again when the first lifecycle snapshots into its own env, so
+// neither manifest names a file its env lacks or holds other bytes under.
+TEST(ServerRecovery, SnapshotsIntoAnotherEnvWriteEverything) {
+  Stack s;
+  MemStorageEnv env1;
+  MemStorageEnv env2;
+  int batch = 0;
+  auto batch_ids = [&] {
+    return std::vector<std::string>(s.server->seen_batch_ids().ordered().begin(),
+                                    s.server->seen_batch_ids().ordered().end());
+  };
+  ServerLifecycle lc1(env1, s.sim, s.broker, s.db, *s.server);
+  store_observations(s, 30, batch);
+  lc1.snapshot();
+  {
+    ServerLifecycle lc2(env2, s.sim, s.broker, s.db, *s.server);
+    store_observations(s, 20, batch);
+    lc2.snapshot();
+    lc1.snapshot();
+    const std::map<std::string, std::vector<Value>> live = all_docs(s.db);
+    ASSERT_EQ(live.at("observations").size(), 50u);
+    const std::vector<std::string> batches = batch_ids();
+
+    lc2.crash();
+    lc2.recover();
+    EXPECT_TRUE(lc2.last_recovery().snapshot_loaded);
+    EXPECT_EQ(all_docs(s.db), live);
+
+    lc1.crash();
+    lc1.recover();
+    EXPECT_TRUE(lc1.last_recovery().snapshot_loaded);
+    // All of it comes from env1's snapshot: nothing was logged there.
+    EXPECT_EQ(lc1.last_recovery().replayed, 0u);
+    EXPECT_EQ(all_docs(s.db), live);
+    EXPECT_EQ(batch_ids(), batches);
+  }
 }
 
 TEST(ServerRecovery, DurableMetricsAreExported) {

@@ -295,6 +295,34 @@ TEST(Wal, EmptySegmentFileIsHarmless) {
   env.write_atomic("wal-9999999999999999", "");  // stray empty segment
   Wal reopened(env);
   EXPECT_EQ(reopened.replay(0, [](std::uint64_t, std::string_view) {}), 1u);
+  // The stray name does not continue the chain: the log goes on at 2.
+  EXPECT_EQ(reopened.append("next"), 2u);
+}
+
+TEST(Wal, MissingMiddleSegmentEndsTheLogBeforeTheGap) {
+  MemStorageEnv env;
+  WalConfig cfg;
+  cfg.segment_bytes = 64;
+  {
+    Wal wal(env, cfg);
+    // Each record alone crosses the rotation threshold: one per segment.
+    for (int i = 1; i <= 12; ++i)
+      wal.append("record-" + std::to_string(i) + std::string(48, '.'));
+    ASSERT_EQ(wal.segment_count(), 12u);
+  }
+  env.remove("wal-0000000000000007");
+
+  Wal reopened(env, cfg);
+  std::vector<std::uint64_t> lsns;
+  reopened.replay(0, [&](std::uint64_t lsn, std::string_view) {
+    lsns.push_back(lsn);
+  });
+  // Records 8-12 sit behind the hole: the valid log is 1-6.
+  EXPECT_EQ(lsns, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(reopened.segment_count(), 6u);
+  EXPECT_EQ(reopened.stats().discarded_tail_records, 1u);
+  EXPECT_FALSE(env.exists("wal-0000000000000008"));
+  EXPECT_EQ(reopened.append("after-the-gap"), 7u);
 }
 
 TEST(Wal, TruncateThroughDropsCoveredSegmentsKeepsActive) {

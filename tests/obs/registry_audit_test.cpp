@@ -139,6 +139,12 @@ TEST(RegistryAudit, ChaosRunExportsEveryMetricFamily) {
   // Specific load-bearing metrics the tooling reads by exact name.
   EXPECT_TRUE(registry.has_counter("durable.wal_appends"));
   EXPECT_TRUE(registry.has_counter("durable.replayed_records"));
+  // What a snapshot costs (DESIGN.md §11): bytes written by every
+  // snapshot, the newest one's size and the segments it lists.
+  EXPECT_TRUE(registry.has_counter("durable.snapshot_bytes_written"));
+  EXPECT_GT(registry.counter("durable.snapshot_bytes_written").value(), 0u);
+  EXPECT_TRUE(registry.has_gauge("durable.snapshot_bytes"));
+  EXPECT_TRUE(registry.has_gauge("durable.snapshot_segments"));
   EXPECT_TRUE(registry.has_counter("retry.client_upload"));
   EXPECT_TRUE(registry.has_counter("obs.spans_evicted"));
   EXPECT_TRUE(registry.has_gauge("exec.sweep_runs"));

@@ -5,9 +5,11 @@
 // with it), and a fresh shipper pointed at a half-shipped follower must
 // resume where the previous one left off — not re-ship from zero, not
 // skip the gap, and not append behind a torn tail. Mirroring a snapshot
-// truncates the follower's log as writing it truncated the primary's.
+// copies only the segments the follower lacks, and truncates the
+// follower's log as writing it truncated the primary's.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,7 +17,9 @@
 
 #include "common/codec.h"
 #include "common/value.h"
+#include "docstore/database.h"
 #include "durable/journal.h"
+#include "durable/snapshot.h"
 #include "durable/storage.h"
 #include "durable/wal.h"
 #include "shard/wal_shipper.h"
@@ -199,8 +203,9 @@ TEST(WalShipper, FollowerLogIsTruncatedWithTheMirroredSnapshot) {
   };
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 40; ++i) journal.append(record(round, i));
-    journal.write_snapshot([round](std::string& out) {
-      codec::encode_value(Value(Object{{"rounds", Value(round + 1)}}), out);
+    journal.write_snapshot([round](durable::SnapshotWriter& writer) {
+      codec::encode_value(Value(Object{{"rounds", Value(round + 1)}}),
+                          writer.out());
     });
     shipper.mirror_snapshots(primary);
     std::size_t primary_bytes = wal_bytes(primary, jc.wal);
@@ -223,7 +228,7 @@ TEST(WalShipper, FollowerLogIsTruncatedWithTheMirroredSnapshot) {
   Value restored;
   std::vector<Value> replayed;
   durable::RecoveryStats stats = promoted.recover(
-      [&](const Value& state) { restored = state; },
+      [&](durable::LoadedSnapshot& snap) { restored = snap.state; },
       [&](const Value& rec) { replayed.push_back(rec); });
   EXPECT_TRUE(stats.snapshot_loaded);
   EXPECT_EQ(stats.snapshot_lsn, journal.wal().last_lsn() - tail.size());
@@ -249,8 +254,10 @@ TEST(WalShipper, MirrorsSnapshotsAndPrunesStaleOnes) {
   WalShipper shipper(0, config);
   shipper.set_follower(&follower);
 
+  primary.write_atomic("seg-0000000000000001", "segment one");
   primary.write_atomic("snap-0000000000000003", "first");
   shipper.mirror_snapshots(primary);
+  EXPECT_EQ(follower.read("seg-0000000000000001"), "segment one");
   EXPECT_EQ(follower.read("snap-0000000000000003"), "first");
   EXPECT_EQ(shipper.stats().snapshots_mirrored, 1u);
 
@@ -258,20 +265,147 @@ TEST(WalShipper, MirrorsSnapshotsAndPrunesStaleOnes) {
   shipper.mirror_snapshots(primary);
   EXPECT_EQ(shipper.stats().snapshots_mirrored, 1u);
 
-  // The primary pruned the old snapshot after writing a new one; the
-  // mirror must converge to the same file set or the follower's
-  // recovery could load a snapshot the primary already discarded.
+  // A manifest rewritten under the same LSN is copied again.
+  primary.write_atomic("snap-0000000000000003", "first, again");
+  shipper.mirror_snapshots(primary);
+  EXPECT_EQ(follower.read("snap-0000000000000003"), "first, again");
+  EXPECT_EQ(shipper.stats().snapshots_mirrored, 2u);
+
+  // The primary pruned the old manifest and a superseded segment after
+  // writing a new snapshot; the mirror must converge to the same file
+  // set or the follower's recovery could load a snapshot the primary
+  // already discarded.
   primary.remove("snap-0000000000000003");
+  primary.remove("seg-0000000000000001");
+  primary.write_atomic("seg-0000000000000002", "segment two");
   primary.write_atomic("snap-0000000000000009", "second");
   shipper.mirror_snapshots(primary);
   EXPECT_FALSE(follower.exists("snap-0000000000000003"));
+  EXPECT_FALSE(follower.exists("seg-0000000000000001"));
+  EXPECT_EQ(follower.read("seg-0000000000000002"), "segment two");
   EXPECT_EQ(follower.read("snap-0000000000000009"), "second");
-  EXPECT_EQ(shipper.stats().snapshots_mirrored, 2u);
+  EXPECT_EQ(shipper.stats().snapshots_mirrored, 3u);
 
   // Non-snapshot files on the primary are never mirrored.
   primary.write_atomic("wal-0000000000000001", "not a snapshot");
   shipper.mirror_snapshots(primary);
   EXPECT_FALSE(follower.exists("wal-0000000000000001"));
+}
+
+/// A MemStorageEnv that counts whole-file reads and atomic writes per
+/// name.
+class CountingEnv final : public durable::StorageEnv {
+ public:
+  MemStorageEnv& mem() { return mem_; }
+  std::map<std::string, int>& reads() { return reads_; }
+  std::map<std::string, int>& writes() { return writes_; }
+
+  std::vector<std::string> list() const override { return mem_.list(); }
+  bool exists(const std::string& name) const override {
+    return mem_.exists(name);
+  }
+  std::string read(const std::string& name) const override {
+    ++reads_[name];
+    return mem_.read(name);
+  }
+  std::string read_suffix(const std::string& name,
+                          std::size_t offset) const override {
+    return mem_.read_suffix(name, offset);
+  }
+  void append(const std::string& name, std::string_view data) override {
+    mem_.append(name, data);
+  }
+  void write_atomic(const std::string& name, std::string_view data) override {
+    ++writes_[name];
+    mem_.write_atomic(name, data);
+  }
+  void remove(const std::string& name) override { mem_.remove(name); }
+  void sync(const std::string& name) override { mem_.sync(name); }
+  void crash() override { mem_.crash(); }
+
+ private:
+  MemStorageEnv mem_;
+  mutable std::map<std::string, int> reads_;
+  std::map<std::string, int> writes_;
+};
+
+std::map<std::string, std::vector<Value>> documents(docstore::Database& db) {
+  std::map<std::string, std::vector<Value>> out;
+  for (const std::string& name : db.collection_names())
+    db.collection(name).for_each(
+        [&](const Value& doc) { out[name].push_back(doc); });
+  return out;
+}
+
+// Segments are immutable and never renamed, so a mirror reads and copies
+// only the ones the follower lacks: after the first mirror, each further
+// snapshot ships one new segment and its manifest.
+TEST(WalShipper, MirrorCopiesOnlyNewSegments) {
+  durable::JournalConfig jc;
+  CountingEnv primary;
+  CountingEnv follower;
+  durable::Journal journal(primary, jc);
+  docstore::Database db;
+  db.attach_journal(&journal);
+  WalShipper shipper(0, jc.wal);
+  shipper.set_follower(&follower);
+  shipper.attach(&journal.wal());
+  auto snapshot = [&] {
+    journal.write_snapshot(
+        [&](durable::SnapshotWriter& writer) { db.encode_snapshot(writer); });
+  };
+  auto insert = [&](int first, int count) {
+    for (int i = first; i < first + count; ++i)
+      db.collection("obs").insert(Value(Object{{"i", Value(i)}}));
+  };
+
+  insert(0, 50);
+  snapshot();
+  shipper.mirror_snapshots(primary);
+  EXPECT_EQ(shipper.stats().snapshots_mirrored, 1u);
+
+  insert(50, 5);
+  snapshot();
+  primary.reads().clear();
+  follower.writes().clear();
+  shipper.mirror_snapshots(primary);
+  EXPECT_EQ(shipper.stats().snapshots_mirrored, 2u);
+  std::vector<std::string> written;
+  for (const auto& [name, n] : follower.writes()) {
+    EXPECT_EQ(n, 1) << name;
+    written.push_back(name);
+  }
+  ASSERT_EQ(written.size(), 2u);  // one segment, one manifest
+  EXPECT_TRUE(durable::segment_id(written[0]).has_value()) << written[0];
+  EXPECT_TRUE(durable::snapshot_lsn(written[1]).has_value()) << written[1];
+  // The primary's older segment was never read again.
+  for (const auto& [name, n] : primary.reads())
+    EXPECT_TRUE(name == written[0] || name == written[1]) << name;
+  auto snapshot_files = [](MemStorageEnv& env) {
+    std::vector<std::string> out;
+    for (const std::string& name : env.list())
+      if (durable::segment_id(name) || durable::snapshot_lsn(name))
+        out.push_back(name);
+    return out;
+  };
+  EXPECT_EQ(snapshot_files(follower.mem()), snapshot_files(primary.mem()));
+
+  // The promoted follower recovers the primary's state.
+  insert(55, 3);  // shipped tail after the snapshot
+  const std::map<std::string, std::vector<Value>> live = documents(db);
+  db.attach_journal(nullptr);
+  shipper.detach();
+  shipper.set_follower(nullptr);
+  durable::Journal promoted(follower, jc);
+  docstore::Database restored;
+  durable::RecoveryStats stats = promoted.recover(
+      [&](durable::LoadedSnapshot& snap) {
+        restored.restore_snapshot(snap.state, snap.segments);
+      },
+      [&](const Value& record) { restored.apply_journal_record(record); });
+  EXPECT_TRUE(stats.snapshot_loaded);
+  EXPECT_EQ(stats.replayed, 3u);
+  EXPECT_EQ(documents(restored), live);
 }
 
 }  // namespace
