@@ -1,5 +1,5 @@
 // Durability plane: what the WAL + snapshot machinery costs and what it
-// buys. Five measurements, all on MemStorageEnv (the environment the
+// buys. Six measurements, all on MemStorageEnv (the environment the
 // simulation itself runs on, so the numbers are the sim's own overhead,
 // deterministic and disk-independent):
 //
@@ -17,16 +17,25 @@
 //      more inserted, snapshotted again. A snapshot seals only what was
 //      appended since the previous one, so the second snapshot's bytes
 //      and time track the 100 new documents, not n.
+//   6. The WAL cost of flat ingest: a journaled GoFlowServer under a
+//      ServerLifecycle ingests 1,000 clean flat batches of 16 rows. Each
+//      batch is journaled as three records (srv.batch and db.rows carry
+//      its columns, srv.prog the stored run), whatever its row count.
 #include <chrono>
 #include <cstdio>
 #include <string>
 
+#include <vector>
+
 #include "common/bench_util.h"
 #include "common/codec.h"
+#include "core/goflow_server.h"
+#include "core/recovery.h"
 #include "docstore/database.h"
 #include "durable/journal.h"
 #include "durable/storage.h"
 #include "durable/wal.h"
+#include "ingest/obs_batch.h"
 
 namespace {
 
@@ -223,6 +232,63 @@ int main() {
     const std::string tag = std::to_string(n);
     bench_record("snapshot_next_" + tag + "_bytes", written);
     bench_record("snapshot_next_write_" + tag + "_seconds", secs);
+  }
+
+  // --- 6. WAL records and bytes per flat batch -----------------------------
+  constexpr int kFlatBatches = 1'000;
+  constexpr int kFlatRows = 16;
+  std::printf("\n6) journaled server, %d clean flat batches of %d rows:\n",
+              kFlatBatches, kFlatRows);
+  {
+    sim::Simulation sim;
+    broker::Broker broker;
+    docstore::Database db;
+    core::GoFlowServer server(sim, broker, db);
+    server.register_app("soundcity").value_or_throw();
+    durable::MemStorageEnv env;
+    core::ServerLifecycle lifecycle(env, sim, broker, db, server);
+    const durable::WalStats before = lifecycle.journal()->wal().stats();
+    ingest::BatchPool pool;
+    const char* models[] = {"GT-I9300", "Nexus 5", "iPhone6,2"};
+    std::uint64_t span = 0;
+    for (int b = 0; b < kFlatBatches; ++b) {
+      const std::string client = "dev" + std::to_string(b % 50);
+      const TimeMs sent_at = static_cast<TimeMs>(b) * 60'000;
+      std::vector<phone::Observation> rows;
+      for (int r = 0; r < kFlatRows; ++r) {
+        phone::Observation o;
+        o.user = "u-" + client;
+        o.model = models[b % 3];
+        o.captured_at = sent_at - (kFlatRows - r) * 1000;
+        o.spl_db = 50.0 + (r * 7 + b) % 30;
+        if (r % 3 != 0)
+          o.location = phone::LocationFix{phone::LocationProvider::kNetwork,
+                                          10.0 * r, 20.0 * b, 35.0};
+        o.span_id = ++span;
+        rows.push_back(std::move(o));
+      }
+      broker
+          .publish_flat(server.config().goflow_exchange, "b",
+                        pool.make_batch("soundcity", client,
+                                        client + "#" + std::to_string(b),
+                                        sent_at, rows),
+                        sent_at)
+          .value_or_throw();
+    }
+    const durable::WalStats& after = lifecycle.journal()->wal().stats();
+    const double records = static_cast<double>(after.appends - before.appends);
+    const double bytes =
+        static_cast<double>(after.bytes_appended - before.bytes_appended);
+    const double stored = static_cast<double>(server.total_observations());
+    if (stored != static_cast<double>(kFlatBatches * kFlatRows)) {
+      std::fprintf(stderr, "flat ingest stored %.0f observations\n", stored);
+      return 1;
+    }
+    std::printf("   %.0f records (%.2f per batch), %.0f bytes (%.1f per "
+                "observation)\n",
+                records, records / kFlatBatches, bytes, bytes / stored);
+    bench_record("flat_wal_records_per_batch_exact", records / kFlatBatches);
+    bench_record("flat_wal_bytes_per_obs", bytes / stored);
   }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "broker/broker.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "broker/topic.h"
 #include "common/log.h"
@@ -12,23 +13,33 @@ namespace mps::broker {
 
 namespace {
 
+/// A message as brk.enq records and snapshots carry it: a flat batch as
+/// its columns (`b`), a document as `p`.
 Value message_to_value(const Message& m) {
-  // Flat messages are materialized before they ever buffer, so `flat`
-  // should be null here; materialize defensively anyway — serialized
-  // state is always the document form.
-  return Value(Object{{"ex", Value(m.exchange)},
-                      {"rk", Value(m.routing_key)},
-                      {"p", m.flat != nullptr ? m.flat->to_batch_document()
-                                              : m.payload},
-                      {"seq", Value(static_cast<std::int64_t>(m.sequence))},
-                      {"at", Value(static_cast<std::int64_t>(m.published_at))}});
+  Object v{{"ex", Value(m.exchange)}, {"rk", Value(m.routing_key)}};
+  if (m.flat != nullptr) {
+    std::string columns;
+    ingest::encode_batch(*m.flat, 0, m.flat->size(), columns);
+    v.set("b", Value(std::move(columns)));
+  } else {
+    v.set("p", m.payload);
+  }
+  v.set("seq", Value(static_cast<std::int64_t>(m.sequence)));
+  v.set("at", Value(static_cast<std::int64_t>(m.published_at)));
+  return Value(std::move(v));
 }
 
+/// The message message_to_value() wrote; throws when `b` does not decode.
 Message message_from_value(const Value& v) {
   Message m;
+  if (const Value* columns = v.find("b")) {
+    m.flat = ingest::decode_batch(columns->as_string());
+    if (m.flat == nullptr) throw std::invalid_argument("message: bad columns");
+  } else if (const Value* p = v.find("p")) {
+    m.payload = *p;
+  }
   m.exchange = v.get_string("ex");
   m.routing_key = v.get_string("rk");
-  if (const Value* p = v.find("p")) m.payload = *p;
   m.sequence = static_cast<std::uint64_t>(v.get_int("seq"));
   m.published_at = static_cast<TimeMs>(v.get_int("at"));
   return m;
@@ -385,20 +396,10 @@ void Broker::enqueue(const std::string& queue_name, Queue& q,
     c.callback(message);
     return;
   }
-  // A buffered message is journaled (brk.enq), snapshotted and popped
-  // as a document, so a flat view is materialized into the batch's
-  // document form here. Everything downstream of a buffer is then
-  // byte-identical between the two input forms.
-  const Message* to_store = &message;
-  Message materialized;
-  if (message.flat != nullptr) {
-    materialized = message;
-    materialized.payload = materialized.flat->to_batch_document();
-    materialized.flat.reset();
-    to_store = &materialized;
-  }
-  log_enqueue(queue_name, q, *to_store);
-  q.messages.push_back(*to_store);
+  // A buffered message keeps its form: a flat batch is journaled
+  // (brk.enq) and snapshotted as its columns, and pops flat.
+  log_enqueue(queue_name, q, message);
+  q.messages.push_back(message);
   if (q.options.max_length > 0 && q.messages.size() > q.options.max_length) {
     Message dropped = std::move(q.messages.front());
     q.messages.pop_front();  // drop-head

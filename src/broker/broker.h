@@ -51,11 +51,10 @@ const char* exchange_type_name(ExchangeType t);
 /// A routed message. `payload` is the document published by the client;
 /// `sequence` is a broker-global publish counter used for ordering
 /// assertions in tests. Messages from the flat ingest fast path carry a
-/// shared `flat` batch instead of a payload (DESIGN.md §13): synchronous
-/// push consumers receive the view zero-copy; a message that has to
-/// buffer is materialized into `payload` first (flat cleared), so
-/// everything durable — buffered backlogs, brk.enq records, snapshots —
-/// is byte-identical to the document path.
+/// shared `flat` batch instead of a payload (DESIGN.md §13): push
+/// consumers receive the view zero-copy, and a message that has to
+/// buffer stays flat — brk.enq records and snapshots carry its columns
+/// (ingest::encode_batch), and a restored message pops flat.
 struct Message {
   std::string exchange;     ///< exchange it was published to
   std::string routing_key;
@@ -199,9 +198,8 @@ class Broker {
   /// Publishes a flat observation batch (zero-copy hand-off): identical
   /// routing, faults, admission and stats to publish(), but the Message
   /// carries the shared batch view instead of a Value payload. Consumers
-  /// see Message::flat set and Message::payload null; if the message has
-  /// to buffer it is materialized via ObsBatch::to_batch_document() so
-  /// durable state never depends on the batch's lifetime.
+  /// see Message::flat set and Message::payload null, whether the message
+  /// was pushed or buffered first.
   Result<PublishResult> publish_flat(
       const std::string& exchange, const std::string& routing_key,
       std::shared_ptr<const ingest::ObsBatch> flat, TimeMs now = 0);

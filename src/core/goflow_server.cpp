@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "common/codec.h"
 #include "common/log.h"
@@ -397,9 +398,11 @@ void GoFlowServer::ingest(const broker::Message& message) {
   const Value* observations = message.payload.find("observations");
   if (observations == nullptr || !observations->is_array()) {
     // Not an observation batch (e.g. a Feedback message routed for
-    // storage): store it raw when it is an object.
+    // storage): store it raw when it is an object, minus any _id (a
+    // storage-local handle the docstore assigns).
     if (message.payload.is_object()) {
       Value doc = message.payload;
+      doc.as_object().erase("_id");
       doc.as_object().set("routing_key", Value(message.routing_key));
       doc.as_object().set("received_at", Value(message.published_at));
       PendingBatch batch;
@@ -428,6 +431,7 @@ void GoFlowServer::ingest(const broker::Message& message) {
     if (!obs.is_object()) continue;
     Value doc = obs;
     Object& o = doc.as_object();
+    o.erase("_id");  // storage-local, as for a raw message
     o.set("app", Value(app));
     o.set("client", Value(client));
     o.set("received_at", Value(message.published_at));
@@ -438,9 +442,9 @@ void GoFlowServer::ingest(const broker::Message& message) {
 }
 
 // A flat batch stays flat end to end: dedup reads the span-id column, the
-// pending batch keeps a shared_ptr to the columns, and storage goes through
-// the docstore's column-wise insert_batch. Its rows become documents only
-// where state leaves the process: srv.batch, snapshots and migrations.
+// pending batch keeps a shared_ptr to the columns, storage goes through the
+// docstore's column-wise insert_batch, and where state leaves the process
+// (WAL, snapshots, migrations) the batch goes as its columns.
 void GoFlowServer::ingest_flat(const broker::Message& message) {
   const ingest::ObsBatch& flat = *message.flat;
   std::string batch_id(flat.batch_id());
@@ -478,13 +482,9 @@ void GoFlowServer::accept(PendingBatch batch, const std::string& batch_id) {
   const PendingBatch& b =
       pending_batches_.emplace(id, std::move(batch)).first->second;
   if (journal_ != nullptr)
-    log_record(Value(Object{{"op", Value("srv.batch")},
-                            {"id", Value(static_cast<std::int64_t>(id))},
-                            {"bid", Value(batch_id)},
-                            {"c", Value(b.collection)},
-                            {"app", Value(b.app)},
-                            {"at", Value(b.published_at)},
-                            {"docs", Value(b.documents())}}));
+    log_record(b.encode(Object{{"op", Value("srv.batch")},
+                               {"id", Value(static_cast<std::int64_t>(id))},
+                               {"bid", Value(batch_id)}}));
   store_batch(id);
 }
 
@@ -505,13 +505,34 @@ GoFlowServer::Row GoFlowServer::PendingBatch::row(std::size_t i) const {
              doc.get_int("delay_ms", 0), doc.find("location") != nullptr};
 }
 
-Array GoFlowServer::PendingBatch::documents() const {
-  if (flat == nullptr) return docs;
-  Array out;
-  out.reserve(flat->size());
-  for (std::size_t i = 0; i < flat->size(); ++i)
-    out.push_back(flat->storage_document(i, published_at));
-  return out;
+Value GoFlowServer::PendingBatch::encode(Object fields) const {
+  fields.set("c", Value(collection));
+  fields.set("app", Value(app));
+  fields.set("at", Value(published_at));
+  fields.set("next", Value(static_cast<std::int64_t>(next)));
+  if (flat != nullptr) {
+    std::string columns;
+    ingest::encode_batch(*flat, 0, flat->size(), columns);
+    fields.set("b", Value(std::move(columns)));
+  } else {
+    fields.set("docs", Value(docs));
+  }
+  return Value(std::move(fields));
+}
+
+GoFlowServer::PendingBatch GoFlowServer::PendingBatch::decode(const Value& v) {
+  PendingBatch batch;
+  if (const Value* columns = v.find("b")) {
+    batch.flat = ingest::decode_batch(columns->as_string());
+    if (batch.flat == nullptr) throw std::invalid_argument("bad columns");
+  } else if (const Value* docs = v.find("docs")) {
+    batch.docs = docs->as_array();
+  }
+  batch.collection = v.get_string("c");
+  batch.app = v.get_string("app");
+  batch.published_at = v.get_int("at");
+  batch.next = static_cast<std::size_t>(v.get_int("next"));
+  return batch;
 }
 
 bool GoFlowServer::is_observations(const PendingBatch& batch) const {
@@ -539,10 +560,8 @@ void GoFlowServer::store_batch(std::uint64_t id) {
     // after the broker already routed the batch, and the re-packaged
     // upload carries a fresh batch_id — so observations are also deduped
     // individually by their stable (client, span) identity.
-    const Row row = batch.row(batch.next);
-    if (seen_row(row, observations, key)) {
-      if (account_stored(id, batch, row, /*dup=*/true, /*live=*/true, key))
-        return;
+    if (seen_row(batch.row(batch.next), observations, key)) {
+      if (account_run(id, batch, 1, /*dup=*/true, /*live=*/true, key)) return;
       continue;
     }
     // The insert is the one step that differs by form. A document goes in
@@ -566,10 +585,9 @@ void GoFlowServer::store_batch(std::uint64_t id) {
       } catch (const fault::TransientError&) {
       }
     }
-    for (std::size_t r = 0; r < stored; ++r)
-      if (account_stored(id, batch, batch.row(batch.next), /*dup=*/false,
-                         /*live=*/true, key))
-        return;
+    if (stored > 0 &&
+        account_run(id, batch, stored, /*dup=*/false, /*live=*/true, key))
+      return;
     if (stored < want) {
       back_off(id, batch);
       return;
@@ -594,22 +612,29 @@ void GoFlowServer::back_off(std::uint64_t id, PendingBatch& batch) {
   });
 }
 
-bool GoFlowServer::account_stored(std::uint64_t id, PendingBatch& batch,
-                                  const Row& row, bool dup, bool live,
-                                  std::string& key) {
+bool GoFlowServer::account_run(std::uint64_t id, PendingBatch& batch,
+                               std::size_t n, bool dup, bool live,
+                               std::string& key) {
   if (live && journal_ != nullptr)
     log_record(Value(Object{{"op", Value("srv.prog")},
                             {"id", Value(static_cast<std::int64_t>(id))},
+                            {"n", Value(static_cast<std::int64_t>(n))},
                             {"dup", Value(dup)}}));
-  if (dup) {
-    ++totals_.duplicate_observations;
-    // The live counts, the registry and the tracer live outside the
-    // server process (operator monitoring): replay must not double-count
-    // what they already saw live.
-    if (live) ++live_.duplicate_observations;
-    if (live && tracer_ != nullptr && row.span != 0)
-      tracer_->drop(row.span, obs::DropStage::kRejectedByServer, sim_.now());
-  } else if (is_observations(batch)) {
+  const bool observations = is_observations(batch);
+  auto ait = apps_.find(batch.app);
+  for (std::size_t k = 0; k < n && batch.next < batch.size(); ++k) {
+    const Row row = batch.row(batch.next++);
+    if (dup) {
+      ++totals_.duplicate_observations;
+      // The live counts, the registry and the tracer live outside the
+      // server process (operator monitoring): replay must not
+      // double-count what they already saw live.
+      if (live) ++live_.duplicate_observations;
+      if (live && tracer_ != nullptr && row.span != 0)
+        tracer_->drop(row.span, obs::DropStage::kRejectedByServer, sim_.now());
+      continue;
+    }
+    if (!observations) continue;
     if (row.span != 0) {
       span_key(row.client, row.span, key);
       seen_obs_keys_.insert(key);
@@ -625,7 +650,6 @@ bool GoFlowServer::account_stored(std::uint64_t id, PendingBatch& batch,
         tracer_->stamp(row.span, obs::Hop::kPersisted, sim_.now());
       }
     }
-    auto ait = apps_.find(batch.app);
     if (ait != apps_.end()) {
       AppAnalytics& analytics = ait->second.analytics;
       ++analytics.observations_stored;
@@ -633,7 +657,6 @@ bool GoFlowServer::account_stored(std::uint64_t id, PendingBatch& batch,
       analytics.delay_stats.add(static_cast<double>(row.delay));
     }
   }
-  ++batch.next;
   batch.attempts = 0;
   if (batch.next < batch.size()) return false;
   finish_batch(id, batch, live);
@@ -712,12 +735,7 @@ Value GoFlowServer::extract_migration(
       ++it;
       continue;
     }
-    pending.push_back(Value(Object{
-        {"c", Value(b.collection)},
-        {"app", Value(b.app)},
-        {"at", Value(b.published_at)},
-        {"next", Value(static_cast<std::int64_t>(b.next))},
-        {"docs", Value(b.documents())}}));
+    pending.push_back(b.encode(Object{}));
     it = pending_batches_.erase(it);
   }
 
@@ -728,6 +746,11 @@ Value GoFlowServer::extract_migration(
 }
 
 void GoFlowServer::adopt_migration(const Value& migration) {
+  std::vector<PendingBatch> pending;
+  if (const Value* p = migration.find("pending"))
+    for (const Value& batch : p->as_array())
+      pending.push_back(PendingBatch::decode(batch));
+
   const Value* batch_keys = migration.find("batch_keys");
   if (batch_keys != nullptr)
     for (const Value& k : batch_keys->as_array())
@@ -744,21 +767,8 @@ void GoFlowServer::adopt_migration(const Value& migration) {
     for (const Value& d : docs->as_array()) collection.apply_insert(d);
   }
 
-  const Value* pending = migration.find("pending");
-  if (pending != nullptr) {
-    for (const Value& p : pending->as_array()) {
-      PendingBatch batch;
-      batch.collection = p.get_string("c");
-      batch.app = p.get_string("app");
-      batch.published_at = p.get_int("at");
-      batch.next = static_cast<std::size_t>(p.get_int("next"));
-      const Value* batch_docs = p.find("docs");
-      if (batch_docs != nullptr) batch.docs = batch_docs->as_array();
-      // The batch id itself moved with batch_keys above; srv.batch here
-      // only covers the pending work until the post-rebalance snapshot.
-      accept(std::move(batch), "");
-    }
-  }
+  // Batch ids moved with batch_keys; srv.batch keeps the resume point.
+  for (PendingBatch& batch : pending) accept(std::move(batch), "");
 }
 
 // --- Durability (DESIGN.md §11) ---------------------------------------------
@@ -872,18 +882,9 @@ void GoFlowServer::encode_snapshot(durable::SnapshotWriter& writer) {
                             {"max", Value(ds.max())}})}}));
   }
   Array pending;
-  for (const auto& [id, batch] : pending_batches_) {
-    // A flat batch's rows are materialized as the documents srv.batch
-    // logged: a snapshot never references batch memory, and recovery
-    // rebuilds the batch in document form.
-    pending.push_back(Value(Object{
-        {"id", Value(static_cast<std::int64_t>(id))},
-        {"c", Value(batch.collection)},
-        {"app", Value(batch.app)},
-        {"at", Value(batch.published_at)},
-        {"next", Value(static_cast<std::int64_t>(batch.next))},
-        {"docs", Value(batch.documents())}}));
-  }
+  for (const auto& [id, batch] : pending_batches_)
+    pending.push_back(
+        batch.encode(Object{{"id", Value(static_cast<std::int64_t>(id))}}));
   const Object inline_state{
       {"accounts", Value(std::move(accounts))},
       {"apps", Value(std::move(apps))},
@@ -946,20 +947,10 @@ void GoFlowServer::restore_snapshot(const Value& state,
   }
   restore_keys(state.find("seen_batches"), segments, seen_batch_ids_);
   restore_keys(state.find("seen_obs"), segments, seen_obs_keys_);
-  const Value* pending = state.find("pending");
-  if (pending != nullptr) {
-    for (const Value& p : pending->as_array()) {
-      PendingBatch batch;
-      batch.collection = p.get_string("c");
-      batch.app = p.get_string("app");
-      batch.published_at = p.get_int("at");
-      batch.next = static_cast<std::size_t>(p.get_int("next"));
-      const Value* docs = p.find("docs");
-      if (docs != nullptr) batch.docs = docs->as_array();
+  if (const Value* pending = state.find("pending"))
+    for (const Value& p : pending->as_array())
       pending_batches_.emplace(static_cast<std::uint64_t>(p.get_int("id")),
-                               std::move(batch));
-    }
-  }
+                               PendingBatch::decode(p));
   token_counter_ = static_cast<std::uint64_t>(state.get_int("token_counter"));
   job_counter_ = static_cast<std::uint64_t>(state.get_int("job_counter"));
   totals_.batches = static_cast<std::uint64_t>(state.get_int("total_batches"));
@@ -1013,27 +1004,22 @@ void GoFlowServer::apply_journal_record(const Value& record) {
   } else if (op == "srv.dupb") {
     ++totals_.duplicate_batches;
   } else if (op == "srv.batch") {
+    PendingBatch batch = PendingBatch::decode(record);  // throws first
     auto id = static_cast<std::uint64_t>(record.get_int("id"));
     std::string bid = record.get_string("bid");
     if (!bid.empty()) seen_batch_ids_.insert(bid);
-    PendingBatch batch;
-    batch.collection = record.get_string("c");
-    batch.app = record.get_string("app");
-    batch.published_at = record.get_int("at");
-    const Value* docs = record.find("docs");
-    if (docs != nullptr) batch.docs = docs->as_array();
     pending_counter_ = std::max(pending_counter_, id);
     auto [it, inserted] = pending_batches_.emplace(id, std::move(batch));
-    if (inserted && it->second.docs.empty())
+    if (inserted && it->second.next >= it->second.size())
       finish_batch(id, it->second, /*live=*/false);
   } else if (op == "srv.prog") {
     auto id = static_cast<std::uint64_t>(record.get_int("id"));
     auto it = pending_batches_.find(id);
-    if (it != pending_batches_.end() && it->second.next < it->second.size()) {
-      PendingBatch& batch = it->second;
+    if (it != pending_batches_.end()) {
       std::string key;
-      account_stored(id, batch, batch.row(batch.next), record.get_bool("dup"),
-                     /*live=*/false, key);
+      account_run(id, it->second,
+                  static_cast<std::size_t>(record.get_int("n")),
+                  record.get_bool("dup"), /*live=*/false, key);
     }
   }
   // Unknown srv.* ops are skipped: a newer log replaying through older

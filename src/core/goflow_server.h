@@ -309,11 +309,11 @@ class GoFlowServer {
 
   // --- Durability (DESIGN.md §11) ---------------------------------------
 
-  /// Attaches a journal: registrations, accepted batches and per-document
-  /// ingest progress log "srv.*" records before applying, so a recovered
-  /// server resumes with identical dedup state and pending work. The
-  /// document writes themselves are journaled by the attached docstore —
-  /// srv.* records only carry the server's own bookkeeping.
+  /// Attaches a journal: registrations, accepted batches and ingest
+  /// progress log "srv.*" records before applying, so a recovered server
+  /// resumes with identical dedup state and pending work. The document
+  /// writes themselves are journaled by the attached docstore — srv.*
+  /// records only carry the server's own bookkeeping.
   void attach_journal(durable::Journal* journal);
 
   /// Appends the server state to the writer's manifest: accounts, apps
@@ -391,10 +391,10 @@ class GoFlowServer {
   };
 
   /// A batch accepted from the broker whose rows are not all stored yet,
-  /// kept in the form it arrived in: `flat` for an ObsBatch (rows are read
-  /// off its columns and never materialized), `docs` for a document batch
-  /// and for every batch recovery or a migration rebuilds. Keeping the
-  /// rows lets a transient docstore failure resume exactly where it
+  /// kept in the form it arrived in, also across recovery and migration:
+  /// `flat` for an ObsBatch (rows are read off its columns and never
+  /// materialized), `docs` for a document batch. Keeping the rows lets
+  /// a transient docstore failure resume exactly where it
   /// stopped — never re-ingesting via the broker (which would
   /// double-count) and never dropping the tail.
   struct PendingBatch {
@@ -408,9 +408,12 @@ class GoFlowServer {
 
     std::size_t size() const;
     Row row(std::size_t i) const;
-    /// Every row as the document the store keeps (srv.batch records,
-    /// snapshots and migrations carry this form).
-    Array documents() const;
+    /// `fields` plus {c, app, at, next} and the rows: columns (`b`) for
+    /// a flat batch, `docs` for a document batch. srv.batch, a
+    /// snapshot's pending section and migrations carry this form.
+    Value encode(Object fields) const;
+    /// The batch encode() wrote; throws when `b` does not decode.
+    static PendingBatch decode(const Value& v);
   };
 
   void ingest(const broker::Message& message);
@@ -446,13 +449,13 @@ class GoFlowServer {
   void subscribe_ingest();
   void log_record(Value record);
   void attribute_pending_drops(obs::DropStage stage);
-  /// Shared by store_batch (live, logs srv.prog) and replay: advances
-  /// batch.next over `row` (row batch.next, either form), updating dedup,
-  /// counters and analytics. `key` is the caller's dedup-key buffer,
-  /// reused across rows. Returns true when that completed the batch (it
-  /// is erased).
-  bool account_stored(std::uint64_t id, PendingBatch& batch, const Row& row,
-                      bool dup, bool live, std::string& key);
+  /// Shared by store_batch (live) and replay: advances batch.next over
+  /// `n` rows, all stored or all duplicates (`dup`), updating dedup,
+  /// counters and analytics. Live, it first logs the run as one srv.prog
+  /// record. `key` is the caller's dedup-key buffer, reused across rows.
+  /// Returns true when that completed the batch (it is erased).
+  bool account_run(std::uint64_t id, PendingBatch& batch, std::size_t n,
+                   bool dup, bool live, std::string& key);
   void finish_batch(std::uint64_t id, PendingBatch& batch, bool live);
   const Account* authenticate(const std::string& token) const;
   Status require_role(const std::string& token, const AppId& app,

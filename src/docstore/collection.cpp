@@ -1,6 +1,7 @@
 #include "docstore/collection.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "common/codec.h"
@@ -52,21 +53,6 @@ std::string Collection::insert(Document doc) {
 }
 
 std::string Collection::apply_insert(Document doc) {
-  // Replayed documents carry the _id the original insert generated;
-  // advance the generator past it so post-recovery inserts can't
-  // collide with replayed ones.
-  if (const Value* id = doc.find("_id")) {
-    if (id->is_string()) {
-      const std::string& s = id->as_string();
-      const std::string prefix = name_ + "-";
-      if (s.size() > prefix.size() &&
-          s.compare(0, prefix.size(), prefix) == 0) {
-        char* end = nullptr;
-        std::uint64_t n = std::strtoull(s.c_str() + prefix.size(), &end, 10);
-        if (end != nullptr && *end == '\0' && n > id_counter_) id_counter_ = n;
-      }
-    }
-  }
   return insert_checked(std::move(doc), /*journaled=*/false);
 }
 
@@ -80,6 +66,14 @@ std::string Collection::insert_checked(Document doc, bool journaled) {
     id = existing->as_string();
     if (id_to_slot_.count(id) > 0)
       throw std::invalid_argument("Collection::insert: duplicate _id '" + id + "'");
+    // An id in the generator's form advances it past that id, so no
+    // later generated id repeats it — live, and when replay re-applies
+    // the ids inserts generated.
+    std::uint64_t n = 0;
+    const char* end = id.data() + id.size();
+    if (id.starts_with(name_ + "-") &&
+        std::from_chars(id.data() + name_.size() + 1, end, n).ptr == end)
+      id_counter_ = std::max(id_counter_, n);
   } else {
     id = generate_id();
     doc.as_object().set("_id", Value(id));
@@ -102,6 +96,28 @@ std::string Collection::insert_checked(Document doc, bool journaled) {
 std::size_t Collection::insert_batch(
     const std::shared_ptr<const ingest::ObsBatch>& batch, std::size_t first,
     std::size_t count, TimeMs received_at) {
+  // The fault stream a loop of insert() calls consults: a transient
+  // failure ends the run before any state for its row is touched.
+  std::size_t n = 0;
+  while (n < count && !insert_fault_.should_fail()) ++n;
+  if (n == 0) return 0;
+  const std::uint64_t first_id = id_counter_ + 1;
+  if (journal_ != nullptr) {
+    std::string columns;
+    ingest::encode_batch(*batch, first, n, columns);
+    log_record(Value(Object{{"op", Value("db.rows")},
+                            {"c", Value(name_)},
+                            {"at", Value(received_at)},
+                            {"id", Value(static_cast<std::int64_t>(first_id))},
+                            {"b", Value(std::move(columns))}}));
+  }
+  apply_rows(batch, first, n, received_at, first_id);
+  return n;
+}
+
+void Collection::apply_rows(
+    const std::shared_ptr<const ingest::ObsBatch>& batch, std::size_t first,
+    std::size_t count, TimeMs received_at, std::uint64_t first_id) {
   const ingest::ObsBatch& b = *batch;
   // Per-index insertion cursor. Batch columns are highly repetitive
   // (constant app id, a handful of device models, monotonically
@@ -120,33 +136,16 @@ std::size_t Collection::insert_batch(
   cursors.reserve(indexes_.size());
   for (auto& [path, index] : indexes_)
     cursors.push_back(Cursor{&path, &index, index.entries.end(), false});
-  std::size_t done = 0;
-  for (; done < count; ++done) {
-    std::size_t row = first + done;
-    // Same per-row fault consultation, in the same stream order, as a
-    // loop of insert() calls — a transient failure stops the run before
-    // touching any state for this row, and the caller resumes from
-    // first+done after backoff.
-    if (insert_fault_.should_fail()) return done;
-    std::string id = generate_id();
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t row = first + k;
+    const std::uint64_t id_counter = first_id + k;
+    // No document materialization: the slot keeps a reference into the
+    // batch and rehydrates on first read.
     Slot slot = slots_.size();
-    if (journal_ == nullptr) {
-      // Fast path: no document materialization — the slot keeps a
-      // reference into the batch and rehydrates on first read.
-      slots_.emplace_back(std::nullopt);
-      lazy_rows_.emplace(slot,
-                         LazyRow{batch, static_cast<std::uint32_t>(row),
-                                 received_at, id_counter_});
-    } else {
-      // Log-before-apply needs the stored bytes now.
-      Document doc = b.storage_document(row, received_at);
-      doc.as_object().set("_id", Value(id));
-      log_record(Value(Object{{"op", Value("db.insert")},
-                              {"c", Value(name_)},
-                              {"doc", doc}}));
-      slots_.push_back(std::move(doc));
-    }
-    id_to_slot_.emplace(std::move(id), slot);
+    slots_.emplace_back(std::nullopt);
+    lazy_rows_.emplace(slot, LazyRow{batch, static_cast<std::uint32_t>(row),
+                                     received_at, id_counter});
+    id_to_slot_.emplace(name_ + "-" + std::to_string(id_counter), slot);
     // Column-wise indexing: flat columns answer directly; paths the
     // batch doesn't carry fall back to walking the stored document.
     for (Cursor& c : cursors) {
@@ -178,22 +177,25 @@ std::size_t Collection::insert_batch(
       c.has_last = true;
     }
     ++stats_.total_inserts;
-    stats_.document_count = id_to_slot_.size();
   }
-  return done;
+  if (count > 0) id_counter_ = std::max(id_counter_, first_id + count - 1);
+  stats_.document_count = id_to_slot_.size();
 }
 
 const Document& Collection::doc_at(Slot s) const {
   if (slots_[s].has_value()) return *slots_[s];
   auto it = lazy_rows_.find(s);
   // Callers guarantee slot_alive(s); a dead slot here is a logic error.
-  const LazyRow& lazy = it->second;
+  slots_[s] = materialize(it->second);
+  lazy_rows_.erase(it);
+  return *slots_[s];
+}
+
+Document Collection::materialize(const LazyRow& lazy) const {
   Document doc = lazy.batch->storage_document(lazy.row, lazy.received_at);
   doc.as_object().set(
       "_id", Value(name_ + "-" + std::to_string(lazy.id_counter)));
-  slots_[s] = std::move(doc);
-  lazy_rows_.erase(it);
-  return *slots_[s];
+  return doc;
 }
 
 std::optional<Document> Collection::get(const std::string& id) const {
@@ -844,7 +846,11 @@ void Collection::encode_snapshot(durable::SnapshotWriter& writer) {
                     std::uint32_t n = 0;
                     for (Slot s = first; s < slots_.size(); ++s) {
                       if (!slot_alive(s)) continue;
-                      codec::encode_value(doc_at(s), segment);
+                      if (slots_[s].has_value())
+                        codec::encode_value(*slots_[s], segment);
+                      else  // sealing leaves a lazy row lazy
+                        codec::encode_value(materialize(lazy_rows_.at(s)),
+                                            segment);
                       ++n;
                     }
                     return n;

@@ -63,24 +63,20 @@ class Collection {
 
   const std::string& name() const { return name_; }
 
-  /// Inserts a document (must be a JSON object) and returns its _id. If
-  /// the document carries an "_id" string it is used; inserting a
-  /// duplicate _id throws std::invalid_argument.
+  /// Inserts a document (must be a JSON object) and returns its _id: its
+  /// own "_id" string (a "<name>-<n>" one advances the generator past n;
+  /// a duplicate throws std::invalid_argument) or a generated one.
   std::string insert(Document doc);
 
   /// Bulk column-wise insert of rows [first, first+count) of a flat
-  /// observation batch (DESIGN.md §13). Index entries are built straight
-  /// from the batch columns, and — when no journal is attached — the
-  /// stored document itself is NOT materialized at insert time: the slot
-  /// keeps a reference into the batch and rehydrates the document (the
-  /// same bytes the oracle path inserts, including its generated _id) on
-  /// first read. With a journal attached the document is materialized
-  /// eagerly so log-before-apply sees the exact stored bytes. The
-  /// injected insert fault is consulted per row, before any state for
-  /// that row is touched; the return value is the number of rows
-  /// actually inserted — fewer than `count` means a transient failure
-  /// stopped the run at row first+returned, which the caller resumes
-  /// after backoff.
+  /// observation batch (DESIGN.md §13). The insert fault is consulted
+  /// row by row, as a loop of insert() calls would, up to the first
+  /// failure; the n rows before it are logged as one db.rows record of
+  /// their columns, then stored without a document: each slot keeps a
+  /// reference into the batch, index entries come from its columns, and
+  /// the document (the oracle path's bytes, generated _id included) is
+  /// rehydrated on first read. Returns n; fewer than `count` means a
+  /// transient failure, which the caller resumes after backoff.
   std::size_t insert_batch(const std::shared_ptr<const ingest::ObsBatch>& batch,
                            std::size_t first, std::size_t count,
                            TimeMs received_at);
@@ -169,9 +165,9 @@ class Collection {
   // --- Durability (DESIGN.md §11) -----------------------------------
   //
   // With a journal attached every mutation is logged *before* it is
-  // applied ("db.insert"/"db.replace"/"db.remove"/"db.index" records;
-  // update_many logs the post-mutation document as a replace), after
-  // validation — so every logged record re-applies cleanly. Pass
+  // applied ("db.insert"/"db.rows"/"db.replace"/"db.remove"/"db.index"
+  // records; update_many logs the post-mutation document as a replace),
+  // after validation — so every logged record re-applies cleanly. Pass
   // nullptr to detach (recovery does, while replaying).
 
   void attach_journal(durable::Journal* journal) { journal_ = journal; }
@@ -182,6 +178,12 @@ class Collection {
   /// fault injection (re-applying an already-acknowledged write must
   /// never fail, even under an armed chaos plan).
   std::string apply_insert(Document doc);
+  /// Stores rows [first, first+count) of `batch` as lazy rows whose ids
+  /// count up from first_id, and catches the generator up past them:
+  /// insert_batch's body, and the replay of its db.rows record.
+  void apply_rows(const std::shared_ptr<const ingest::ObsBatch>& batch,
+                  std::size_t first, std::size_t count, TimeMs received_at,
+                  std::uint64_t first_id);
   bool apply_replace(const std::string& id, Document doc);
   bool apply_remove(const std::string& id);
   void apply_create_index(const std::string& path);
@@ -192,7 +194,8 @@ class Collection {
   /// are a sealed sequence (SnapshotWriter::sequence): only those
   /// inserted since the previous snapshot are encoded, in place, into a
   /// new segment — unless a remove, replace or update touched a sealed
-  /// document since, which writes them all again.
+  /// document since, which writes them all again. A lazy row is encoded
+  /// from a temporary document and stays lazy.
   void encode_snapshot(durable::SnapshotWriter& writer);
   /// Rebuilds state from the decoded encode_snapshot() record, moving
   /// the documents out of the loaded `segments`. The collection must be
@@ -245,6 +248,8 @@ class Collection {
   }
   /// The document at a live slot; materializes (and caches) a lazy row.
   const Document& doc_at(Slot s) const;
+  /// A lazy row as the document the store keeps, _id included.
+  Document materialize(const LazyRow& lazy) const;
 
   std::string generate_id();
   /// Shared bodies of the public mutators and the apply_* recovery

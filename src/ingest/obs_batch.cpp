@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/codec.h"
+
 namespace mps::ingest {
 
 namespace {
@@ -204,6 +206,81 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
   stats_.largest_block_bytes =
       std::max<std::uint64_t>(stats_.largest_block_bytes, bytes);
   return batch;
+}
+
+// --- Codec -------------------------------------------------------------
+
+namespace {
+/// The row count a batch may claim, and the bytes of its smallest row
+/// (span, two empty strings, captured_at, spl, three enum bytes): a
+/// count is checked against both before anything is allocated.
+constexpr std::uint32_t kMaxBatchRows = 1u << 20;
+constexpr std::size_t kMinRowBytes = 8 + 4 + 4 + 8 + 8 + 3;
+}  // namespace
+
+void encode_batch(const ObsBatch& batch, std::size_t first, std::size_t count,
+                  std::string& out) {
+  codec::Writer w(out);
+  w.str(batch.app());
+  w.str(batch.client());
+  w.str(batch.batch_id());
+  w.i64(batch.sent_at());
+  w.u32(static_cast<std::uint32_t>(count));
+  for (std::size_t i = first; i < first + count; ++i) {
+    w.u64(batch.span_id(i));
+    w.str(batch.user(i));
+    w.str(batch.model(i));
+    w.i64(batch.captured_at(i));
+    w.f64(batch.spl_db(i));
+    w.u8(static_cast<std::uint8_t>(batch.mode(i)));
+    w.u8(static_cast<std::uint8_t>(batch.activity(i)));
+    w.u8(batch.has_location(i) ? 1 : 0);
+    if (batch.has_location(i)) {
+      w.u8(static_cast<std::uint8_t>(batch.provider(i)));
+      w.f64(batch.x_m(i));
+      w.f64(batch.y_m(i));
+      w.f64(batch.accuracy_m(i));
+    }
+  }
+}
+
+std::shared_ptr<const ObsBatch> decode_batch(std::string_view bytes) {
+  codec::Reader r(bytes);
+  std::string_view app, client, batch_id;
+  TimeMs sent_at = 0;
+  std::uint32_t count = 0;
+  if (!r.str(app) || !r.str(client) || !r.str(batch_id) || !r.i64(sent_at) ||
+      !r.u32(count) || count > kMaxBatchRows ||
+      static_cast<std::size_t>(count) * kMinRowBytes > r.remaining())
+    return nullptr;
+  std::vector<phone::Observation> rows(count);
+  for (phone::Observation& obs : rows) {
+    std::string_view user, model;
+    std::uint8_t mode = 0, activity = 0, has_loc = 0, provider = 0;
+    if (!r.u64(obs.span_id) || !r.str(user) || !r.str(model) ||
+        !r.i64(obs.captured_at) || !r.f64(obs.spl_db) || !r.u8(mode) ||
+        !r.u8(activity) || !r.u8(has_loc) ||
+        mode > static_cast<std::uint8_t>(phone::SensingMode::kJourney) ||
+        activity > static_cast<std::uint8_t>(phone::Activity::kVehicle) ||
+        has_loc > 1)
+      return nullptr;
+    obs.user.assign(user);
+    obs.model.assign(model);
+    obs.mode = static_cast<phone::SensingMode>(mode);
+    obs.activity = static_cast<phone::Activity>(activity);
+    if (has_loc == 1) {
+      phone::LocationFix fix;
+      if (!r.u8(provider) || !r.f64(fix.x_m) || !r.f64(fix.y_m) ||
+          !r.f64(fix.accuracy_m) ||
+          provider > static_cast<std::uint8_t>(phone::LocationProvider::kFused))
+        return nullptr;
+      fix.provider = static_cast<phone::LocationProvider>(provider);
+      obs.location = fix;
+    }
+  }
+  if (!r.done()) return nullptr;
+  // make_batch's passes build the block; a throwaway pool counts it.
+  return BatchPool().make_batch(app, client, batch_id, sent_at, rows);
 }
 
 void BatchPool::set_metrics(obs::Registry* registry) {

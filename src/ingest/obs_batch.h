@@ -1,12 +1,10 @@
 // Flat observation batches — the zero-copy ingest fast path
 // (DESIGN.md §13).
 //
-// The document ingest path materializes a heap-heavy Value tree per
-// observation at every hop: the client serializes the batch, the broker
-// copies the payload, the server rehydrates and re-copies each document,
-// and the docstore copies once more on insert. An ObsBatch serializes the
-// batch exactly once, as struct-of-arrays columns inside one block, and
-// every downstream stage consumes it by view through a shared_ptr:
+// An ObsBatch serializes a client upload exactly once, as struct-of-
+// arrays columns inside one block, and every downstream stage consumes
+// it by view through a shared_ptr, where the document path copies a
+// Value tree per observation at every hop:
 //
 //   header   app / client / batch_id / sent_at     (batch-level)
 //   columns  span_id  captured_at  spl  mode  activity
@@ -16,12 +14,13 @@
 // BatchPool::make_batch sizes the block exactly from the row count and
 // the distinct strings and allocates it once, without zero-filling it;
 // the block lives exactly as long as the last shared_ptr to the batch.
+// encode_batch() is the batch's one serialized form, for the socket, the
+// WAL, snapshots, migrations and broker queues; decode_batch() turns it
+// back into a batch, never into documents.
 //
 // The server keeps a document path for inputs that arrive as Value
 // documents. to_batch_document() and storage_document() reproduce that
-// path's exact bytes (the flat-vs-document equivalence suite pins them);
-// journal records, snapshots and migrations carry a flat batch's rows in
-// that form.
+// path's exact bytes (the flat-vs-document equivalence suite pins them).
 #pragma once
 
 #include <cstddef>
@@ -129,6 +128,20 @@ class ObsBatch {
   std::string_view* strings_ = nullptr;
   std::size_t string_count_ = 0;
 };
+
+/// Appends rows [first, first+count) of `batch` under its header, with
+/// common/codec.h primitives: str app, str client, str batch_id,
+/// i64 sent_at, u32 count, then per row u64 span, str user, str model,
+/// i64 captured_at, f64 spl, u8 mode, u8 activity, u8 has_location and,
+/// when located, u8 provider, f64 x, f64 y, f64 accuracy.
+void encode_batch(const ObsBatch& batch, std::size_t first, std::size_t count,
+                  std::string& out);
+
+/// The batch encode_batch() wrote, built by make_batch's passes but
+/// counted by no pool. Hostile-input safe: null on truncated input,
+/// trailing bytes, an out-of-range enum byte or a row count the bytes
+/// cannot hold; no read passes the end of `bytes`.
+std::shared_ptr<const ObsBatch> decode_batch(std::string_view bytes);
 
 /// Batch statistics (registered with the registry via set_metrics).
 /// Every batch is one block, so blocks allocated = batches built.

@@ -13,6 +13,7 @@
 
 #include "broker/broker.h"
 #include "common/log.h"
+#include "ingest/obs_batch.h"
 #include "obs/flight_recorder.h"
 #include "obs/timeseries.h"
 
@@ -305,6 +306,29 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
     return true;
   };
 
+  // A publish's ack, or the exact error the broker produced.
+  auto answer = [&](const Result<broker::PublishResult>& result) {
+    if (!result.ok()) {
+      ++stats_.publish_errors;
+      wire::encode_publish_err({result.error().code, result.error().message},
+                               body_scratch_);
+      reply(conn, MsgType::kPublishErr, frame.request_id, body_scratch_);
+      return true;
+    }
+    ++stats_.publishes;
+    wire::encode_publish_ok(
+        {result.value().sequence,
+         static_cast<std::uint32_t>(result.value().queues_delivered)},
+        body_scratch_);
+    if (fail_ack_budget_ > 0) {
+      --fail_ack_budget_;
+      close_conn(conn.fd, CloseReason::kAckFail);
+      return false;
+    }
+    reply(conn, MsgType::kPublishOk, frame.request_id, body_scratch_);
+    return true;
+  };
+
   body_scratch_.clear();
   switch (frame.type) {
     case MsgType::kHello: {
@@ -326,65 +350,16 @@ bool NetServer::dispatch(Conn& conn, const wire::Frame& frame) {
       wire::PublishMsg msg;
       if (!wire::decode_publish(frame.body, msg)) return poison();
       if (maybe_redirect(msg.payload.get_string("client"))) return true;
-      auto result = broker_.publish(msg.exchange, msg.routing_key,
-                                    std::move(msg.payload), msg.published_at);
-      if (result.ok()) {
-        ++stats_.publishes;
-        wire::PublishOkMsg ok;
-        ok.sequence = result.value().sequence;
-        ok.queues_delivered =
-            static_cast<std::uint32_t>(result.value().queues_delivered);
-        wire::encode_publish_ok(ok, body_scratch_);
-        if (fail_ack_budget_ > 0) {
-          --fail_ack_budget_;
-          close_conn(conn.fd, CloseReason::kAckFail);
-          return false;
-        }
-        reply(conn, MsgType::kPublishOk, frame.request_id, body_scratch_);
-      } else {
-        ++stats_.publish_errors;
-        wire::PublishErrMsg e;
-        e.code = result.error().code;
-        e.message = result.error().message;
-        wire::encode_publish_err(e, body_scratch_);
-        reply(conn, MsgType::kPublishErr, frame.request_id, body_scratch_);
-      }
-      return true;
+      return answer(broker_.publish(msg.exchange, msg.routing_key,
+                                    std::move(msg.payload), msg.published_at));
     }
     case MsgType::kPublishFlat: {
       wire::PublishFlatMsg msg;
       if (!wire::decode_publish_flat(frame.body, msg)) return poison();
-      if (maybe_redirect(msg.client)) return true;
-      // Rebuild the flat batch through the server's own pool. make_batch
-      // is a pure function of its inputs, so the rebuilt columns — and
-      // everything the server derives from them — are byte-identical to
-      // the batch the client serialized.
-      auto batch = pool_.make_batch(msg.app, msg.client, msg.batch_id,
-                                    msg.sent_at, msg.observations);
-      auto result = broker_.publish_flat(msg.exchange, msg.routing_key,
-                                         std::move(batch), msg.published_at);
-      if (result.ok()) {
-        ++stats_.publishes;
-        wire::PublishOkMsg ok;
-        ok.sequence = result.value().sequence;
-        ok.queues_delivered =
-            static_cast<std::uint32_t>(result.value().queues_delivered);
-        wire::encode_publish_ok(ok, body_scratch_);
-        if (fail_ack_budget_ > 0) {
-          --fail_ack_budget_;
-          close_conn(conn.fd, CloseReason::kAckFail);
-          return false;
-        }
-        reply(conn, MsgType::kPublishOk, frame.request_id, body_scratch_);
-      } else {
-        ++stats_.publish_errors;
-        wire::PublishErrMsg e;
-        e.code = result.error().code;
-        e.message = result.error().message;
-        wire::encode_publish_err(e, body_scratch_);
-        reply(conn, MsgType::kPublishErr, frame.request_id, body_scratch_);
-      }
-      return true;
+      if (maybe_redirect(msg.batch->client())) return true;
+      return answer(broker_.publish_flat(msg.exchange, msg.routing_key,
+                                         std::move(msg.batch),
+                                         msg.published_at));
     }
     case MsgType::kMetricsQuery: {
       wire::MetricsQueryMsg q;

@@ -18,9 +18,9 @@
 // machinery re-send (the WAL's torn-tail rule, applied to a socket).
 //
 // Dispatch goes straight into the same broker the in-process path uses:
-// flat publishes are rebuilt by BatchPool::make_batch (a deterministic
-// function of the carried rows, so server-side state is byte-identical
-// to the zero-copy hand-off), acks/sheds carry the exact
+// flat publishes are decoded by ingest::decode_batch into the columns the
+// client sent (so server-side state is byte-identical to the zero-copy
+// hand-off), acks/sheds carry the exact
 // Result the broker produced, and metrics queries serve the attached
 // registry's text export. crash()/recover() mirror ServerLifecycle: a
 // crash closes every socket and the listener; recovery rebinds the same
@@ -37,7 +37,6 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "fault/fault.h"
-#include "ingest/obs_batch.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
@@ -207,9 +206,6 @@ class NetServer {
   std::uint64_t fail_ack_budget_ = 0;
   RedirectFn redirect_fn_;
   fault::FaultPoint drop_conn_fault_;
-  /// Rebuilds flat batches out of wire rows (deterministic — the
-  /// equivalence anchor).
-  ingest::BatchPool pool_;
   obs::Registry* served_registry_ = nullptr;
   obs::TimeSeries* served_series_ = nullptr;
   NetServerStats stats_;

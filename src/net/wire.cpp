@@ -9,14 +9,6 @@ namespace mps::net::wire {
 using codec::Reader;
 using codec::Writer;
 
-namespace {
-
-/// Largest observation count a flat publish may claim. Bounded again
-/// against the remaining bytes before any reserve.
-constexpr std::uint32_t kMaxBatchRows = 1u << 20;
-
-}  // namespace
-
 bool msg_type_valid(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(MsgType::kHello) &&
          raw <= static_cast<std::uint8_t>(MsgType::kRedirect);
@@ -128,80 +120,18 @@ void encode_publish_flat(const std::string& exchange,
   w.str(exchange);
   w.str(routing_key);
   w.i64(published_at);
-  w.str(batch.app());
-  w.str(batch.client());
-  w.str(batch.batch_id());
-  w.i64(batch.sent_at());
-  w.u32(static_cast<std::uint32_t>(batch.size()));
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    w.u64(batch.span_id(i));
-    w.str(batch.user(i));
-    w.str(batch.model(i));
-    w.i64(batch.captured_at(i));
-    w.f64(batch.spl_db(i));
-    w.u8(static_cast<std::uint8_t>(batch.mode(i)));
-    w.u8(static_cast<std::uint8_t>(batch.activity(i)));
-    w.u8(batch.has_location(i) ? 1 : 0);
-    if (batch.has_location(i)) {
-      w.u8(static_cast<std::uint8_t>(batch.provider(i)));
-      w.f64(batch.x_m(i));
-      w.f64(batch.y_m(i));
-      w.f64(batch.accuracy_m(i));
-    }
-  }
+  ingest::encode_batch(batch, 0, batch.size(), out);
 }
 
 bool decode_publish_flat(std::string_view body, PublishFlatMsg& out) {
   Reader r(body);
-  std::string_view exchange, key, app, client, batch_id;
-  if (!r.str(exchange) || !r.str(key) || !r.i64(out.published_at) ||
-      !r.str(app) || !r.str(client) || !r.str(batch_id) ||
-      !r.i64(out.sent_at))
+  std::string_view exchange, key;
+  if (!r.str(exchange) || !r.str(key) || !r.i64(out.published_at))
     return false;
-  std::uint32_t count = 0;
-  if (!r.u32(count)) return false;
-  // Each row needs >= 24 bytes (span id + two string lengths + fixed
-  // fields); a count that cannot fit is rejected before the reserve.
-  if (count > kMaxBatchRows || static_cast<std::size_t>(count) * 24 >
-                                   r.remaining() + 24)
-    return false;
-  out.observations.clear();
-  out.observations.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    phone::Observation obs;
-    std::string_view user, model;
-    std::uint8_t mode = 0, activity = 0, has_loc = 0;
-    if (!r.u64(obs.span_id) || !r.str(user) || !r.str(model) ||
-        !r.i64(obs.captured_at) || !r.f64(obs.spl_db) || !r.u8(mode) ||
-        !r.u8(activity) || !r.u8(has_loc))
-      return false;
-    if (mode > static_cast<std::uint8_t>(phone::SensingMode::kJourney) ||
-        activity > static_cast<std::uint8_t>(phone::Activity::kVehicle) ||
-        has_loc > 1)
-      return false;
-    obs.user.assign(user);
-    obs.model.assign(model);
-    obs.mode = static_cast<phone::SensingMode>(mode);
-    obs.activity = static_cast<phone::Activity>(activity);
-    if (has_loc == 1) {
-      std::uint8_t provider = 0;
-      phone::LocationFix fix;
-      if (!r.u8(provider) || !r.f64(fix.x_m) || !r.f64(fix.y_m) ||
-          !r.f64(fix.accuracy_m))
-        return false;
-      if (provider > static_cast<std::uint8_t>(phone::LocationProvider::kFused))
-        return false;
-      fix.provider = static_cast<phone::LocationProvider>(provider);
-      obs.location = fix;
-    }
-    out.observations.push_back(std::move(obs));
-  }
-  if (!r.done()) return false;
+  out.batch = ingest::decode_batch(body.substr(body.size() - r.remaining()));
+  if (out.batch == nullptr) return false;
   out.exchange.assign(exchange);
   out.routing_key.assign(key);
-  out.app.assign(app);
-  out.client.assign(client);
-  out.batch_id.assign(batch_id);
   return true;
 }
 

@@ -21,10 +21,9 @@
 // payload families matter:
 //   - document publishes carry a full Value tree in the codec's Value
 //     encoding, whose doubles round-trip bit-exactly (bit_cast, not text);
-//   - flat publishes carry the ObsBatch columns row-wise; the receiving
-//     side rebuilds the batch with BatchPool::make_batch, a pure function
-//     of the rows, so server-side state is byte-identical to the
-//     in-process hand-off.
+//   - flat publishes carry the batch's one serialized form,
+//     ingest::encode_batch, which decode_batch turns back into the same
+//     columns, so server-side state equals the in-process hand-off.
 //
 // Every decoder is hostile-input safe: lengths are bounded against the
 // remaining byte count before any allocation, enum bytes are range-
@@ -34,15 +33,13 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "common/types.h"
 #include "common/value.h"
-#include "phone/observation.h"
 
 namespace mps::ingest {
 class ObsBatch;
@@ -130,18 +127,14 @@ struct PublishMsg {
 void encode_publish(const PublishMsg& m, std::string& out);
 bool decode_publish(std::string_view body, PublishMsg& out);
 
-/// Flat-path publish: the ObsBatch serialized row-wise. The receiver
-/// rebuilds the batch with BatchPool::make_batch (deterministic), so the
-/// server-visible batch is identical to the in-process shared_ptr.
+/// Flat-path publish: routing, then the batch as ingest::encode_batch
+/// writes it, decoded into the columns the client sent (so identical
+/// to the in-process shared_ptr).
 struct PublishFlatMsg {
   std::string exchange;
   std::string routing_key;
   TimeMs published_at = 0;
-  std::string app;
-  std::string client;
-  std::string batch_id;
-  TimeMs sent_at = 0;
-  std::vector<phone::Observation> observations;
+  std::shared_ptr<const ingest::ObsBatch> batch;
 };
 void encode_publish_flat(const std::string& exchange,
                          const std::string& routing_key, TimeMs published_at,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ingest/obs_batch.h"
+
 namespace mps::client {
 namespace {
 
@@ -30,11 +32,15 @@ class ClientTest : public ::testing::Test {
         [](TimeMs) { return std::pair<double, double>{100.0, 100.0}; });
   }
 
+  /// Pops every buffered upload; `payloads` receives each as its batch
+  /// document (a buffered flat batch stays flat in the queue).
   std::size_t drain_sink(std::vector<Value>* payloads = nullptr) {
     std::size_t n = 0;
     while (auto m = broker.pop("sink")) {
       ++n;
-      if (payloads != nullptr) payloads->push_back(m->payload);
+      if (payloads != nullptr)
+        payloads->push_back(m->flat != nullptr ? m->flat->to_batch_document()
+                                               : m->payload);
     }
     return n;
   }

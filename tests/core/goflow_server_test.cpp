@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/strings.h"
 #include "phone/observation.h"
 
@@ -149,6 +152,45 @@ TEST_F(ServerTest, IngestStoresEnrichedDocuments) {
   EXPECT_EQ(doc.get_string("client"), "mob1");
   EXPECT_EQ(doc.get_int("received_at"), 2500);
   EXPECT_EQ(doc.get_int("delay_ms"), 2400);
+}
+
+// _id is a storage-local handle: an observation that carries one, as a
+// string that would shadow a generated id or as a non-string the docstore
+// rejects, is stored under an id of the store's own.
+TEST_F(ServerTest, PublisherSuppliedIdIsIgnored) {
+  for (const Value& planted : {Value("observations-2"), Value(5)}) {
+    SCOPED_TRACE(planted.to_json());
+    sim::Simulation s_sim;
+    broker::Broker s_broker;
+    docstore::Database s_db;
+    GoFlowServer s_server(s_sim, s_broker, s_db);
+    const std::string admin =
+        s_server.register_app("soundcity").value_or_throw().admin_token;
+    auto channels =
+        s_server.login_client(admin, "soundcity", "c1").value_or_throw();
+    for (int i = 0; i < 3; ++i) {
+      Value o = obs_doc("alice", "GT-I9300", 50.0 + i, 100 + i);
+      if (i == 0) o.as_object().set("_id", planted);
+      Value batch(Object{{"app", Value("soundcity")},
+                         {"client", Value("c1")},
+                         {"batch_id", Value("c1#" + std::to_string(i))},
+                         {"observations", Value(Array{std::move(o)})}});
+      EXPECT_TRUE(s_broker
+                      .publish(channels.exchange, "soundcity.obs.c1",
+                               std::move(batch), 1000 + i)
+                      .ok());
+    }
+    EXPECT_EQ(s_server.pending_ingest_batches(), 0u);
+    std::set<std::string> ids;
+    std::size_t docs = 0;
+    s_db.collection("observations").for_each([&](const Value& d) {
+      ++docs;
+      ids.insert(d.get_string("_id"));
+    });
+    EXPECT_EQ(docs, 3u);
+    EXPECT_EQ(ids.size(), 3u);
+    EXPECT_EQ(s_db.collection("observations").size(), 3u);
+  }
 }
 
 TEST_F(ServerTest, QueryFilters) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/rng.h"
 
 namespace mps::docstore {
@@ -32,6 +35,22 @@ TEST(Collection, InsertHonorsProvidedId) {
   d.as_object().set("_id", Value("my-id"));
   EXPECT_EQ(c.insert(std::move(d)), "my-id");
   EXPECT_TRUE(c.get("my-id").has_value());
+}
+
+// A live insert with an explicit id in the generator's form advances the
+// generator past it, as replay does, so no generated id repeats it.
+TEST(Collection, ExplicitIdAdvancesTheGenerator) {
+  Collection c("obs");
+  Document planted = obs("u1", 50, 1);
+  planted.as_object().set("_id", Value("obs-3"));
+  EXPECT_EQ(c.insert(planted), "obs-3");
+  std::set<std::string> ids{"obs-3"};
+  for (int i = 0; i < 3; ++i) ids.insert(c.insert(obs("u1", 51 + i, 2 + i)));
+  EXPECT_EQ(ids.size(), 4u);
+  EXPECT_EQ(c.size(), 4u);
+  std::size_t docs = 0;
+  c.for_each([&](const Document&) { ++docs; });
+  EXPECT_EQ(docs, 4u);
 }
 
 TEST(Collection, DuplicateIdThrows) {

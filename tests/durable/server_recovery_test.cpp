@@ -9,7 +9,10 @@
 // uninterrupted run stores. Also the sealed-segment snapshot contract:
 // a snapshot writes only what changed since the previous one, a change
 // to a sealed entry rewrites its sequence, and snapshots into another
-// env write everything.
+// env write everything. And the columnar journal: a flat batch costs
+// three records whatever its rows, db.rows replays the same documents
+// and ids, a flat batch buffered in the durable ingest queue survives a
+// host restart flat, and undecodable batch columns are skipped.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "core/goflow_server.h"
 #include "core/recovery.h"
@@ -174,6 +178,28 @@ std::multiset<std::string> stored_keys(docstore::Database& db) {
   return keys;
 }
 
+/// Every record the journal's WAL still holds, decoded, in LSN order.
+std::vector<Value> wal_records(durable::Journal& journal) {
+  std::vector<Value> out;
+  journal.wal().replay(0, [&](std::uint64_t, std::string_view payload) {
+    Value record;
+    EXPECT_TRUE(codec::decode_value(payload, record));
+    out.push_back(std::move(record));
+  });
+  return out;
+}
+
+/// The observations in slot order, each as its exact encoded bytes
+/// (_id included).
+std::vector<std::string> stored_bytes(docstore::Database& db) {
+  std::vector<std::string> out;
+  db.collection("observations").for_each([&](const Value& doc) {
+    out.emplace_back();
+    codec::encode_value(doc, out.back());
+  });
+  return out;
+}
+
 TEST(ServerRecovery, StateSurvivesCrashAndRecovery) {
   Stack s;
   MemStorageEnv env;
@@ -275,8 +301,8 @@ TEST(ServerRecovery, PendingBatchResumesAfterCrash) {
 }
 
 // A snapshot taken while a flat batch waits out its backoff carries the
-// batch's rows as the documents srv.batch logged, and recovery from that
-// snapshot alone resumes and stores them.
+// batch as its columns, and recovery from that snapshot alone resumes and
+// stores them.
 TEST(ServerRecovery, SnapshotDuringFlatBackoffRestoresThePendingBatch) {
   Stack s;
   MemStorageEnv env;
@@ -297,10 +323,13 @@ TEST(ServerRecovery, SnapshotDuringFlatBackoffRestoresThePendingBatch) {
   durable::LoadedSnapshot snap = newest_snapshot(env);
   const Array& pending = snap.state.at("srv").at("pending").as_array();
   ASSERT_EQ(pending.size(), 1u);
-  const Array& docs = pending[0].at("docs").as_array();
-  ASSERT_EQ(docs.size(), batch->size());
-  for (std::size_t i = 0; i < docs.size(); ++i)
-    EXPECT_EQ(docs[i], batch->storage_document(i, 200)) << "row " << i;
+  auto columns = ingest::decode_batch(pending[0].at("b").as_string());
+  ASSERT_NE(columns, nullptr);
+  ASSERT_EQ(columns->size(), batch->size());
+  for (std::size_t i = 0; i < columns->size(); ++i)
+    EXPECT_EQ(columns->storage_document(i, 200),
+              batch->storage_document(i, 200))
+        << "row " << i;
 
   lc.crash();
   lc.recover();
@@ -356,6 +385,161 @@ TEST(ServerRecovery, DuplicateFlatBatchAfterRecoveryIsCountedOnce) {
   EXPECT_EQ(s.server->total_batches(), 2u);  // b1 stored, b2 all-duplicate
   EXPECT_EQ(stored_spans(s.db), span_keys("dev1", spans));
   EXPECT_EQ(s.registry.counter("server.duplicate_batches").value(), 1u);
+}
+
+// A clean flat batch is journaled as three records — srv.batch, one
+// db.rows carrying its columns and one srv.prog for the stored run —
+// whatever its row count.
+TEST(ServerRecovery, FlatBatchCostsThreeRecordsWhateverItsRows) {
+  Stack s;
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  int batches = 0;
+  std::size_t rows_stored = 0;
+  for (int rows : {1, 16, 64}) {
+    SCOPED_TRACE(rows);
+    const std::size_t before = wal_records(*lc.journal()).size();
+    const std::uint64_t appends = lc.journal()->wal().stats().appends;
+    publish_traced(s, Form::kFlat, "b" + std::to_string(++batches), "dev1",
+                   rows, 100, 200, nullptr)
+        .value_or_throw();
+    rows_stored += static_cast<std::size_t>(rows);
+    EXPECT_EQ(lc.journal()->wal().stats().appends - appends, 3u);
+    std::vector<Value> records = wal_records(*lc.journal());
+    ASSERT_EQ(records.size(), before + 3);
+    EXPECT_EQ(records[before].get_string("op"), "srv.batch");
+    EXPECT_EQ(records[before + 1].get_string("op"), "db.rows");
+    EXPECT_EQ(records[before + 2].get_string("op"), "srv.prog");
+    EXPECT_EQ(records[before + 2].get_int("n"), rows);
+    EXPECT_EQ(s.server->total_observations(), rows_stored);
+    EXPECT_EQ(s.server->pending_ingest_batches(), 0u);
+  }
+}
+
+// Replaying db.rows records (no snapshot in between) rebuilds the same
+// documents with the same _ids in the same slots, and the id generator
+// resumes after them.
+TEST(ServerRecovery, RowsRecordReplaysTheSameDocumentsAndIds) {
+  Stack s;
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  std::size_t rows = 0;
+  for (int b = 0; b < 4; ++b) {
+    publish_traced(s, Form::kFlat, "b" + std::to_string(b),
+                   "dev" + std::to_string(b % 2), 5 + b, 100 + b, 200 + b,
+                   nullptr)
+        .value_or_throw();
+    rows += static_cast<std::size_t>(5 + b);
+  }
+  const std::vector<std::string> before = stored_bytes(s.db);
+  ASSERT_EQ(before.size(), rows);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(lc.last_recovery().replayed, 4u * 3u);
+  EXPECT_EQ(lc.last_recovery().skipped_bad, 0u);
+  EXPECT_EQ(stored_bytes(s.db), before);
+  for (std::size_t i = 1; i <= rows; ++i)
+    EXPECT_TRUE(s.db.collection("observations")
+                    .get("observations-" + std::to_string(i))
+                    .has_value())
+        << i;
+  EXPECT_EQ(s.db.collection("observations").insert(Value(Object{})),
+            "observations-" + std::to_string(rows + 1));
+}
+
+// A flat batch that buffers in the durable ingest queue (the server is
+// down) is journaled as its columns, survives a restart of the whole
+// host, pops flat, and is stored once, exactly as a twin server that
+// never buffered stores it.
+TEST(ServerRecovery, BufferedFlatBatchSurvivesABrokerRestart) {
+  Stack s;
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  std::vector<std::uint64_t> spans;
+  auto batch = make_flat_batch(s.pool, "b1", "dev1", 6, 100, 200, s.tracer,
+                               &spans);
+
+  s.server->crash();  // the server alone: the broker buffers its queue
+  s.broker.publish_flat("goflow", "b", batch, 200).value_or_throw();
+  const std::string& queue = s.server->config().ingest_queue;
+  ASSERT_EQ(s.broker.queue_depth(queue), 1u);
+  std::vector<Value> records = wal_records(*lc.journal());
+  ASSERT_FALSE(records.empty());
+  const Value& enq = records.back();
+  ASSERT_EQ(enq.get_string("op"), "brk.enq");
+  EXPECT_EQ(enq.at("m").find("p"), nullptr);
+  std::string columns;
+  ingest::encode_batch(*batch, 0, batch->size(), columns);
+  EXPECT_EQ(enq.at("m").get_string("b"), columns);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(s.broker.queue_depth(queue), 0u);
+  EXPECT_EQ(s.server->total_observations(), batch->size());
+  EXPECT_EQ(stored_spans(s.db), span_keys("dev1", spans));
+
+  Stack twin;
+  twin.broker.publish_flat("goflow", "b", batch, 200).value_or_throw();
+  EXPECT_EQ(stored_bytes(s.db), stored_bytes(twin.db));
+
+  // Stored once: a second restart replays the brk.deq, not the batch.
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(s.server->total_observations(), batch->size());
+  EXPECT_EQ(stored_bytes(s.db), stored_bytes(twin.db));
+}
+
+// srv.batch, db.rows and brk.enq records that frame with a valid CRC but
+// carry truncated batch columns are each counted as skipped and change
+// no state: no pending batch, no dedup key, no document, no id, no
+// queued message.
+TEST(ServerRecovery, UndecodableBatchColumnsAreSkipped) {
+  Stack s;
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  publish_traced(s, Form::kFlat, "b1", "dev1", 4, 100, 200, nullptr)
+      .value_or_throw();
+  std::string columns;
+  auto batch = make_flat_batch(s.pool, "evil", "dev1", 4, 100, 300, s.tracer,
+                               nullptr);
+  ingest::encode_batch(*batch, 0, batch->size(), columns);
+  const std::string truncated = columns.substr(0, columns.size() - 3);
+  ASSERT_EQ(ingest::decode_batch(truncated), nullptr);
+  const std::string& queue = s.server->config().ingest_queue;
+  lc.journal()->append(Value(Object{{"op", Value("srv.batch")},
+                                    {"id", Value(99)},
+                                    {"bid", Value("evil")},
+                                    {"c", Value("observations")},
+                                    {"app", Value("app1")},
+                                    {"at", Value(300)},
+                                    {"next", Value(0)},
+                                    {"b", Value(truncated)}}));
+  lc.journal()->append(Value(Object{{"op", Value("db.rows")},
+                                    {"c", Value("observations")},
+                                    {"at", Value(300)},
+                                    {"id", Value(500)},
+                                    {"b", Value(truncated)}}));
+  lc.journal()->append(Value(Object{
+      {"op", Value("brk.enq")},
+      {"q", Value(queue)},
+      {"m", Value(Object{{"ex", Value("goflow")},
+                         {"rk", Value("b")},
+                         {"b", Value(truncated)},
+                         {"seq", Value(1000)},
+                         {"at", Value(300)}})}}));
+  const std::vector<std::string> before = stored_bytes(s.db);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(lc.last_recovery().skipped_bad, 3u);
+  EXPECT_EQ(stored_bytes(s.db), before);
+  EXPECT_EQ(s.server->pending_ingest_batches(), 0u);
+  EXPECT_FALSE(s.server->seen_batch_ids().contains("evil"));
+  EXPECT_EQ(s.server->total_observations(), 4u);
+  EXPECT_EQ(s.broker.queue_depth(queue), 0u);
+  EXPECT_EQ(s.db.collection("observations").insert(Value(Object{})),
+            "observations-5");
 }
 
 TEST(ServerRecovery, CrashWithoutJournalAttributesPendingAsLost) {

@@ -286,9 +286,9 @@ TEST(FlatEquivalence, SheddingProfileStaysIdentical) {
   }
 }
 
-// Journaled hosts: srv.batch/srv.prog/srv.dupb records for flat batches,
-// a snapshot taken while batches wait out backoff, and a crash whose
-// recovery rebuilds pending batches in document form.
+// Journaled hosts: srv.batch/db.rows/srv.prog/srv.dupb records for flat
+// batches, a snapshot taken while batches wait out backoff, and a crash
+// whose recovery rebuilds each pending batch in the form it arrived in.
 TEST(FlatEquivalence, JournaledCrashMidStreamStaysIdentical) {
   for (const char* profile : {"none", "lossy-network", "lossy-network-shed"}) {
     for (std::uint64_t seed : {3, 19}) {

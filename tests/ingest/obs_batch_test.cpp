@@ -1,6 +1,7 @@
 // ObsBatch / BatchPool: SoA round trips, oracle byte-identity of the
-// materialization methods, string interning, and the memory a batch
-// holds and gives back.
+// materialization methods, string interning, the memory a batch holds
+// and gives back, and the batch codec (encode_batch / decode_batch)
+// under hostile bytes.
 #include "ingest/obs_batch.h"
 
 #include <gtest/gtest.h>
@@ -328,6 +329,88 @@ TEST(BatchPool, HighWaterAndMetricsMirrored) {
   EXPECT_EQ(registry.counter("ingest.arena_created").value(), 2u);
   EXPECT_EQ(registry.gauge("ingest.arena_high_water_bytes").value(),
             static_cast<double>(pool.stats().largest_block_bytes));
+}
+
+TEST(ObsBatchCodec, RoundTripsEveryColumnAndCountsNoBlock) {
+  BatchPool pool;
+  std::vector<Observation> obs = random_observations(21, 40);
+  auto batch = pool.make_batch("soundcity", "c4", "c4#2", 99, obs);
+  std::string bytes;
+  encode_batch(*batch, 0, batch->size(), bytes);
+  auto decoded = decode_batch(bytes);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->batch_id(), "c4#2");
+  EXPECT_EQ(decoded->sent_at(), 99);
+  ASSERT_EQ(decoded->size(), batch->size());
+  ASSERT_EQ(decoded->string_count(), batch->string_count());
+  for (std::size_t i = 0; i < batch->size(); ++i) {
+    EXPECT_EQ(decoded->storage_document(i, 500).to_json(),
+              batch->storage_document(i, 500).to_json())
+        << "row " << i;
+    EXPECT_EQ(decoded->model_index(i), batch->model_index(i));
+  }
+  // Decoding builds a batch but counts no block: BatchPool counts only
+  // the batches it makes.
+  EXPECT_EQ(pool.stats().blocks, 1u);
+
+  // A run of rows is its own batch under the same header.
+  std::string run;
+  encode_batch(*batch, 10, 5, run);
+  auto tail = decode_batch(run);
+  ASSERT_NE(tail, nullptr);
+  ASSERT_EQ(tail->size(), 5u);
+  EXPECT_EQ(tail->client(), "c4");
+  for (std::size_t i = 0; i < 5; ++i)
+    EXPECT_EQ(tail->storage_document(i, 500).to_json(),
+              batch->storage_document(10 + i, 500).to_json());
+}
+
+// decode_batch reads the socket, the WAL, snapshots and broker records,
+// so every truncation and every single-byte flip of an encoded batch is
+// either rejected or decodes to a batch that re-encodes to exactly the
+// bytes it was given.
+TEST(ObsBatchCodec, EveryTruncationAndByteFlipIsRejectedOrRoundTrips) {
+  BatchPool pool;
+  std::vector<Observation> obs = random_observations(5, 16);
+  auto batch = pool.make_batch("soundcity", "c1", "c1#16", 4242, obs);
+  std::string bytes;
+  encode_batch(*batch, 0, batch->size(), bytes);
+  auto whole = decode_batch(bytes);
+  ASSERT_NE(whole, nullptr);
+  ASSERT_EQ(whole->size(), 16u);
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  auto check = [&](const std::string& input) {
+    auto decoded = decode_batch(input);
+    if (decoded == nullptr) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    std::string again;
+    encode_batch(*decoded, 0, decoded->size(), again);
+    EXPECT_EQ(again, input);
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    // The header fixes the row count, so no proper prefix holds it.
+    EXPECT_EQ(decode_batch(std::string_view(bytes).substr(0, len)), nullptr)
+        << "prefix of " << len << " bytes";
+    check(bytes.substr(0, len));
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (unsigned mask : {0x01u, 0x02u, 0x04u, 0x08u, 0x10u, 0x20u, 0x40u,
+                          0x80u, 0xFFu}) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^
+                                     mask);
+      check(flipped);
+    }
+  }
+  // Both outcomes occur: a flipped double still decodes, a flipped enum
+  // byte or string length does not.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, bytes.size());
 }
 
 }  // namespace
