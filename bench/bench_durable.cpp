@@ -21,6 +21,9 @@
 //      ServerLifecycle ingests 1,000 clean flat batches of 16 rows. Each
 //      batch is journaled as three records (srv.batch and db.rows carry
 //      its columns, srv.prog the stored run), whatever its row count.
+//      Then a snapshot seals the stored rows, one column run per batch,
+//      and a crash + recovery restores them from it; the bench exits 1
+//      unless all 16,000 observations come back.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -289,6 +292,24 @@ int main() {
                 records, records / kFlatBatches, bytes, bytes / stored);
     bench_record("flat_wal_records_per_batch_exact", records / kFlatBatches);
     bench_record("flat_wal_bytes_per_obs", bytes / stored);
+
+    lifecycle.snapshot();
+    const double snapshot_bytes =
+        static_cast<double>(lifecycle.journal()->stats().snapshot_bytes);
+    lifecycle.crash();
+    auto start = std::chrono::steady_clock::now();
+    lifecycle.recover();
+    const double recover_secs = seconds_since(start);
+    const std::size_t recovered = db.collection("observations").size();
+    if (recovered != static_cast<std::size_t>(kFlatBatches * kFlatRows)) {
+      std::fprintf(stderr, "recovery restored %zu observations\n", recovered);
+      return 1;
+    }
+    std::printf("   snapshot %.0f bytes (%.1f per observation); recovery "
+                "%.3fs\n",
+                snapshot_bytes, snapshot_bytes / stored, recover_secs);
+    bench_record("flat_snapshot_bytes_per_obs", snapshot_bytes / stored);
+    bench_record("flat_recover_seconds", recover_secs);
   }
   return 0;
 }

@@ -164,6 +164,10 @@ void encode_value(const Value& v, std::string& out) {
 
 namespace {
 
+/// The smallest encoded object field: an empty key (its u32 length) and
+/// a null value's tag.
+constexpr std::size_t kMinFieldBytes = 4 + 1;
+
 bool decode_rec(Reader& r, Value& out, std::size_t depth) {
   if (depth > kMaxValueDepth) return false;
   std::uint8_t tag = 0;
@@ -215,8 +219,11 @@ bool decode_rec(Reader& r, Value& out, std::size_t depth) {
     case Value::Type::kObject: {
       std::uint32_t n = 0;
       if (!r.u32(n)) return false;
-      if (n > r.remaining()) return false;
+      // Every field costs at least an empty key and a tag byte: a count
+      // beyond that is a lie, rejected before the reserve.
+      if (n > r.remaining() / kMinFieldBytes) return false;
       Object o;
+      o.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         std::string_view key;
         Value val;

@@ -24,7 +24,8 @@ struct SealedPrefix {
   /// writes the whole sequence: its env may lack these files.
   std::uint64_t owner = 0;
   /// Entries [0, end) are sealed — positions in the owner's numbering
-  /// (a collection counts slots, live or not).
+  /// (a collection counts slots, live or not; one segment entry of lazy
+  /// rows fills a slot per row).
   std::size_t end = 0;
   /// The segment files holding that prefix, oldest first.
   std::vector<std::string> segments;

@@ -50,6 +50,9 @@ class Object {
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+  /// Makes room for `fields` fields, so an object built at its final
+  /// size carries no spare capacity.
+  void reserve(std::size_t fields) { entries_.reserve(fields); }
 
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }

@@ -845,6 +845,7 @@ void restore_keys(const Value* names, durable::Segments& segments,
   if (names == nullptr) return;
   SealedPrefix sealed = segments.take(*names, [&set](Value&& key) {
     set.insert(std::move(key.as_string()));
+    return std::size_t{1};
   });
   // Sealed only if the set now holds exactly those keys (a smaller
   // capacity evicts some on the way in).

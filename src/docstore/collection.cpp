@@ -31,6 +31,8 @@ void Collection::set_metrics(obs::Registry* registry) {
   sources_.counter(r, "docstore.plans_sort_index", stats_.plans_sort_index);
   sources_.gauge(r, "docstore.documents",
                  [this] { return static_cast<double>(id_to_slot_.size()); });
+  sources_.gauge(r, "docstore.lazy_rows",
+                 [this] { return static_cast<double>(lazy_rows_.size()); });
 }
 
 void Collection::arm_faults(fault::FaultPlan* plan) {
@@ -115,71 +117,76 @@ std::size_t Collection::insert_batch(
   return n;
 }
 
+std::size_t Collection::apply_run(TimeMs received_at, std::uint64_t first_id,
+                                  std::string_view columns) {
+  auto batch = ingest::decode_batch(columns);
+  if (batch == nullptr)
+    throw std::invalid_argument("Collection::apply_run: bad columns for '" +
+                                name_ + "'");
+  apply_rows(batch, 0, batch->size(), received_at, first_id);
+  return batch->size();
+}
+
 void Collection::apply_rows(
     const std::shared_ptr<const ingest::ObsBatch>& batch, std::size_t first,
     std::size_t count, TimeMs received_at, std::uint64_t first_id) {
-  const ingest::ObsBatch& b = *batch;
-  // Per-index insertion cursor. Batch columns are highly repetitive
-  // (constant app id, a handful of device models, monotonically
-  // increasing timestamps), so remembering where the previous row's
-  // entry landed turns most multimap inserts into O(1) hinted
-  // emplacements instead of full-tree descents. Within-equal-key entry
-  // order is not observable (the planner sorts candidate slots), so the
-  // hinted position only has to be *a* valid position for the key.
-  struct Cursor {
-    const std::string* path;
-    Index* index;
-    std::multimap<IndexKey, Slot>::iterator last;
-    bool has_last = false;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(indexes_.size());
+  std::vector<IndexAppender> appenders;
+  appenders.reserve(indexes_.size());
   for (auto& [path, index] : indexes_)
-    cursors.push_back(Cursor{&path, &index, index.entries.end(), false});
+    appenders.push_back(IndexAppender{&path, &index});
+  Value key;
   for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t row = first + k;
     const std::uint64_t id_counter = first_id + k;
     // No document materialization: the slot keeps a reference into the
     // batch and rehydrates on first read.
     Slot slot = slots_.size();
     slots_.emplace_back(std::nullopt);
-    lazy_rows_.emplace(slot, LazyRow{batch, static_cast<std::uint32_t>(row),
-                                     received_at, id_counter});
+    const LazyRow& lazy =
+        lazy_rows_
+            .emplace(slot, LazyRow{batch, static_cast<std::uint32_t>(first + k),
+                                   received_at, id_counter})
+            .first->second;
     id_to_slot_.emplace(name_ + "-" + std::to_string(id_counter), slot);
-    // Column-wise indexing: flat columns answer directly; paths the
-    // batch doesn't carry fall back to walking the stored document.
-    for (Cursor& c : cursors) {
-      Value key;
-      if (b.index_value(*c.path, row, received_at, key)) {
-        if (key.is_null()) continue;
-      } else if (const Value* v = doc_at(slot).find_path(*c.path)) {
-        key = *v;
-      } else {
-        continue;
-      }
-      auto& entries = c.index->entries;
-      if (c.has_last) {
-        int cmp = Value::compare(c.last->first.value, key);
-        if (cmp == 0) {
-          // Equal to the previous row's key: slot in right after it.
-          c.last = entries.emplace_hint(std::next(c.last),
-                                        IndexKey{std::move(key)}, slot);
-          continue;
-        }
-        if (cmp < 0 && std::next(c.last) == entries.end()) {
-          // Greater than the current maximum (monotonic column).
-          c.last = entries.emplace_hint(entries.end(),
-                                        IndexKey{std::move(key)}, slot);
-          continue;
-        }
-      }
-      c.last = entries.emplace(IndexKey{std::move(key)}, slot);
-      c.has_last = true;
-    }
+    for (IndexAppender& a : appenders)
+      if (lazy_key(lazy, *a.path, key)) a.add(std::move(key), slot);
     ++stats_.total_inserts;
   }
   if (count > 0) id_counter_ = std::max(id_counter_, first_id + count - 1);
   stats_.document_count = id_to_slot_.size();
+}
+
+void Collection::IndexAppender::add(Value key, Slot slot) {
+  auto& entries = index->entries;
+  if (has_last) {
+    const int cmp = Value::compare(last->first.value, key);
+    if (cmp == 0) {
+      // Equal to the previous entry's key: slot in right after it.
+      last = entries.emplace_hint(std::next(last), IndexKey{std::move(key)},
+                                  slot);
+      return;
+    }
+    if (cmp < 0 && std::next(last) == entries.end()) {
+      // Greater than the current maximum (monotonic column).
+      last =
+          entries.emplace_hint(entries.end(), IndexKey{std::move(key)}, slot);
+      return;
+    }
+  }
+  last = entries.emplace(IndexKey{std::move(key)}, slot);
+  has_last = true;
+}
+
+bool Collection::lazy_key(const LazyRow& lazy, const std::string& path,
+                          Value& out) const {
+  out = Value();
+  if (lazy.batch->index_value(path, lazy.row, lazy.received_at, out))
+    return !out.is_null();  // null: the row lacks the optional field
+  // Not a column: read a temporary document and leave the row lazy.
+  const Document doc = materialize(lazy);
+  const Value* v = doc.find_path(path);
+  if (v == nullptr) return false;
+  out = *v;
+  return true;
 }
 
 const Document& Collection::doc_at(Slot s) const {
@@ -687,11 +694,17 @@ void Collection::create_index(const std::string& path) {
 
 void Collection::apply_create_index(const std::string& path) {
   if (indexes_.count(path) > 0) return;
-  Index& index = indexes_[path];
+  auto [it, _] = indexes_.try_emplace(path);
+  IndexAppender appender{&it->first, &it->second};
+  Value key;
   for (Slot slot = 0; slot < slots_.size(); ++slot) {
-    if (!slot_alive(slot)) continue;
-    if (const Value* v = doc_at(slot).find_path(path))
-      index.entries.insert({IndexKey{*v}, slot});
+    if (slots_[slot].has_value()) {
+      if (const Value* v = slots_[slot]->find_path(path))
+        appender.add(*v, slot);
+    } else if (auto lazy = lazy_rows_.find(slot);
+               lazy != lazy_rows_.end() && lazy_key(lazy->second, path, key)) {
+      appender.add(std::move(key), slot);
+    }
   }
   stats_.index_count = indexes_.size();
 }
@@ -843,29 +856,74 @@ void Collection::encode_snapshot(durable::SnapshotWriter& writer) {
   codec::encode_key("docs", out);
   writer.sequence(sealed_, slots_.size(),
                   [this](std::size_t first, std::string& segment) {
-                    std::uint32_t n = 0;
-                    for (Slot s = first; s < slots_.size(); ++s) {
-                      if (!slot_alive(s)) continue;
-                      if (slots_[s].has_value())
-                        codec::encode_value(*slots_[s], segment);
-                      else  // sealing leaves a lazy row lazy
-                        codec::encode_value(materialize(lazy_rows_.at(s)),
-                                            segment);
-                      ++n;
-                    }
-                    return n;
+                    return encode_entries(first, segment);
                   });
+}
+
+std::uint32_t Collection::encode_entries(Slot first,
+                                         std::string& segment) const {
+  std::uint32_t entries = 0;
+  std::string columns;
+  for (Slot s = first; s < slots_.size();) {
+    if (slots_[s].has_value()) {
+      codec::encode_value(*slots_[s], segment);
+      ++entries;
+      ++s;
+      continue;
+    }
+    auto it = lazy_rows_.find(s);
+    if (it == lazy_rows_.end()) {  // removed
+      ++s;
+      continue;
+    }
+    // The run: every following slot that is the same batch's next row,
+    // received together, under the next id.
+    const LazyRow& head = it->second;
+    std::size_t n = 1;
+    for (; s + n < slots_.size() && !slots_[s + n].has_value(); ++n) {
+      auto next = lazy_rows_.find(s + n);
+      if (next == lazy_rows_.end() || next->second.batch != head.batch ||
+          next->second.received_at != head.received_at ||
+          next->second.row != head.row + n ||
+          next->second.id_counter != head.id_counter + n)
+        break;
+    }
+    columns.clear();
+    ingest::encode_batch(*head.batch, head.row, n, columns);
+    codec::encode_array_header(3, segment);
+    codec::encode_value(Value(head.received_at), segment);
+    codec::encode_value(Value(static_cast<std::int64_t>(head.id_counter)),
+                        segment);
+    codec::encode_string(columns, segment);
+    ++entries;
+    s += n;
+  }
+  return entries;
 }
 
 void Collection::restore_snapshot(const Value& state,
                                   durable::Segments& segments) {
   id_counter_ = static_cast<std::uint64_t>(state.get_int("id_counter"));
   if (const Value* docs = state.find("docs")) {
-    sealed_ = segments.take(*docs, [this](Value&& doc) {
-      insert_checked(std::move(doc), /*journaled=*/false);
+    // Positions, not entries: a run entry fills one slot per row, so the
+    // sealed prefix ends at slots_.size() and the next snapshot seals
+    // only what is appended after the restore.
+    sealed_ = segments.take(*docs, [this](Value&& entry) -> std::size_t {
+      if (!entry.is_array()) {
+        insert_checked(std::move(entry), /*journaled=*/false);
+        return 1;
+      }
+      const Array& run = entry.as_array();
+      if (run.size() != 3)
+        throw std::invalid_argument("Collection::restore_snapshot: a run is "
+                                    "[received_at, id, columns]");
+      return apply_run(run[0].as_int(),
+                       static_cast<std::uint64_t>(run[1].as_int()),
+                       run[2].as_string());
     });
   }
-  // Indexes after documents: one bulk build instead of per-doc inserts.
+  // Indexes after the slots, one at a time, so each index's entries are
+  // built (and allocated) together.
   if (const Value* paths = state.find("indexes"))
     for (const Value& path : paths->as_array())
       apply_create_index(path.as_string());

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -147,9 +148,10 @@ class Collection {
 
   /// Registers the collection's counters with `registry` under the
   /// database-wide "docstore.*" names (inserts, removes, finds_indexed,
-  /// finds_scanned, plans_*) and its size as the docstore.documents gauge;
-  /// the registry sums them over every attached collection. Pass nullptr
-  /// to detach.
+  /// finds_scanned, plans_*), its size as the docstore.documents gauge
+  /// and its live rows still held as batch columns (no document built)
+  /// as the docstore.lazy_rows gauge; the registry sums them over every
+  /// attached collection. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
   /// Arms fault injection on the write paths: insert/update_many may
@@ -178,28 +180,37 @@ class Collection {
   /// fault injection (re-applying an already-acknowledged write must
   /// never fail, even under an armed chaos plan).
   std::string apply_insert(Document doc);
-  /// Stores rows [first, first+count) of `batch` as lazy rows whose ids
-  /// count up from first_id, and catches the generator up past them:
-  /// insert_batch's body, and the replay of its db.rows record.
-  void apply_rows(const std::shared_ptr<const ingest::ObsBatch>& batch,
-                  std::size_t first, std::size_t count, TimeMs received_at,
-                  std::uint64_t first_id);
+  /// Stores a column run — the encode_batch() bytes of a db.rows record
+  /// or of a snapshot's run entry — as lazy rows whose ids count up from
+  /// first_id, and catches the generator up past them. Throws
+  /// std::invalid_argument, before touching state, when the columns do
+  /// not decode. Returns the rows stored.
+  std::size_t apply_run(TimeMs received_at, std::uint64_t first_id,
+                        std::string_view columns);
   bool apply_replace(const std::string& id, Document doc);
   bool apply_remove(const std::string& id);
+  /// Builds the index from every live slot: a lazy row's key comes from
+  /// its batch's columns, or from a temporary document for a path that
+  /// is not a column, so the build leaves lazy rows lazy.
   void apply_create_index(const std::string& path);
 
   /// Appends the collection's snapshot record to the writer's manifest
   /// in the common/codec.h encoding: {name, id_counter, indexes:
-  /// [path...], docs: [segment name...]}. The documents, in slot order,
-  /// are a sealed sequence (SnapshotWriter::sequence): only those
-  /// inserted since the previous snapshot are encoded, in place, into a
-  /// new segment — unless a remove, replace or update touched a sealed
-  /// document since, which writes them all again. A lazy row is encoded
-  /// from a temporary document and stays lazy.
+  /// [path...], docs: [segment name...]}. The slots are a sealed
+  /// sequence (SnapshotWriter::sequence): only those inserted since the
+  /// previous snapshot are encoded, in place, into a new segment —
+  /// unless a remove, replace or update touched a sealed slot since,
+  /// which writes them all again. A live eager slot is one document
+  /// entry (an object). Each run of lazy rows — consecutive slots of
+  /// one batch, received together, with consecutive rows and ids — is
+  /// one run entry, the array [received_at, first id counter,
+  /// encode_batch() of the rows], and stays lazy.
   void encode_snapshot(durable::SnapshotWriter& writer);
   /// Rebuilds state from the decoded encode_snapshot() record, moving
-  /// the documents out of the loaded `segments`. The collection must be
-  /// empty (crash() first).
+  /// the entries out of the loaded `segments`: documents through the
+  /// insert path, run entries through apply_run (so they come back
+  /// lazy), then each index, one at a time. The collection must be empty
+  /// (crash() first).
   void restore_snapshot(const Value& state, durable::Segments& segments);
 
   /// Models the process dying: drops every document and index entry in
@@ -246,10 +257,37 @@ class Collection {
   bool slot_alive(Slot s) const {
     return slots_[s].has_value() || lazy_rows_.count(s) > 0;
   }
+  /// Appends one index's entries in ascending slot order. Keys in a
+  /// column are highly repetitive (constant app id, a handful of device
+  /// models, increasing timestamps), so remembering where the previous
+  /// entry landed turns most multimap inserts into O(1) hinted
+  /// emplacements instead of full-tree descents. A hinted entry lands
+  /// where a plain insert puts it, after every equal key.
+  struct IndexAppender {
+    const std::string* path;
+    Index* index;
+    std::multimap<IndexKey, Slot>::iterator last{};
+    bool has_last = false;
+    void add(Value key, Slot slot);
+  };
+
   /// The document at a live slot; materializes (and caches) a lazy row.
   const Document& doc_at(Slot s) const;
   /// A lazy row as the document the store keeps, _id included.
   Document materialize(const LazyRow& lazy) const;
+  /// The key `lazy` has at `path`, from the batch's columns or else from
+  /// a temporary document; false when the row lacks the path.
+  bool lazy_key(const LazyRow& lazy, const std::string& path, Value& out) const;
+  /// Stores rows [first, first+count) of `batch` as lazy rows whose ids
+  /// count up from first_id, indexes them and catches the generator up
+  /// past them: insert_batch's body, and apply_run's.
+  void apply_rows(const std::shared_ptr<const ingest::ObsBatch>& batch,
+                  std::size_t first, std::size_t count, TimeMs received_at,
+                  std::uint64_t first_id);
+  /// Encodes slots [first, slots_.size()) into a snapshot segment as
+  /// document and run entries (see encode_snapshot); returns how many
+  /// entries it appended.
+  std::uint32_t encode_entries(Slot first, std::string& segment) const;
 
   std::string generate_id();
   /// Shared bodies of the public mutators and the apply_* recovery

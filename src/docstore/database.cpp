@@ -1,10 +1,7 @@
 #include "docstore/database.h"
 
-#include <stdexcept>
-
 #include "common/codec.h"
 #include "durable/journal.h"
-#include "ingest/obs_batch.h"
 
 namespace mps::docstore {
 
@@ -79,18 +76,15 @@ void Database::restore_snapshot(const Value& state,
 
 void Database::apply_journal_record(const Value& record) {
   const std::string op = record.get_string("op");
-  if (op == "db.rows") {
-    // Decoded before any state is touched: recovery skips a record whose
-    // columns throw.
-    auto batch = ingest::decode_batch(record.at("b").as_string());
-    if (batch == nullptr) throw std::invalid_argument("db.rows: bad columns");
-    collection(record.get_string("c"))
-        .apply_rows(batch, 0, batch->size(), record.get_int("at"),
-                    static_cast<std::uint64_t>(record.get_int("id")));
-    return;
-  }
   Collection& c = collection(record.get_string("c"));
-  if (op == "db.insert") {
+  if (op == "db.rows") {
+    // The snapshot's run entries take the same applier; it decodes the
+    // columns before touching state, so recovery skips a record whose
+    // columns throw.
+    c.apply_run(record.get_int("at"),
+                static_cast<std::uint64_t>(record.get_int("id")),
+                record.at("b").as_string());
+  } else if (op == "db.insert") {
     c.apply_insert(record.at("doc"));
   } else if (op == "db.replace") {
     c.apply_replace(record.get_string("id"), record.at("doc"));

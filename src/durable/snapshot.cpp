@@ -96,7 +96,7 @@ std::optional<std::uint64_t> segment_id(const std::string& name) {
 }
 
 SealedPrefix Segments::take(const Value& names,
-                            const std::function<void(Value&&)>& add) {
+                            const std::function<std::size_t(Value&&)>& add) {
   SealedPrefix sealed;
   sealed.owner = owner;
   for (const Value& name : names.as_array()) {
@@ -104,8 +104,7 @@ SealedPrefix Segments::take(const Value& names,
     if (it == arrays.end())
       throw std::runtime_error("snapshot: segment '" + name.as_string() +
                                "' was not loaded");
-    for (Value& entry : it->second) add(std::move(entry));
-    sealed.end += it->second.size();
+    for (Value& entry : it->second) sealed.end += add(std::move(entry));
     sealed.segments.push_back(it->first);
     arrays.erase(it);
   }

@@ -58,11 +58,13 @@ struct Segments {
   std::map<std::string, Array> arrays;
 
   /// Passes every entry of the segments `names` lists to `add`, in order,
-  /// moving it out, and returns the prefix they seal. Each segment is
-  /// taken once. Throws std::runtime_error when `names` is not an array
-  /// of segment names this snapshot loaded.
+  /// moving it out, and returns the prefix they seal: `add` returns how
+  /// many positions its entry fills (a collection's run of lazy rows
+  /// fills one slot per row), and the prefix ends past the last. Each
+  /// segment is taken once. Throws std::runtime_error when `names` is not
+  /// an array of segment names this snapshot loaded.
   SealedPrefix take(const Value& names,
-                    const std::function<void(Value&& entry)>& add);
+                    const std::function<std::size_t(Value&& entry)>& add);
 };
 
 struct LoadedSnapshot {

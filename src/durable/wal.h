@@ -116,9 +116,10 @@ class Wal {
   /// Forces any unsynced appends to durability now.
   void sync();
 
-  /// Replays every valid record with lsn > after_lsn, in LSN order.
-  /// Stops cleanly at the first torn/corrupt record. Returns the number
-  /// of records delivered to `fn`.
+  /// Replays every record with lsn > after_lsn, in LSN order: the valid
+  /// prefix open_existing() kept, then what this Wal appended. Their
+  /// CRCs were checked once, at open or when framed, so replay reads
+  /// frame headers only. Returns the number of records delivered to `fn`.
   std::uint64_t replay(
       std::uint64_t after_lsn,
       const std::function<void(std::uint64_t lsn, std::string_view payload)>&

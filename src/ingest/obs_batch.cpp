@@ -33,22 +33,27 @@ phone::Observation ObsBatch::observation_at(std::size_t i) const {
   return obs;
 }
 
-Object ObsBatch::observation_object(std::size_t i) const {
+Object ObsBatch::observation_object(std::size_t i,
+                                   std::size_t extra_fields) const {
   // Field order must match phone::Observation::to_document() exactly —
   // the equivalence suite compares serialized bytes.
-  Object doc{{"user", value_from_view(user(i))},
-             {"model", value_from_view(model(i))},
-             {"captured_at", Value(captured_at_[i])},
-             {"spl", Value(spl_[i])},
-             {"mode", Value(phone::sensing_mode_name(mode(i)))},
-             {"activity", Value(phone::activity_name(activity(i)))}};
+  Object doc;
+  doc.reserve(6 + (has_location(i) ? 1 : 0) + (span_ids_[i] != 0 ? 1 : 0) +
+              extra_fields);
+  doc.set("user", value_from_view(user(i)));
+  doc.set("model", value_from_view(model(i)));
+  doc.set("captured_at", Value(captured_at_[i]));
+  doc.set("spl", Value(spl_[i]));
+  doc.set("mode", Value(phone::sensing_mode_name(mode(i))));
+  doc.set("activity", Value(phone::activity_name(activity(i))));
   if (has_location(i)) {
-    doc.set("location",
-            Value(Object{
-                {"provider", Value(phone::location_provider_name(provider(i)))},
-                {"x", Value(x_[i])},
-                {"y", Value(y_[i])},
-                {"accuracy", Value(accuracy_[i])}}));
+    Object location;
+    location.reserve(4);
+    location.set("provider", Value(phone::location_provider_name(provider(i))));
+    location.set("x", Value(x_[i]));
+    location.set("y", Value(y_[i]));
+    location.set("accuracy", Value(accuracy_[i]));
+    doc.set("location", Value(std::move(location)));
   }
   if (span_ids_[i] != 0)
     doc.set("span", Value(static_cast<std::int64_t>(span_ids_[i])));
@@ -59,7 +64,7 @@ Value ObsBatch::to_batch_document() const {
   Array observations;
   observations.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i)
-    observations.push_back(Value(observation_object(i)));
+    observations.push_back(Value(observation_object(i, 0)));
   return Value(Object{{"app", value_from_view(app_)},
                       {"client", value_from_view(client_)},
                       {"batch_id", value_from_view(batch_id_)},
@@ -68,7 +73,8 @@ Value ObsBatch::to_batch_document() const {
 }
 
 Value ObsBatch::storage_document(std::size_t i, TimeMs received_at) const {
-  Object doc = observation_object(i);
+  // app, client, received_at, delay_ms, and the docstore's _id.
+  Object doc = observation_object(i, 5);
   doc.set("app", value_from_view(app_));
   doc.set("client", value_from_view(client_));
   doc.set("received_at", Value(received_at));

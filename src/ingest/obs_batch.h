@@ -93,7 +93,7 @@ class ObsBatch {
   /// The document the server's document path hands the docstore for row
   /// `i` of to_batch_document(): the observation document plus app/
   /// client/received_at/delay_ms in the exact order that path appends
-  /// them.
+  /// them. Sized for exactly those fields and the _id the docstore adds.
   Value storage_document(std::size_t i, TimeMs received_at) const;
 
   /// The indexable value at `path` for row `i` without materializing the
@@ -106,8 +106,9 @@ class ObsBatch {
   friend class BatchPool;
   ObsBatch() = default;
 
-  /// Row `i`'s observation document (the to_document() byte layout).
-  Object observation_object(std::size_t i) const;
+  /// Row `i`'s observation document (the to_document() byte layout),
+  /// with room for `extra_fields` more fields and no spare capacity.
+  Object observation_object(std::size_t i, std::size_t extra_fields) const;
 
   std::unique_ptr<std::byte[]> block_;
   std::string_view app_, client_, batch_id_;

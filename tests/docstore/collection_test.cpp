@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "ingest/obs_batch.h"
+#include "obs/metrics.h"
+#include "phone/observation.h"
+#include "scan_twin.h"
 
 namespace mps::docstore {
 namespace {
@@ -343,6 +349,60 @@ TEST(Collection, StatsTracking) {
   EXPECT_EQ(c.stats().document_count, 1u);
   c.find(Query::eq("user", Value("a")));
   EXPECT_EQ(c.stats().scanned_finds, 1u);
+}
+
+/// Eight flat rows of client `k`: two users, every third row without a
+/// location, the rest split between two providers.
+std::shared_ptr<const ingest::ObsBatch> flat_rows(ingest::BatchPool& pool,
+                                                  int k) {
+  std::vector<phone::Observation> rows;
+  for (int i = 0; i < 8; ++i) {
+    phone::Observation o;
+    o.user = "u" + std::to_string(i % 2);
+    o.model = "m";
+    o.captured_at = 100 * k + i;
+    o.spl_db = 50.0 + i;
+    if (i % 3 != 0)
+      o.location = phone::LocationFix{i % 2 == 0
+                                          ? phone::LocationProvider::kGps
+                                          : phone::LocationProvider::kNetwork,
+                                      1.0 * i, 2.0 * k, 10.0 + i};
+    o.span_id = static_cast<std::uint64_t>(10 * k + i + 1);
+    rows.push_back(std::move(o));
+  }
+  const std::string client = "c" + std::to_string(k);
+  return pool.make_batch("app1", client, client + "#1", 0, rows);
+}
+
+// An index on a path that is not a batch column ("location") reads each
+// lazy row's key from a temporary document: building it, and inserting
+// rows after it, leaves every row lazy, and the index answers exactly as
+// a scan does.
+TEST(Collection, IndexOnANonColumnPathLeavesRowsLazy) {
+  obs::Registry registry;
+  ingest::BatchPool pool;
+  Collection c("observations");
+  c.set_metrics(&registry);
+  ASSERT_EQ(c.insert_batch(flat_rows(pool, 0), 0, 8, 1000), 8u);
+  ASSERT_EQ(c.insert_batch(flat_rows(pool, 1), 0, 8, 1100), 8u);
+  c.create_index("location.provider");
+  c.create_index("location");
+  ASSERT_EQ(c.insert_batch(flat_rows(pool, 2), 2, 6, 1200), 6u);
+  EXPECT_EQ(registry.gauge("docstore.lazy_rows").value(), 22.0);
+
+  const Value located = c.get("observations-2")->at("location");
+  Collection reference = scan_twin(c);
+  for (const Query& q :
+       {Query::eq("location.provider", Value("gps")),
+        Query::eq("location", located), Query::exists("location"),
+        Query::gte("location", located)}) {
+    EXPECT_EQ(c.find(q), reference.find(q)) << q.to_string();
+    EXPECT_EQ(c.count(q), reference.count(q)) << q.to_string();
+  }
+  FindOptions by_location;
+  by_location.sort_by = "location";
+  EXPECT_EQ(c.find(Query::all(), by_location),
+            reference.find(Query::all(), by_location));
 }
 
 // Property test: indexed and unindexed execution agree on random queries.

@@ -160,11 +160,33 @@ durable::LoadedSnapshot newest_snapshot(MemStorageEnv& env) {
 }
 
 /// The entries of a sealed sequence: the segments `names` lists, in
-/// order.
+/// order. A collection's run entry [received_at, first id, columns]
+/// expands into its rows' documents, with `collection`'s _ids.
 std::vector<Value> sequence_entries(durable::LoadedSnapshot& snap,
-                                    const Value& names) {
+                                    const Value& names,
+                                    const std::string& collection = "") {
   std::vector<Value> out;
-  snap.segments.take(names, [&](Value&& v) { out.push_back(std::move(v)); });
+  snap.segments.take(names, [&](Value&& v) -> std::size_t {
+    if (!v.is_array()) {
+      out.push_back(std::move(v));
+      return 1;
+    }
+    const Array& run = v.as_array();
+    auto batch = ingest::decode_batch(run.at(2).as_string());
+    if (batch == nullptr) {
+      ADD_FAILURE() << "run entry with undecodable columns";
+      return 0;
+    }
+    for (std::size_t i = 0; i < batch->size(); ++i) {
+      Value doc = batch->storage_document(i, run.at(0).as_int());
+      doc.as_object().set(
+          "_id", Value(collection + "-" +
+                       std::to_string(run.at(1).as_int() +
+                                      static_cast<std::int64_t>(i))));
+      out.push_back(std::move(doc));
+    }
+    return batch->size();
+  });
   return out;
 }
 
@@ -760,10 +782,13 @@ TEST(ServerRecovery, SnapshotPayloadMatchesStoreAndRoundTrips) {
   MemStorageEnv env;
   ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
 
-  // Documents in two collections: accounts and observations.
+  // Documents in two collections: accounts and observations, the
+  // observations as documents and as one flat batch's lazy rows.
   s.server->register_account(s.admin_token, "app1", "ops", Role::kManager)
       .value_or_throw();
   s.broker.publish("goflow", "b", make_batch("b1", "dev1", 0, 3, 100), 200)
+      .value_or_throw();
+  publish_traced(s, Form::kFlat, "f1", "dev3", 4, 150, 220, nullptr)
       .value_or_throw();
   // A buffered durable-queue message (no consumer).
   broker::QueueOptions durable_q;
@@ -789,13 +814,14 @@ TEST(ServerRecovery, SnapshotPayloadMatchesStoreAndRoundTrips) {
 
   const std::map<std::string, std::vector<Value>> before = all_docs(s.db);
   ASSERT_EQ(before.at("accounts").size(), 2u);
-  ASSERT_EQ(before.at("observations").size(), 3u);
+  ASSERT_EQ(before.at("observations").size(), 7u);
   const Array& collections = snap.state.at("db").at("collections").as_array();
   ASSERT_EQ(collections.size(), before.size());
   for (const Value& c : collections) {
     const std::string name = c.get_string("name");
     ASSERT_EQ(before.count(name), 1u) << name;
-    EXPECT_EQ(sequence_entries(snap, c.at("docs")), before.at(name)) << name;
+    EXPECT_EQ(sequence_entries(snap, c.at("docs"), name), before.at(name))
+        << name;
   }
   const Value& srv = snap.state.at("srv");
   EXPECT_EQ(srv.at("pending").as_array().size(), 1u);
@@ -826,7 +852,8 @@ TEST(ServerRecovery, SnapshotPayloadMatchesStoreAndRoundTrips) {
   EXPECT_EQ(s.server->pending_ingest_batches(), 0u);
   EXPECT_EQ(stored_keys(s.db),
             (std::multiset<std::string>{"dev1#0", "dev1#1", "dev1#2",
-                                        "dev2#0", "dev2#1"}));
+                                        "dev2#0", "dev2#1", "dev3#-1",
+                                        "dev3#-1", "dev3#-1", "dev3#-1"}));
 }
 
 /// Every file in `env` with its bytes.
@@ -936,7 +963,132 @@ TEST(ServerRecovery, RemovedSealedRowsRewriteTheCollection) {
   EXPECT_EQ(all_docs(s.db), live);
 }
 
-// Property: under any mix of inserts, removes, replaces, dedup inserts
+/// The entries of each segment the newest snapshot lists for the
+/// observations, in order.
+std::vector<Array> observation_segments(MemStorageEnv& env) {
+  durable::LoadedSnapshot snap = newest_snapshot(env);
+  std::vector<Array> out;
+  for (const std::string& name : document_segments(env, "observations"))
+    out.push_back(snap.segments.arrays.at(name));
+  return out;
+}
+
+/// The rows a run entry [received_at, first id, columns] holds.
+std::size_t run_rows(const Value& entry) {
+  auto batch = ingest::decode_batch(entry.as_array().at(2).as_string());
+  return batch == nullptr ? 0 : batch->size();
+}
+
+// Flat rows seal as column runs, one run entry per batch and no
+// document, and come back from them lazy: recovery builds no document,
+// yet every document and _id equals the pre-crash one in slot order. The
+// snapshot closing a recovery seals nothing new, so the next snapshot
+// writes only the rows stored after it, and ids resume past them.
+TEST(ServerRecovery, FlatRowsSealAsColumnRunsAndRestoreLazy) {
+  Stack s;
+  s.db.set_metrics(&s.registry);
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  const obs::Gauge& lazy_gauge = s.registry.gauge("docstore.lazy_rows");
+  auto lazy_rows = [&] { return static_cast<std::size_t>(lazy_gauge.value()); };
+  int batch = 0;
+  std::size_t rows = 0;
+  auto store = [&](int batches) {
+    for (int b = 0; b < batches; ++b, ++batch) {
+      const int n = 3 + batch % 4;
+      publish_traced(s, Form::kFlat, "f" + std::to_string(batch),
+                     "dev" + std::to_string(batch % 3), n, 100 + batch,
+                     200 + batch, nullptr)
+          .value_or_throw();
+      rows += static_cast<std::size_t>(n);
+    }
+  };
+  // Each new segment holds one run per batch, ids counting on from
+  // `first_id`, and nothing else.
+  auto expect_runs = [](const Array& entries, int batches,
+                        std::size_t first_id) {
+    ASSERT_EQ(entries.size(), static_cast<std::size_t>(batches));
+    std::size_t id = first_id;
+    for (const Value& entry : entries) {
+      ASSERT_TRUE(entry.is_array()) << entry.to_json();
+      EXPECT_EQ(entry.as_array().at(1).as_int(), static_cast<std::int64_t>(id));
+      EXPECT_GT(run_rows(entry), 0u);
+      id += run_rows(entry);
+    }
+  };
+
+  store(5);
+  const std::size_t first_rows = rows;
+  lc.snapshot();
+  std::vector<Array> segments = observation_segments(env);
+  ASSERT_EQ(segments.size(), 1u);
+  expect_runs(segments[0], 5, 1);
+  std::vector<std::string> before = stored_bytes(s.db);
+  ASSERT_EQ(before.size(), rows);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(lc.last_recovery().replayed, 0u);
+  EXPECT_EQ(lazy_rows(), rows);  // restore built no document
+  EXPECT_EQ(stored_bytes(s.db), before);
+  EXPECT_EQ(observation_segments(env).size(), 1u);
+
+  store(4);
+  lc.snapshot();
+  segments = observation_segments(env);
+  ASSERT_EQ(segments.size(), 2u);
+  expect_runs(segments[1], 4, first_rows + 1);
+  std::size_t sealed_rows = 0;
+  for (const Value& entry : segments[1]) sealed_rows += run_rows(entry);
+  EXPECT_EQ(sealed_rows, rows - first_rows);
+  before = stored_bytes(s.db);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(lazy_rows(), rows);
+  EXPECT_EQ(stored_bytes(s.db), before);
+  EXPECT_EQ(s.db.collection("observations").insert(Value(Object{})),
+            "observations-" + std::to_string(rows + 1));
+}
+
+// A row a read materialized seals as a document between the runs of its
+// batch's other rows, and all of it restores identically: the runs lazy,
+// the document eager.
+TEST(ServerRecovery, PartlyReadRunSealsAsRunsAroundADocument) {
+  Stack s;
+  s.db.set_metrics(&s.registry);
+  MemStorageEnv env;
+  ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server);
+  const obs::Gauge& lazy_rows = s.registry.gauge("docstore.lazy_rows");
+  publish_traced(s, Form::kFlat, "f1", "dev1", 7, 100, 200, nullptr)
+      .value_or_throw();
+  ASSERT_TRUE(
+      s.db.collection("observations").get("observations-4").has_value());
+  EXPECT_EQ(lazy_rows.value(), 6.0);
+
+  lc.snapshot();
+  const std::vector<Array> segments = observation_segments(env);
+  ASSERT_EQ(segments.size(), 1u);
+  const Array& entries = segments[0];
+  ASSERT_EQ(entries.size(), 3u);
+  ASSERT_TRUE(entries[0].is_array());
+  EXPECT_EQ(entries[0].as_array().at(1).as_int(), 1);
+  EXPECT_EQ(run_rows(entries[0]), 3u);
+  ASSERT_TRUE(entries[1].is_object());
+  EXPECT_EQ(entries[1].get_string("_id"), "observations-4");
+  ASSERT_TRUE(entries[2].is_array());
+  EXPECT_EQ(entries[2].as_array().at(1).as_int(), 5);
+  EXPECT_EQ(run_rows(entries[2]), 3u);
+  const std::vector<std::string> before = stored_bytes(s.db);
+
+  lc.crash();
+  lc.recover();
+  EXPECT_EQ(lazy_rows.value(), 6.0);
+  EXPECT_EQ(stored_bytes(s.db), before);
+}
+
+// Property: under any mix of inserts (document batches and flat ones,
+// whose rows seal as column runs), removes, replaces, dedup inserts
 // (with evictions), duplicate redeliveries, snapshots and crashes,
 // recovery rebuilds exactly the pre-crash documents, in slot order, and
 // both dedup sets in eviction order.
@@ -966,22 +1118,43 @@ TEST(ServerRecovery, SealedSequencesRecoverExactlyUnderRandomOperations) {
       return docs[pick(docs.size())].get_string("_id");
     };
     int batch = 0;
-    std::vector<Value> published;
+    // A published batch in the form it was published in.
+    struct Published {
+      Value document;
+      std::shared_ptr<const ingest::ObsBatch> flat;
+    };
+    auto publish = [&](const Published& p) {
+      if (p.flat != nullptr) {
+        s.broker.publish_flat("goflow", "b", p.flat, 200 + batch)
+            .value_or_throw();
+      } else {
+        s.broker.publish("goflow", "b", p.document, 200 + batch)
+            .value_or_throw();
+      }
+    };
+    std::vector<Published> published;
     int crashes = 0;
     for (int step = 0; step < 300; ++step) {
       const std::int64_t op = rng.uniform_int(0, 99);
       if (op < 35) {
-        Value payload = make_batch(
-            "batch-" + std::to_string(batch),
-            "dev" + std::to_string(rng.uniform_int(0, 4)), batch * 10,
-            static_cast<int>(rng.uniform_int(1, 4)), 100 + batch, &s.tracer);
+        const std::string client =
+            "dev" + std::to_string(rng.uniform_int(0, 4));
+        const int count = static_cast<int>(rng.uniform_int(1, 4));
+        Published p;
+        if (rng.bernoulli(0.5)) {
+          p.flat = make_flat_batch(s.pool, "batch-" + std::to_string(batch),
+                                   client, count, 100 + batch, 201 + batch,
+                                   s.tracer, nullptr);
+        } else {
+          p.document = make_batch("batch-" + std::to_string(batch), client,
+                                  batch * 10, count, 100 + batch, &s.tracer);
+        }
         ++batch;
-        s.broker.publish("goflow", "b", payload, 200 + batch).value_or_throw();
-        published.push_back(std::move(payload));
+        publish(p);
+        published.push_back(std::move(p));
       } else if (op < 40 && !published.empty()) {
         // A redelivery: a duplicate batch, or one evicted and accepted.
-        const Value& again = published[pick(published.size())];
-        s.broker.publish("goflow", "b", again, 200 + batch).value_or_throw();
+        publish(published[pick(published.size())]);
       } else if (op < 50) {
         std::string id = random_id(obs);
         if (!id.empty()) obs.remove(id);

@@ -1,15 +1,17 @@
 // ObsBatch / BatchPool: SoA round trips, oracle byte-identity of the
-// materialization methods, string interning, the memory a batch holds
-// and gives back, and the batch codec (encode_batch / decode_batch)
-// under hostile bytes.
+// materialization methods, string interning, the memory a batch and a
+// materialized document hold, and the batch codec (encode_batch /
+// decode_batch) under hostile bytes.
 #include "ingest/obs_batch.h"
 
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "phone/observation.h"
@@ -314,6 +316,59 @@ TEST(BatchPool, HeldBatchesCostTheirOwnBytesAndReturnThem) {
   EXPECT_LT(holding, kBatches * kBudget)
       << holding / kBatches << " B per held batch";
   EXPECT_LT(kept, kBatches * kBudget) << kept << " B kept after release";
+}
+
+// Documents are built at their final size: a materialized row, with the
+// _id the docstore adds, and the same document decoded from its codec
+// bytes each hold less heap than their own copy (which carries no spare
+// capacity) plus one field — no object reserves room it never fills.
+TEST(ObsBatch, DocumentsAreBuiltAtExactSize) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan replaces the allocator mallinfo2 reports on";
+#endif
+  constexpr std::size_t kRows = 1024;
+  BatchPool pool;
+  auto batch = pool.make_batch("soundcity", "c1", "c1#1", 0,
+                               random_observations(31, kRows));
+  // The heap `build` leaves held per document.
+  auto held_per_doc = [](const std::function<Value(std::size_t)>& build,
+                         std::vector<Value>& docs) {
+    docs.clear();
+    docs.reserve(kRows);
+    const std::size_t before = heap_in_use_bytes();
+    for (std::size_t i = 0; i < kRows; ++i) docs.push_back(build(i));
+    return (heap_in_use_bytes() - before) / kRows;
+  };
+  std::vector<Value> materialized, decoded, copies;
+  const std::size_t materialized_bytes = held_per_doc(
+      [&](std::size_t i) {
+        Value doc = batch->storage_document(i, 900'000);
+        doc.as_object().set("_id",
+                            Value("observations-" + std::to_string(i + 1)));
+        return doc;
+      },
+      materialized);
+  std::vector<std::string> encoded(kRows);
+  for (std::size_t i = 0; i < kRows; ++i)
+    codec::encode_value(materialized[i], encoded[i]);
+  const std::size_t decoded_bytes = held_per_doc(
+      [&](std::size_t i) {
+        Value doc;
+        EXPECT_TRUE(codec::decode_value(encoded[i], doc));
+        return doc;
+      },
+      decoded);
+  const std::size_t copy_bytes = held_per_doc(
+      [&](std::size_t i) { return Value(materialized[i]); }, copies);
+  RecordProperty("materialized_bytes_per_doc",
+                 static_cast<int>(materialized_bytes));
+  RecordProperty("decoded_bytes_per_doc", static_cast<int>(decoded_bytes));
+  EXPECT_LT(materialized_bytes, copy_bytes + sizeof(Object::Entry))
+      << materialized_bytes << " B per materialized document, " << copy_bytes
+      << " B per copy";
+  EXPECT_LT(decoded_bytes, copy_bytes + sizeof(Object::Entry))
+      << decoded_bytes << " B per decoded document, " << copy_bytes
+      << " B per copy";
 }
 
 TEST(BatchPool, HighWaterAndMetricsMirrored) {

@@ -571,6 +571,24 @@ TEST(WireCodec, HostileCountsAreBoundedBeforeAllocation) {
   w.u32(0x7FFFFFFFu);
   Reader r2(body);
   EXPECT_FALSE(decode_value(r2, v));
+
+  // An object's fields are reserved up front, so its count is bounded by
+  // the smallest field (an empty key and a tag: 5 bytes) before the
+  // reserve: 1,000 fields cannot fit in 4,000 bytes...
+  auto object_body = [](std::uint32_t fields, std::size_t bytes) {
+    std::string out;
+    Writer ow(out);
+    ow.u8(static_cast<std::uint8_t>(Value::Type::kObject));
+    ow.u32(fields);
+    out.append(bytes, '\0');  // empty keys and null tags
+    return out;
+  };
+  Value obj;
+  EXPECT_FALSE(decode_value(object_body(1000, 4000), obj));
+  EXPECT_FALSE(decode_value(object_body(0x7FFFFFFFu, 10), obj));
+  // ...while 800 do: the bound rejects no well-formed object.
+  ASSERT_TRUE(decode_value(object_body(800, 4000), obj));
+  EXPECT_TRUE(obj.is_object());
 }
 
 TEST(WireCodec, FlatPublishEnumRangesAreChecked) {

@@ -153,6 +153,8 @@ TEST(RegistryAudit, ChaosRunExportsEveryMetricFamily) {
   EXPECT_TRUE(registry.has_counter("server.admission_accepted"));
   EXPECT_TRUE(registry.has_counter("ingest.arena_created"));
   EXPECT_TRUE(registry.has_gauge("ingest.arena_high_water_bytes"));
+  // The stored form (DESIGN.md §13): rows still held as batch columns.
+  EXPECT_TRUE(registry.has_gauge("docstore.lazy_rows"));
   EXPECT_TRUE(registry.has_counter("fault.checked.admission_shed"));
   // Network serving plane (DESIGN.md §14): both ends of the socket.
   EXPECT_TRUE(registry.has_counter("net.accepted"));
