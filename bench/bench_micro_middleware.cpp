@@ -109,22 +109,6 @@ void BM_BrokerTopicRouting(benchmark::State& state) {
 }
 BENCHMARK(BM_BrokerTopicRouting)->Arg(100)->Arg(1000);
 
-void BM_BrokerTopicRoutingLinear(benchmark::State& state) {
-  broker::Broker broker;
-  broker.set_compiled_routing(false);
-  std::uint64_t consumed = 0;
-  setup_routing_topology(broker, state.range(0), consumed);
-  Value payload(Object{{"spl", Value(61.0)}});
-  std::int64_t key = 0;
-  for (auto _ : state) {
-    std::string routing = "g" + std::to_string(key % state.range(0)) + ".obs.spl";
-    ++key;
-    benchmark::DoNotOptimize(broker.publish("e", routing, payload, 0));
-  }
-  state.counters["consumed"] = static_cast<double>(consumed);
-}
-BENCHMARK(BM_BrokerTopicRoutingLinear)->Arg(100)->Arg(1000);
-
 void BM_DocstoreInsert(benchmark::State& state) {
   docstore::Collection collection("obs");
   collection.create_index("user");

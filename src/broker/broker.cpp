@@ -313,19 +313,6 @@ std::vector<std::string> Broker::queue_names() const {
   return out;
 }
 
-bool Broker::binding_matches(const Exchange& ex, const std::string& binding_key,
-                             const std::string& routing_key) const {
-  switch (ex.type) {
-    case ExchangeType::kFanout:
-      return true;  // binding key ignored
-    case ExchangeType::kDirect:
-      return binding_key == routing_key;
-    case ExchangeType::kTopic:
-      return topic_matches(binding_key, routing_key);
-  }
-  return false;
-}
-
 void Broker::compile_binding(Exchange& ex, std::uint32_t index) {
   switch (ex.type) {
     case ExchangeType::kFanout:
@@ -350,12 +337,6 @@ void Broker::recompile(Exchange& ex) {
 
 void Broker::collect_matches(Exchange& ex, const std::string& routing_key,
                              std::vector<Binding>& out) {
-  if (!compiled_routing_) {
-    // Reference path: linear scan with the topic_matches oracle.
-    for (const Binding& b : ex.bindings)
-      if (binding_matches(ex, b.key, routing_key)) out.push_back(b);
-    return;
-  }
   switch (ex.type) {
     case ExchangeType::kFanout:
       out = ex.bindings;

@@ -289,13 +289,6 @@ class Broker {
   /// is a single null test.
   void arm_faults(fault::FaultPlan* plan);
 
-  /// Toggles the compiled fast path (trie + direct map + LRU cache, the
-  /// default) versus the reference linear scan over bindings calling
-  /// topic_matches. The linear path is kept as the routing oracle for
-  /// property tests and as a kill switch; both must route identically.
-  void set_compiled_routing(bool enabled) { compiled_routing_ = enabled; }
-  bool compiled_routing() const { return compiled_routing_; }
-
   // --- Durability (DESIGN.md §11) -----------------------------------
   //
   // With a journal attached, every topology mutation is logged (the
@@ -359,8 +352,6 @@ class Broker {
     std::size_t next_consumer = 0;  // round-robin cursor
   };
 
-  bool binding_matches(const Exchange& ex, const std::string& binding_key,
-                       const std::string& routing_key) const;
   /// Shared core of publish()/publish_flat().
   Result<PublishResult> publish_message(const std::string& exchange,
                                         const std::string& routing_key,
@@ -406,7 +397,6 @@ class Broker {
   std::uint64_t next_sequence_ = 1;
   std::uint64_t next_delivery_tag_ = 1;
   ConsumerTag next_tag_ = 1;
-  bool compiled_routing_ = true;
   fault::FaultPoint publish_fault_;
   fault::FaultPoint ack_lost_fault_;
   fault::FaultPoint consume_fault_;

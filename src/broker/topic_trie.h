@@ -1,8 +1,8 @@
 // Compiled topic-binding matcher: a word trie with wildcard nodes.
 //
-// The linear routing path evaluates `topic_matches(pattern, key)` once per
-// binding, which is O(bindings x words) per publish — the paper's 45M
-// observations each paid that on every hop of the Figure-3 exchange chain.
+// Evaluating `topic_matches(pattern, key)` once per binding is O(bindings
+// x words) per publish — the paper's 45M observations each paid that on
+// every hop of the Figure-3 exchange chain.
 // This trie compiles all of an exchange's binding patterns into one
 // structure so routing a key is a single walk: literal words are hash-map
 // edges, '*' is a one-word wildcard edge and '#' a zero-or-more-words

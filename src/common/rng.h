@@ -103,9 +103,6 @@ class Rng {
     return std::poisson_distribution<int>(mean)(engine_);
   }
 
-  /// Access to the underlying engine for std distributions not wrapped here.
-  std::mt19937_64& engine() { return engine_; }
-
   std::uint64_t seed() const { return seed_; }
 
  private:

@@ -31,8 +31,12 @@ void Collection::set_metrics(obs::Registry* registry) {
   sources_.counter(r, "docstore.plans_sort_index", stats_.plans_sort_index);
   sources_.gauge(r, "docstore.documents",
                  [this] { return static_cast<double>(id_to_slot_.size()); });
-  sources_.gauge(r, "docstore.lazy_rows",
-                 [this] { return static_cast<double>(lazy_rows_.size()); });
+  sources_.gauge(r, "docstore.lazy_rows", [this] {
+    return static_cast<double>(
+        std::count_if(slots_.begin(), slots_.end(), [](const Row& row) {
+          return std::holds_alternative<LazyRow>(row);
+        }));
+  });
 }
 
 void Collection::arm_faults(fault::FaultPlan* plan) {
@@ -87,9 +91,9 @@ std::string Collection::insert_checked(Document doc, bool journaled) {
                             {"c", Value(name_)},
                             {"doc", doc}}));
   Slot slot = slots_.size();
-  slots_.push_back(std::move(doc));
+  slots_.emplace_back(std::move(doc));
   id_to_slot_[id] = slot;
-  index_document(slot, *slots_[slot]);
+  index_document(slot, std::get<Document>(slots_[slot]));
   ++stats_.total_inserts;
   stats_.document_count = id_to_slot_.size();
   return id;
@@ -134,21 +138,16 @@ void Collection::apply_rows(
   appenders.reserve(indexes_.size());
   for (auto& [path, index] : indexes_)
     appenders.push_back(IndexAppender{&path, &index});
-  Value key;
+  RowReader row(*this);
   for (std::size_t k = 0; k < count; ++k) {
     const std::uint64_t id_counter = first_id + k;
-    // No document materialization: the slot keeps a reference into the
-    // batch and rehydrates on first read.
     Slot slot = slots_.size();
-    slots_.emplace_back(std::nullopt);
-    const LazyRow& lazy =
-        lazy_rows_
-            .emplace(slot, LazyRow{batch, static_cast<std::uint32_t>(first + k),
-                                   received_at, id_counter})
-            .first->second;
+    slots_.emplace_back(LazyRow{batch, static_cast<std::uint32_t>(first + k),
+                                received_at, id_counter});
     id_to_slot_.emplace(name_ + "-" + std::to_string(id_counter), slot);
+    row.seek(slot);
     for (IndexAppender& a : appenders)
-      if (lazy_key(lazy, *a.path, key)) a.add(std::move(key), slot);
+      if (const Value* key = row.slot_value(*a.path)) a.add(*key, slot);
     ++stats_.total_inserts;
   }
   if (count > 0) id_counter_ = std::max(id_counter_, first_id + count - 1);
@@ -176,39 +175,56 @@ void Collection::IndexAppender::add(Value key, Slot slot) {
   has_last = true;
 }
 
-bool Collection::lazy_key(const LazyRow& lazy, const std::string& path,
-                          Value& out) const {
-  out = Value();
-  if (lazy.batch->index_value(path, lazy.row, lazy.received_at, out))
-    return !out.is_null();  // null: the row lacks the optional field
-  // Not a column: read a temporary document and leave the row lazy.
-  const Document doc = materialize(lazy);
-  const Value* v = doc.find_path(path);
-  if (v == nullptr) return false;
-  out = *v;
-  return true;
+const Value* Collection::RowReader::slot_value(const std::string& path) {
+  const Row& row = c_.slots_[slot_];
+  if (const auto* doc = std::get_if<Document>(&row)) return doc->find_path(path);
+  const LazyRow& lazy = std::get<LazyRow>(row);
+  // Cleared first: index_value leaves it untouched for an optional
+  // column the row lacks, which would otherwise read the previous value.
+  scratch_ = Value();
+  if (lazy.batch->index_value(path, lazy.row, lazy.received_at, scratch_))
+    return scratch_.is_null() ? nullptr : &scratch_;
+  return document().find_path(path);
 }
 
-const Document& Collection::doc_at(Slot s) const {
-  if (slots_[s].has_value()) return *slots_[s];
-  auto it = lazy_rows_.find(s);
-  // Callers guarantee slot_alive(s); a dead slot here is a logic error.
-  slots_[s] = materialize(it->second);
-  lazy_rows_.erase(it);
-  return *slots_[s];
+bool Collection::RowReader::matches(const Query& query) {
+  return query.matches_row(
+      [this](const std::string& path) { return slot_value(path); });
 }
 
-Document Collection::materialize(const LazyRow& lazy) const {
-  Document doc = lazy.batch->storage_document(lazy.row, lazy.received_at);
+const Document& Collection::RowReader::document() {
+  if (const auto* doc = std::get_if<Document>(&c_.slots_[slot_])) return *doc;
+  if (!built_) built_ = c_.document_at(slot_);
+  return *built_;
+}
+
+Document Collection::document_at(Slot s) const {
+  const auto* lazy = std::get_if<LazyRow>(&slots_[s]);
+  if (lazy == nullptr) return std::get<Document>(slots_[s]);
+  Document doc = lazy->batch->storage_document(lazy->row, lazy->received_at);
   doc.as_object().set(
-      "_id", Value(name_ + "-" + std::to_string(lazy.id_counter)));
+      "_id", Value(name_ + "-" + std::to_string(lazy->id_counter)));
   return doc;
+}
+
+template <typename Fn>
+void Collection::for_each_match(const Query& query, Fn&& fn,
+                                const Plan& plan) const {
+  RowReader row(*this);
+  auto visit = [&](Slot s) {
+    if (slot_alive(s) && row.seek(s).matches(query)) fn(s, row);
+  };
+  if (plan.use_index) {
+    for (Slot s : plan.candidates) visit(s);
+  } else {
+    for (Slot s = 0; s < slots_.size(); ++s) visit(s);
+  }
 }
 
 std::optional<Document> Collection::get(const std::string& id) const {
   auto it = id_to_slot_.find(id);
   if (it == id_to_slot_.end()) return std::nullopt;
-  return doc_at(it->second);
+  return document_at(it->second);
 }
 
 void Collection::index_document(Slot slot, const Document& doc) {
@@ -218,9 +234,11 @@ void Collection::index_document(Slot slot, const Document& doc) {
   }
 }
 
-void Collection::unindex_document(Slot slot, const Document& doc) {
+void Collection::unindex_slot(Slot slot) {
+  RowReader row(*this);
+  row.seek(slot);
   for (auto& [path, index] : indexes_) {
-    if (const Value* v = doc.find_path(path)) {
+    if (const Value* v = row.slot_value(path)) {
       auto [lo, hi] = index.entries.equal_range(IndexKey{*v});
       for (auto it = lo; it != hi; ++it) {
         if (it->second == slot) {
@@ -354,7 +372,6 @@ Collection::Plan Collection::plan(const Query& query) const {
 
 std::vector<Document> Collection::find(const Query& query,
                                        const FindOptions& options) const {
-  std::vector<Document> out;
   Plan p = plan(query);
   if (!p.use_index && !options.sort_by.empty()) {
     auto idx_it = indexes_.find(options.sort_by);
@@ -369,47 +386,49 @@ std::vector<Document> Collection::find(const Query& query,
                 : PlanKind::kScan);
   note_find(p.use_index);
   // Matches are sorted and paged by (sort key, slot) before any document
-  // is copied, so a limited query over many matches copies only its page.
-  // The keys point into the stored documents, which stay put meanwhile.
+  // is built, so a limited query over many matches builds only its page.
+  // A missing sort key sorts as null.
   struct Match {
-    const Value* key;
+    Value key;
     Slot slot;
   };
   std::vector<Match> matches;
-  auto consider = [&](Slot s) {
-    if (!slot_alive(s)) return;
-    const Document& doc = doc_at(s);
-    if (!query.matches(doc)) return;
-    matches.push_back(Match{
-        options.sort_by.empty() ? nullptr : doc.find_path(options.sort_by),
-        s});
-  };
-  if (p.use_index) {
-    for (Slot s : p.candidates) consider(s);
-  } else {
-    for (Slot s = 0; s < slots_.size(); ++s) consider(s);
-  }
+  for_each_match(
+      query,
+      [&](Slot s, RowReader& row) {
+        const Value* key =
+            options.sort_by.empty() ? nullptr : row.slot_value(options.sort_by);
+        matches.push_back(Match{key != nullptr ? *key : Value(), s});
+      },
+      p);
 
   if (!options.sort_by.empty()) {
-    const Value null_value;
     std::stable_sort(matches.begin(), matches.end(),
                      [&](const Match& a, const Match& b) {
-                       int c = Value::compare(a.key ? *a.key : null_value,
-                                              b.key ? *b.key : null_value);
+                       int c = Value::compare(a.key, b.key);
                        return options.descending ? c > 0 : c < 0;
                      });
   }
-  const std::size_t first = std::min(options.skip, matches.size());
-  std::size_t last = matches.size();
+  std::vector<Slot> slots;
+  slots.reserve(matches.size());
+  for (const Match& m : matches) slots.push_back(m.slot);
+  return page(slots, options);
+}
+
+std::vector<Document> Collection::page(const std::vector<Slot>& slots,
+                                       const FindOptions& options) const {
+  const std::size_t first = std::min(options.skip, slots.size());
+  std::size_t last = slots.size();
   if (options.limit > 0 && last - first > options.limit)
     last = first + options.limit;
+  std::vector<Document> out;
   out.reserve(last - first);
-  for (std::size_t i = first; i < last; ++i) {
-    const Document& doc = doc_at(matches[i].slot);
+  RowReader row(*this);
+  for (std::size_t i = first; i < last; ++i)
     out.push_back(options.projection.empty()
-                      ? doc
-                      : project(doc, options.projection));
-  }
+                      ? document_at(slots[i])
+                      : project(row.seek(slots[i]).document(),
+                                options.projection));
   return out;
 }
 
@@ -421,31 +440,32 @@ std::vector<Document> Collection::find_via_sort_index(
   // the field contributes exactly one entry, so when the entry count
   // equals the document count the missing-field scan can be skipped.
   std::vector<Slot> null_group;
+  RowReader row(*this);
   if (entries.size() != id_to_slot_.size()) {
     for (Slot s = 0; s < slots_.size(); ++s)
-      if (slot_alive(s) && doc_at(s).find_path(options.sort_by) == nullptr)
+      if (slot_alive(s) && row.seek(s).slot_value(options.sort_by) == nullptr)
         null_group.push_back(s);
   }
   auto [null_lo, null_hi] = entries.equal_range(IndexKey{Value()});
   for (auto it = null_lo; it != null_hi; ++it) null_group.push_back(it->second);
   std::sort(null_group.begin(), null_group.end());
 
-  std::vector<Document> out;
-  // Once skip+limit results exist, later groups cannot alter them — stop
-  // before touching their documents (a page query over a large index
+  std::vector<Slot> out;
+  // Once skip+limit matches exist, later groups cannot alter the page —
+  // stop before reading their rows (a page query over a large index
   // reads only the page, not the collection).
   const std::size_t want =
       options.limit > 0 ? options.skip + options.limit : 0;
   auto done = [&] { return want > 0 && out.size() >= want; };
   // Within every equal-key group slots are emitted in ascending
   // (insertion) order — exactly the tie order stable_sort produces over a
-  // scan. `group` is reused scratch; groups are materialized lazily.
+  // scan. `group` is reused scratch.
   std::vector<Slot> group;
   auto emit_group = [&] {
     std::sort(group.begin(), group.end());
     for (Slot s : group) {
       if (done()) return;
-      if (slot_alive(s) && query.matches(doc_at(s))) out.push_back(doc_at(s));
+      if (slot_alive(s) && row.seek(s).matches(query)) out.push_back(s);
     }
   };
   if (!options.descending) {
@@ -472,20 +492,7 @@ std::vector<Document> Collection::find_via_sort_index(
       emit_group();
     }
   }
-
-  if (options.skip > 0) {
-    if (options.skip >= out.size()) {
-      out.clear();
-    } else {
-      out.erase(out.begin(),
-                out.begin() + static_cast<std::ptrdiff_t>(options.skip));
-    }
-  }
-  if (options.limit > 0 && out.size() > options.limit) out.resize(options.limit);
-  if (!options.projection.empty()) {
-    for (Document& d : out) d = project(d, options.projection);
-  }
-  return out;
+  return page(out, options);
 }
 
 bool Collection::covered_count(const Query& query, std::size_t& out) const {
@@ -573,13 +580,7 @@ std::size_t Collection::count(const Query& query) const {
                 ? (p.intersected ? PlanKind::kIntersect : PlanKind::kIndexed)
                 : PlanKind::kScan);
   note_find(p.use_index);
-  if (p.use_index) {
-    for (Slot s : p.candidates)
-      if (slot_alive(s) && query.matches(doc_at(s))) ++n;
-  } else {
-    for (Slot s = 0; s < slots_.size(); ++s)
-      if (slot_alive(s) && query.matches(doc_at(s))) ++n;
-  }
+  for_each_match(query, [&n](Slot, RowReader&) { ++n; }, p);
   return n;
 }
 
@@ -605,9 +606,9 @@ bool Collection::replace_checked(const std::string& id, Document doc,
                             {"id", Value(id)},
                             {"doc", doc}}));
   if (slot < sealed_.end) sealed_.forget();
-  unindex_document(slot, doc_at(slot));
+  unindex_slot(slot);
   slots_[slot] = std::move(doc);
-  index_document(slot, *slots_[slot]);
+  index_document(slot, std::get<Document>(slots_[slot]));
   return true;
 }
 
@@ -623,28 +624,19 @@ std::size_t Collection::update_many(
   // if it removed the document mid-flight, the update is dropped rather
   // than resurrecting it.
   std::vector<Slot> matches;
-  for (Slot slot = 0; slot < slots_.size(); ++slot)
-    if (slot_alive(slot) && query.matches(doc_at(slot)))
-      matches.push_back(slot);
+  for_each_match(query, [&](Slot s, RowReader&) { matches.push_back(s); });
   std::size_t updated = 0;
   for (Slot slot : matches) {
     if (!slot_alive(slot)) continue;  // removed by an earlier mutate
-    std::string id = doc_at(slot).at("_id").as_string();
-    Document next = doc_at(slot);
+    Document next = document_at(slot);
+    std::string id = next.at("_id").as_string();
     mutate(next);
     next.as_object().set("_id", Value(id));  // _id is immutable
     auto it = id_to_slot_.find(id);
     if (it == id_to_slot_.end() || it->second != slot) continue;
     // Journaled as a replace of the post-mutation document: recovery
     // replays final states, not callbacks.
-    log_record(Value(Object{{"op", Value("db.replace")},
-                            {"c", Value(name_)},
-                            {"id", Value(id)},
-                            {"doc", next}}));
-    if (slot < sealed_.end) sealed_.forget();
-    unindex_document(slot, doc_at(slot));
-    slots_[slot] = std::move(next);
-    index_document(slot, *slots_[slot]);
+    replace_checked(id, std::move(next), /*journaled=*/true);
     ++updated;
   }
   return updated;
@@ -667,8 +659,8 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
                             {"id", Value(id)}}));
   Slot slot = it->second;
   if (slot < sealed_.end) sealed_.forget();
-  unindex_document(slot, doc_at(slot));
-  slots_[slot].reset();
+  unindex_slot(slot);
+  slots_[slot] = std::monostate{};
   id_to_slot_.erase(it);
   ++stats_.total_removes;
   stats_.document_count = id_to_slot_.size();
@@ -677,9 +669,9 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
 
 std::size_t Collection::remove_many(const Query& query) {
   std::vector<std::string> ids;
-  for (Slot s = 0; s < slots_.size(); ++s)
-    if (slot_alive(s) && query.matches(doc_at(s)))
-      ids.push_back(doc_at(s).at("_id").as_string());
+  for_each_match(query, [&](Slot, RowReader& row) {
+    ids.push_back(row.slot_value("_id")->as_string());
+  });
   for (const std::string& id : ids) remove(id);
   return ids.size();
 }
@@ -696,16 +688,11 @@ void Collection::apply_create_index(const std::string& path) {
   if (indexes_.count(path) > 0) return;
   auto [it, _] = indexes_.try_emplace(path);
   IndexAppender appender{&it->first, &it->second};
-  Value key;
-  for (Slot slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].has_value()) {
-      if (const Value* v = slots_[slot]->find_path(path))
-        appender.add(*v, slot);
-    } else if (auto lazy = lazy_rows_.find(slot);
-               lazy != lazy_rows_.end() && lazy_key(lazy->second, path, key)) {
-      appender.add(std::move(key), slot);
-    }
-  }
+  RowReader row(*this);
+  for (Slot slot = 0; slot < slots_.size(); ++slot)
+    if (slot_alive(slot))
+      if (const Value* key = row.seek(slot).slot_value(path))
+        appender.add(*key, slot);
   stats_.index_count = indexes_.size();
 }
 
@@ -758,18 +745,11 @@ std::vector<Value> Collection::distinct(const std::string& path,
     }
   }
   std::vector<Value> out;
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    if (!slot_alive(s) || !query.matches(doc_at(s))) continue;
-    if (const Value* v = doc_at(s).find_path(path)) {
-      bool seen = false;
-      for (const Value& existing : out)
-        if (existing == *v) {
-          seen = true;
-          break;
-        }
-      if (!seen) out.push_back(*v);
-    }
-  }
+  for_each_match(query, [&](Slot, RowReader& row) {
+    const Value* v = row.slot_value(path);
+    if (v != nullptr && std::find(out.begin(), out.end(), *v) == out.end())
+      out.push_back(*v);
+  });
   std::sort(out.begin(), out.end(), [](const Value& a, const Value& b) {
     return Value::compare(a, b) < 0;
   });
@@ -796,10 +776,9 @@ std::vector<std::pair<Value, std::size_t>> Collection::group_count(
     }
   }
   std::map<IndexKey, std::size_t> groups;
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    if (!slot_alive(s) || !query.matches(doc_at(s))) continue;
-    if (const Value* v = doc_at(s).find_path(path)) ++groups[IndexKey{*v}];
-  }
+  for_each_match(query, [&](Slot, RowReader& row) {
+    if (const Value* v = row.slot_value(path)) ++groups[IndexKey{*v}];
+  });
   std::vector<std::pair<Value, std::size_t>> out;
   out.reserve(groups.size());
   for (auto& [key, n] : groups) out.emplace_back(key.value, n);
@@ -810,12 +789,13 @@ std::vector<Collection::GroupAggregate> Collection::group_aggregate(
     const std::string& group_path, const std::string& value_path,
     const Query& query) const {
   std::map<IndexKey, GroupAggregate> groups;
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    if (!slot_alive(s) || !query.matches(doc_at(s))) continue;
-    const Value* key = doc_at(s).find_path(group_path);
-    const Value* value = doc_at(s).find_path(value_path);
-    if (key == nullptr || value == nullptr || !value->is_number()) continue;
-    double x = value->as_double();
+  for_each_match(query, [&](Slot, RowReader& row) {
+    // The number is read before the key's lookup reuses the scratch.
+    const Value* value = row.slot_value(value_path);
+    if (value == nullptr || !value->is_number()) return;
+    const double x = value->as_double();
+    const Value* key = row.slot_value(group_path);
+    if (key == nullptr) return;
     auto [it, inserted] = groups.try_emplace(IndexKey{*key});
     GroupAggregate& agg = it->second;
     if (inserted) {
@@ -827,7 +807,7 @@ std::vector<Collection::GroupAggregate> Collection::group_aggregate(
     }
     ++agg.count;
     agg.sum += x;
-  }
+  });
   std::vector<GroupAggregate> out;
   out.reserve(groups.size());
   for (auto& [_, agg] : groups) {
@@ -839,8 +819,9 @@ std::vector<Collection::GroupAggregate> Collection::group_aggregate(
 
 void Collection::for_each(
     const std::function<void(const Document&)>& fn) const {
+  RowReader row(*this);
   for (Slot s = 0; s < slots_.size(); ++s)
-    if (slot_alive(s)) fn(doc_at(s));
+    if (slot_alive(s)) fn(row.seek(s).document());
 }
 
 void Collection::encode_snapshot(durable::SnapshotWriter& writer) {
@@ -865,27 +846,25 @@ std::uint32_t Collection::encode_entries(Slot first,
   std::uint32_t entries = 0;
   std::string columns;
   for (Slot s = first; s < slots_.size();) {
-    if (slots_[s].has_value()) {
-      codec::encode_value(*slots_[s], segment);
+    if (const auto* doc = std::get_if<Document>(&slots_[s])) {
+      codec::encode_value(*doc, segment);
       ++entries;
       ++s;
       continue;
     }
-    auto it = lazy_rows_.find(s);
-    if (it == lazy_rows_.end()) {  // removed
+    if (!slot_alive(s)) {
       ++s;
       continue;
     }
     // The run: every following slot that is the same batch's next row,
     // received together, under the next id.
-    const LazyRow& head = it->second;
+    const LazyRow& head = std::get<LazyRow>(slots_[s]);
     std::size_t n = 1;
-    for (; s + n < slots_.size() && !slots_[s + n].has_value(); ++n) {
-      auto next = lazy_rows_.find(s + n);
-      if (next == lazy_rows_.end() || next->second.batch != head.batch ||
-          next->second.received_at != head.received_at ||
-          next->second.row != head.row + n ||
-          next->second.id_counter != head.id_counter + n)
+    for (; s + n < slots_.size(); ++n) {
+      const auto* next = std::get_if<LazyRow>(&slots_[s + n]);
+      if (next == nullptr || next->batch != head.batch ||
+          next->received_at != head.received_at ||
+          next->row != head.row + n || next->id_counter != head.id_counter + n)
         break;
     }
     columns.clear();
@@ -932,7 +911,6 @@ void Collection::restore_snapshot(const Value& state,
 void Collection::crash() {
   sealed_.forget();
   slots_.clear();
-  lazy_rows_.clear();
   id_to_slot_.clear();
   indexes_.clear();
   id_counter_ = 0;

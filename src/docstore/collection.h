@@ -10,6 +10,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/sealed.h"
@@ -74,10 +75,11 @@ class Collection {
   /// row by row, as a loop of insert() calls would, up to the first
   /// failure; the n rows before it are logged as one db.rows record of
   /// their columns, then stored without a document: each slot keeps a
-  /// reference into the batch, index entries come from its columns, and
-  /// the document (the oracle path's bytes, generated _id included) is
-  /// rehydrated on first read. Returns n; fewer than `count` means a
-  /// transient failure, which the caller resumes after backoff.
+  /// reference into the batch, and index entries and query filters read
+  /// its columns. A read that returns the row builds its document (the
+  /// oracle path's bytes, generated _id included) and keeps none.
+  /// Returns n; fewer than `count` means a transient failure, which the
+  /// caller resumes after backoff.
   std::size_t insert_batch(const std::shared_ptr<const ingest::ObsBatch>& batch,
                            std::size_t first, std::size_t count,
                            TimeMs received_at);
@@ -149,8 +151,8 @@ class Collection {
   /// Registers the collection's counters with `registry` under the
   /// database-wide "docstore.*" names (inserts, removes, finds_indexed,
   /// finds_scanned, plans_*), its size as the docstore.documents gauge
-  /// and its live rows still held as batch columns (no document built)
-  /// as the docstore.lazy_rows gauge; the registry sums them over every
+  /// and its live rows held as batch columns as the docstore.lazy_rows
+  /// gauge, counted when read; the registry sums them over every
   /// attached collection. Pass nullptr to detach.
   void set_metrics(obs::Registry* registry);
 
@@ -161,7 +163,8 @@ class Collection {
   void arm_faults(fault::FaultPlan* plan);
 
   /// Visits every document in insertion order (fast path for analytics
-  /// that would otherwise copy the whole collection).
+  /// that would otherwise copy the whole collection). A lazy row's
+  /// document is built for the call and gone after it.
   void for_each(const std::function<void(const Document&)>& fn) const;
 
   // --- Durability (DESIGN.md §11) -----------------------------------
@@ -189,9 +192,8 @@ class Collection {
                         std::string_view columns);
   bool apply_replace(const std::string& id, Document doc);
   bool apply_remove(const std::string& id);
-  /// Builds the index from every live slot: a lazy row's key comes from
-  /// its batch's columns, or from a temporary document for a path that
-  /// is not a column, so the build leaves lazy rows lazy.
+  /// Builds the index from every live slot through the row accessor, so
+  /// the build leaves lazy rows lazy.
   void apply_create_index(const std::string& path);
 
   /// Appends the collection's snapshot record to the writer's manifest
@@ -200,10 +202,10 @@ class Collection {
   /// sequence (SnapshotWriter::sequence): only those inserted since the
   /// previous snapshot are encoded, in place, into a new segment —
   /// unless a remove, replace or update touched a sealed slot since,
-  /// which writes them all again. A live eager slot is one document
-  /// entry (an object). Each run of lazy rows — consecutive slots of
-  /// one batch, received together, with consecutive rows and ids — is
-  /// one run entry, the array [received_at, first id counter,
+  /// which writes them all again. A slot holding a document is one
+  /// document entry (an object). Each run of lazy rows — consecutive
+  /// slots of one batch, received together, with consecutive rows and
+  /// ids — is one run entry, the array [received_at, first id counter,
   /// encode_batch() of the rows], and stays lazy.
   void encode_snapshot(durable::SnapshotWriter& writer);
   /// Rebuilds state from the decoded encode_snapshot() record, moving
@@ -240,23 +242,51 @@ class Collection {
     std::vector<Slot> candidates;
   };
 
-  /// A slot whose document has not been rehydrated from its flat batch
-  /// yet (insert_batch fast path). The shared_ptr keeps the batch's
-  /// block alive until every lazy row is materialized or removed. The
-  /// _id is reconstructed from the generator counter on rehydration
-  /// (generate_id is deterministic: name_ + "-" + counter), so the row
-  /// carries no per-row heap string.
+  /// A row held as its flat batch's columns (insert_batch, apply_run).
+  /// The shared_ptr keeps the batch's block alive while a slot holds
+  /// the row. The _id is generate_id's form, name_ + "-" + id_counter,
+  /// so the row carries no per-row heap string.
   struct LazyRow {
     std::shared_ptr<const ingest::ObsBatch> batch;
     std::uint32_t row = 0;
     TimeMs received_at = 0;
     std::uint64_t id_counter = 0;
   };
+  /// A slot holds one form for its whole life: removed, a document, or
+  /// a lazy row. Only a write (replace, update_many, remove, crash)
+  /// changes it; a read never does.
+  using Row = std::variant<std::monostate, Document, LazyRow>;
 
-  /// True when the slot holds a live document — eager or still lazy.
   bool slot_alive(Slot s) const {
-    return slots_[s].has_value() || lazy_rows_.count(s) > 0;
+    return !std::holds_alternative<std::monostate>(slots_[s]);
   }
+
+  /// The one row accessor (DESIGN.md §13) for filters, index keys, sort
+  /// keys and grouped values: reads a live slot, one at a time, and
+  /// writes none. A stored document answers in place. A lazy row answers
+  /// a column path from its batch into one scratch value, and any other
+  /// path from its document, built at most once per seek.
+  class RowReader {
+   public:
+    explicit RowReader(const Collection& c) : c_(c) {}
+    RowReader& seek(Slot s) {
+      slot_ = s;
+      built_.reset();
+      return *this;
+    }
+    /// The row's value at `path`, or nullptr when the row lacks it;
+    /// valid until the next lookup or seek.
+    const Value* slot_value(const std::string& path);
+    bool matches(const Query& query);
+    /// The row as a document: the stored one, or the lazy row's, built.
+    const Document& document();
+
+   private:
+    const Collection& c_;
+    Slot slot_ = 0;
+    Value scratch_;
+    std::optional<Document> built_;
+  };
   /// Appends one index's entries in ascending slot order. Keys in a
   /// column are highly repetitive (constant app id, a handful of device
   /// models, increasing timestamps), so remembering where the previous
@@ -271,13 +301,17 @@ class Collection {
     void add(Value key, Slot slot);
   };
 
-  /// The document at a live slot; materializes (and caches) a lazy row.
-  const Document& doc_at(Slot s) const;
-  /// A lazy row as the document the store keeps, _id included.
-  Document materialize(const LazyRow& lazy) const;
-  /// The key `lazy` has at `path`, from the batch's columns or else from
-  /// a temporary document; false when the row lacks the path.
-  bool lazy_key(const LazyRow& lazy, const std::string& path, Value& out) const;
+  /// A copy of the document at a live slot. A lazy row's is built: the
+  /// document the store would keep, _id included.
+  Document document_at(Slot s) const;
+  /// Calls fn(slot, reader) on each live slot matching `query`, in the
+  /// plan's candidate order or, for a scan, slot order.
+  template <typename Fn>
+  void for_each_match(const Query& query, Fn&& fn, const Plan& plan = {}) const;
+  /// The documents at `slots` that options' skip and limit keep, each
+  /// projected: a find's result page.
+  std::vector<Document> page(const std::vector<Slot>& slots,
+                             const FindOptions& options) const;
   /// Stores rows [first, first+count) of `batch` as lazy rows whose ids
   /// count up from first_id, indexes them and catches the generator up
   /// past them: insert_batch's body, and apply_run's.
@@ -297,7 +331,8 @@ class Collection {
   bool remove_checked(const std::string& id, bool journaled);
   void log_record(Value record);
   void index_document(Slot slot, const Document& doc);
-  void unindex_document(Slot slot, const Document& doc);
+  /// Drops a live slot's index entries, read through the row accessor.
+  void unindex_slot(Slot slot);
   Plan plan(const Query& query) const;
   bool index_lookup(const Query& clause, std::vector<Slot>& out) const;
   /// Exact match count from index entries alone (no document access);
@@ -314,11 +349,7 @@ class Collection {
                           const std::vector<std::string>& fields);
 
   std::string name_;
-  // Mutable: const readers materialize lazy rows in place (the observable
-  // document bytes are identical before and after, only the storage form
-  // changes), so caching the rehydration is not a logical mutation.
-  mutable std::vector<std::optional<Document>> slots_;
-  mutable std::unordered_map<Slot, LazyRow> lazy_rows_;
+  std::vector<Row> slots_;
   std::unordered_map<std::string, Slot> id_to_slot_;
   std::map<std::string, Index> indexes_;
   std::uint64_t id_counter_ = 0;

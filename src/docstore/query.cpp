@@ -94,52 +94,59 @@ Query Query::not_(Query child) {
 }
 
 bool Query::matches(const Document& doc) const {
+  return matches_row(
+      [&doc](const std::string& path) { return doc.find_path(path); });
+}
+
+bool Query::matches_row(const PathLookup& lookup) const {
+  // Each clause is done with one lookup's result before it makes the
+  // next, so a lookup may answer every path from one scratch value.
   switch (op_) {
     case QueryOp::kAll:
       return true;
     case QueryOp::kEq: {
-      const Value* v = doc.find_path(path_);
+      const Value* v = lookup(path_);
       return v != nullptr && *v == values_[0];
     }
     case QueryOp::kNe: {
-      const Value* v = doc.find_path(path_);
+      const Value* v = lookup(path_);
       return v != nullptr && !(*v == values_[0]);
     }
     case QueryOp::kLt: {
-      const Value* v = doc.find_path(path_);
+      const Value* v = lookup(path_);
       return v != nullptr && Value::compare(*v, values_[0]) < 0;
     }
     case QueryOp::kLte: {
-      const Value* v = doc.find_path(path_);
+      const Value* v = lookup(path_);
       return v != nullptr && Value::compare(*v, values_[0]) <= 0;
     }
     case QueryOp::kGt: {
-      const Value* v = doc.find_path(path_);
+      const Value* v = lookup(path_);
       return v != nullptr && Value::compare(*v, values_[0]) > 0;
     }
     case QueryOp::kGte: {
-      const Value* v = doc.find_path(path_);
+      const Value* v = lookup(path_);
       return v != nullptr && Value::compare(*v, values_[0]) >= 0;
     }
     case QueryOp::kIn: {
-      const Value* v = doc.find_path(path_);
+      const Value* v = lookup(path_);
       if (v == nullptr) return false;
       for (const Value& candidate : values_)
         if (*v == candidate) return true;
       return false;
     }
     case QueryOp::kExists:
-      return doc.find_path(path_) != nullptr;
+      return lookup(path_) != nullptr;
     case QueryOp::kAnd:
       for (const Query& c : children_)
-        if (!c.matches(doc)) return false;
+        if (!c.matches_row(lookup)) return false;
       return true;
     case QueryOp::kOr:
       for (const Query& c : children_)
-        if (c.matches(doc)) return true;
+        if (c.matches_row(lookup)) return true;
       return false;
     case QueryOp::kNot:
-      return !children_[0].matches(doc);
+      return !children_[0].matches_row(lookup);
   }
   return false;
 }

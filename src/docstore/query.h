@@ -6,6 +6,7 @@
 // value objects; Collection evaluates them, optionally through an index.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,7 +56,12 @@ class Query {
   static Query or_(std::vector<Query> children);
   static Query not_(Query child);
 
-  /// True when `doc` satisfies this filter.
+  /// The value at a dotted path of the row a filter reads, or nullptr.
+  using PathLookup = std::function<const Value*(const std::string& path)>;
+  /// True when the row `lookup` reads satisfies this filter.
+  bool matches_row(const PathLookup& lookup) const;
+
+  /// True when `doc` satisfies this filter: matches_row over find_path.
   bool matches(const Document& doc) const;
 
   QueryOp op() const { return op_; }

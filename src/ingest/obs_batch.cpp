@@ -46,18 +46,20 @@ Object ObsBatch::observation_object(std::size_t i,
   doc.set("spl", Value(spl_[i]));
   doc.set("mode", Value(phone::sensing_mode_name(mode(i))));
   doc.set("activity", Value(phone::activity_name(activity(i))));
-  if (has_location(i)) {
-    Object location;
-    location.reserve(4);
-    location.set("provider", Value(phone::location_provider_name(provider(i))));
-    location.set("x", Value(x_[i]));
-    location.set("y", Value(y_[i]));
-    location.set("accuracy", Value(accuracy_[i]));
-    doc.set("location", Value(std::move(location)));
-  }
+  if (has_location(i)) doc.set("location", location_object(i));
   if (span_ids_[i] != 0)
     doc.set("span", Value(static_cast<std::int64_t>(span_ids_[i])));
   return doc;
+}
+
+Value ObsBatch::location_object(std::size_t i) const {
+  Object location;
+  location.reserve(4);
+  location.set("provider", Value(phone::location_provider_name(provider(i))));
+  location.set("x", Value(x_[i]));
+  location.set("y", Value(y_[i]));
+  location.set("accuracy", Value(accuracy_[i]));
+  return Value(std::move(location));
 }
 
 Value ObsBatch::to_batch_document() const {
@@ -106,6 +108,8 @@ bool ObsBatch::index_value(std::string_view path, std::size_t i,
     out = Value(received_at - captured_at_[i]);
   } else if (path == "span") {
     if (span_ids_[i] != 0) out = Value(static_cast<std::int64_t>(span_ids_[i]));
+  } else if (path == "location") {
+    if (has_location(i)) out = location_object(i);
   } else if (path == "location.provider") {
     if (has_location(i))
       out = Value(phone::location_provider_name(provider(i)));
@@ -116,7 +120,7 @@ bool ObsBatch::index_value(std::string_view path, std::size_t i,
   } else if (path == "location.accuracy") {
     if (has_location(i)) out = Value(accuracy_[i]);
   } else {
-    return false;  // not a flat column ("location", "_id", app-specific)
+    return false;  // not a flat column ("_id", app-specific)
   }
   return true;
 }

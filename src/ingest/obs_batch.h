@@ -96,9 +96,10 @@ class ObsBatch {
   /// them. Sized for exactly those fields and the _id the docstore adds.
   Value storage_document(std::size_t i, TimeMs received_at) const;
 
-  /// The indexable value at `path` for row `i` without materializing the
-  /// document; false when the path is not a flat column (caller falls
-  /// back to the materialized document).
+  /// The value at `path` of row `i`'s storage document without building
+  /// the document; false when the path is not a flat column (the caller
+  /// falls back to the document). An optional column the row lacks
+  /// ("span", "location" and its fields) leaves `out` untouched.
   bool index_value(std::string_view path, std::size_t i, TimeMs received_at,
                    Value& out) const;
 
@@ -109,6 +110,8 @@ class ObsBatch {
   /// Row `i`'s observation document (the to_document() byte layout),
   /// with room for `extra_fields` more fields and no spare capacity.
   Object observation_object(std::size_t i, std::size_t extra_fields) const;
+  /// Row `i`'s "location" object, for a row with a fix.
+  Value location_object(std::size_t i) const;
 
   std::unique_ptr<std::byte[]> block_;
   std::string_view app_, client_, batch_id_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -374,10 +375,11 @@ std::shared_ptr<const ingest::ObsBatch> flat_rows(ingest::BatchPool& pool,
   return pool.make_batch("app1", client, client + "#1", 0, rows);
 }
 
-// An index on a path that is not a batch column ("location") reads each
-// lazy row's key from a temporary document: building it, and inserting
-// rows after it, leaves every row lazy, and the index answers exactly as
-// a scan does.
+// An index on a path that is not a batch column ("_id") reads each lazy
+// row's key from a temporary document, and one on "location" from the
+// column that builds the object: building them, and inserting rows after
+// them, leaves every row lazy, and the indexes answer exactly as a scan
+// does.
 TEST(Collection, IndexOnANonColumnPathLeavesRowsLazy) {
   obs::Registry registry;
   ingest::BatchPool pool;
@@ -387,6 +389,7 @@ TEST(Collection, IndexOnANonColumnPathLeavesRowsLazy) {
   ASSERT_EQ(c.insert_batch(flat_rows(pool, 1), 0, 8, 1100), 8u);
   c.create_index("location.provider");
   c.create_index("location");
+  c.create_index("_id");
   ASSERT_EQ(c.insert_batch(flat_rows(pool, 2), 2, 6, 1200), 6u);
   EXPECT_EQ(registry.gauge("docstore.lazy_rows").value(), 22.0);
 
@@ -395,7 +398,8 @@ TEST(Collection, IndexOnANonColumnPathLeavesRowsLazy) {
   for (const Query& q :
        {Query::eq("location.provider", Value("gps")),
         Query::eq("location", located), Query::exists("location"),
-        Query::gte("location", located)}) {
+        Query::gte("location", located),
+        Query::lt("_id", Value("observations-2"))}) {
     EXPECT_EQ(c.find(q), reference.find(q)) << q.to_string();
     EXPECT_EQ(c.count(q), reference.count(q)) << q.to_string();
   }
@@ -403,6 +407,233 @@ TEST(Collection, IndexOnANonColumnPathLeavesRowsLazy) {
   by_location.sort_by = "location";
   EXPECT_EQ(c.find(Query::all(), by_location),
             reference.find(Query::all(), by_location));
+}
+
+/// A random flat batch of client `client`: rows with and without a fix,
+/// span ids zero and not, and now and then a NaN spl.
+std::shared_ptr<const ingest::ObsBatch> random_flat_batch(
+    ingest::BatchPool& pool, Rng& rng, int client, int batch) {
+  static const char* const kUsers[] = {"u0", "u1", "u2"};
+  static const char* const kModels[] = {"SAMSUNG GT-I9505", "LGE NEXUS 5"};
+  std::vector<phone::Observation> rows(
+      static_cast<std::size_t>(rng.uniform_int(1, 12)));
+  for (phone::Observation& o : rows) {
+    o.user = kUsers[rng.uniform_int(0, 2)];
+    o.model = kModels[rng.uniform_int(0, 1)];
+    o.captured_at = rng.uniform_int(0, 50);
+    o.spl_db = rng.bernoulli(0.1) ? std::nan("") : rng.uniform(30.0, 90.0);
+    o.mode = static_cast<phone::SensingMode>(rng.uniform_int(0, 2));
+    o.activity = static_cast<phone::Activity>(rng.uniform_int(0, 6));
+    if (rng.bernoulli(0.6))
+      o.location = phone::LocationFix{
+          static_cast<phone::LocationProvider>(rng.uniform_int(0, 2)),
+          static_cast<double>(rng.uniform_int(0, 3)),
+          static_cast<double>(rng.uniform_int(0, 3)),
+          static_cast<double>(rng.uniform_int(5, 8))};
+    if (rng.bernoulli(0.5))
+      o.span_id = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+  }
+  const std::string name = "c" + std::to_string(client);
+  return pool.make_batch(rng.bernoulli(0.8) ? "app1" : "app2", name,
+                         name + "#" + std::to_string(batch),
+                         rng.uniform_int(0, 9), rows);
+}
+
+/// Every column path of a stored observation, the "location" column, a
+/// non-column path every row has (_id) and paths no row has.
+const std::vector<std::string>& observation_paths() {
+  static const std::vector<std::string> paths = {
+      "user",       "model",      "captured_at", "spl",
+      "mode",       "activity",   "app",         "client",
+      "received_at", "delay_ms",  "span",        "location.provider",
+      "location.x", "location.y", "location.accuracy", "location",
+      "_id",        "nope",       "location.nope"};
+  return paths;
+}
+
+/// A value to compare `path` against: mostly one a stored row holds.
+Value random_operand(Rng& rng, const std::vector<Document>& docs,
+                     const std::string& path) {
+  if (rng.bernoulli(0.8)) {
+    const Document& doc = docs[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(docs.size()) - 1))];
+    if (const Value* v = doc.find_path(path)) return *v;
+  }
+  static const Value kOthers[] = {Value(), Value(std::nan("")), Value(3),
+                                  Value(6.0), Value("gps"), Value("u1")};
+  return kOthers[rng.uniform_int(0, 5)];
+}
+
+/// A random filter of every QueryOp, and/or/not nested up to `depth`.
+Query random_query(Rng& rng, const std::vector<Document>& docs, int depth) {
+  const auto& paths = observation_paths();
+  const std::string& path = paths[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(paths.size()) - 1))];
+  auto children = [&] {
+    std::vector<Query> out;
+    for (auto k = rng.uniform_int(1, 3); k > 0; --k)
+      out.push_back(random_query(rng, docs, depth - 1));
+    return out;
+  };
+  switch (static_cast<QueryOp>(rng.uniform_int(0, depth > 0 ? 11 : 8))) {
+    case QueryOp::kAll: return Query::all();
+    case QueryOp::kEq: return Query::eq(path, random_operand(rng, docs, path));
+    case QueryOp::kNe: return Query::ne(path, random_operand(rng, docs, path));
+    case QueryOp::kLt: return Query::lt(path, random_operand(rng, docs, path));
+    case QueryOp::kLte: return Query::lte(path, random_operand(rng, docs, path));
+    case QueryOp::kGt: return Query::gt(path, random_operand(rng, docs, path));
+    case QueryOp::kGte: return Query::gte(path, random_operand(rng, docs, path));
+    case QueryOp::kIn:
+      return Query::in(path, {random_operand(rng, docs, path),
+                              random_operand(rng, docs, path)});
+    case QueryOp::kExists: return Query::exists(path);
+    case QueryOp::kAnd: return Query::and_(children());
+    case QueryOp::kOr: return Query::or_(children());
+    case QueryOp::kNot: return Query::not_(random_query(rng, docs, depth - 1));
+  }
+  return Query::all();
+}
+
+std::vector<std::string> as_json(const std::vector<Document>& docs) {
+  std::vector<std::string> out;
+  for (const Document& d : docs) out.push_back(d.to_json());
+  return out;
+}
+
+// Property: a store of lazy rows, indexed on a random subset of column
+// paths and "location" before and after its rows arrive, answers every
+// read exactly as a scan over their documents does, and no read turns a
+// row into a document.
+TEST(Collection, LazyRowsAnswerEveryQueryLikeTheirDocuments) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    obs::Registry registry;
+    ingest::BatchPool pool;
+    Collection c("observations");
+    c.set_metrics(&registry);
+    const std::vector<std::string> indexable = {
+        "app", "user", "model", "captured_at", "location.provider",
+        "location"};
+    auto create_some_indexes = [&] {
+      for (const std::string& path : indexable)
+        if (rng.bernoulli(0.3)) c.create_index(path);
+    };
+    create_some_indexes();
+    std::size_t rows = 0;
+    for (int b = 0; b < 14; ++b) {
+      auto batch = random_flat_batch(pool, rng, b % 4, b);
+      const auto first = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(batch->size()) - 1));
+      rows += c.insert_batch(batch, first, batch->size() - first,
+                             rng.uniform_int(10, 60));
+      if (b == 7) create_some_indexes();
+    }
+    ASSERT_EQ(registry.gauge("docstore.lazy_rows").value(),
+              static_cast<double>(rows));
+    Collection twin = scan_twin(c);
+    std::vector<Document> docs;
+    twin.for_each([&docs](const Document& d) { docs.push_back(d); });
+    ASSERT_EQ(docs.size(), rows);
+
+    const auto& paths = observation_paths();
+    auto random_path = [&] {
+      return paths[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(paths.size()) - 1))];
+    };
+    for (int i = 0; i < 200; ++i) {
+      const Query q = random_query(rng, docs, 3);
+      SCOPED_TRACE(q.to_string());
+      FindOptions options;
+      if (rng.bernoulli(0.7)) options.sort_by = random_path();
+      options.descending = rng.bernoulli(0.5);
+      options.skip = static_cast<std::size_t>(rng.uniform_int(0, 4));
+      options.limit = static_cast<std::size_t>(rng.uniform_int(0, 8));
+      if (rng.bernoulli(0.3))
+        options.projection = {"user", "location", "span", "nope"};
+      EXPECT_EQ(as_json(c.find(q, options)), as_json(twin.find(q, options)))
+          << "sort_by=" << options.sort_by;
+      EXPECT_EQ(c.count(q), twin.count(q));
+      const std::string& path = random_path();
+      EXPECT_EQ(c.distinct(path, q), twin.distinct(path, q)) << path;
+      EXPECT_EQ(c.group_count(path, q), twin.group_count(path, q)) << path;
+      const std::string& value_path = random_path();
+      const auto got = c.group_aggregate(path, value_path, q);
+      const auto want = twin.group_aggregate(path, value_path, q);
+      ASSERT_EQ(got.size(), want.size()) << path << " by " << value_path;
+      for (std::size_t g = 0; g < got.size(); ++g) {
+        EXPECT_EQ(got[g].key, want[g].key);
+        EXPECT_EQ(got[g].count, want[g].count);
+        // Value equality: NaN equals NaN.
+        for (auto field : {&Collection::GroupAggregate::sum,
+                           &Collection::GroupAggregate::mean,
+                           &Collection::GroupAggregate::min,
+                           &Collection::GroupAggregate::max})
+          EXPECT_EQ(Value(got[g].*field), Value(want[g].*field));
+      }
+    }
+    EXPECT_EQ(registry.gauge("docstore.lazy_rows").value(),
+              static_cast<double>(rows));
+  }
+}
+
+// No read writes a slot: with the server's four indexes, every read
+// kind leaves every row lazy.
+TEST(Collection, ReadsLeaveRowsLazy) {
+  obs::Registry registry;
+  ingest::BatchPool pool;
+  Collection c("observations");
+  c.set_metrics(&registry);
+  for (const char* path : {"app", "user", "model", "captured_at"})
+    c.create_index(path);
+  for (int k = 0; k < 4; ++k)
+    ASSERT_EQ(c.insert_batch(flat_rows(pool, k), 0, 8, 1000 + k), 8u);
+  const obs::Gauge& lazy_rows = registry.gauge("docstore.lazy_rows");
+  auto expect_lazy = [&](const char* read) {
+    EXPECT_EQ(lazy_rows.value(), 32.0) << "after " << read;
+  };
+  expect_lazy("insert_batch");
+
+  ASSERT_TRUE(c.get("observations-3").has_value());
+  expect_lazy("get");
+  const Query located = Query::eq("location.provider", Value("gps"));
+  EXPECT_EQ(c.find(located).size(), 8u);
+  expect_lazy("find");
+  FindOptions sorted;
+  sorted.sort_by = "captured_at";
+  sorted.descending = true;
+  EXPECT_EQ(c.find(Query::all(), sorted).size(), 32u);
+  expect_lazy("find sorted on an indexed path");
+  sorted.sort_by = "spl";
+  EXPECT_EQ(c.find(located, sorted).size(), 8u);
+  expect_lazy("find sorted on an unindexed path");
+  FindOptions paged;
+  paged.sort_by = "location.x";
+  paged.skip = 3;
+  paged.limit = 5;
+  paged.projection = {"user", "location"};
+  EXPECT_EQ(c.find(Query::exists("location"), paged).size(), 5u);
+  expect_lazy("find paged and projected");
+  EXPECT_EQ(c.count(Query::eq("user", Value("u1"))), 16u);
+  expect_lazy("covered count");
+  EXPECT_EQ(c.count(Query::and_({Query::eq("user", Value("u1")), located})),
+            0u);
+  expect_lazy("count");
+  EXPECT_EQ(c.distinct("location.provider").size(), 2u);
+  expect_lazy("distinct");
+  EXPECT_EQ(c.group_count("client", located).size(), 4u);
+  expect_lazy("group_count");
+  EXPECT_EQ(c.group_aggregate("user", "spl").size(), 2u);
+  expect_lazy("group_aggregate");
+  std::size_t visited = 0;
+  c.for_each([&visited](const Document&) { ++visited; });
+  EXPECT_EQ(visited, 32u);
+  expect_lazy("for_each");
+  const Query none = Query::eq("_id", Value("observations-0"));
+  EXPECT_EQ(c.update_many(none, [](Document& d) { d = Value(Object{}); }), 0u);
+  expect_lazy("update_many");
+  EXPECT_EQ(c.remove_many(none), 0u);
+  expect_lazy("remove_many");
 }
 
 // Property test: indexed and unindexed execution agree on random queries.

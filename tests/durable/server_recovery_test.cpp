@@ -1026,11 +1026,14 @@ TEST(ServerRecovery, FlatRowsSealAsColumnRunsAndRestoreLazy) {
   std::vector<std::string> before = stored_bytes(s.db);
   ASSERT_EQ(before.size(), rows);
 
+  EXPECT_EQ(lazy_rows(), rows);  // reading the documents kept none
+
   lc.crash();
   lc.recover();
   EXPECT_EQ(lc.last_recovery().replayed, 0u);
   EXPECT_EQ(lazy_rows(), rows);  // restore built no document
   EXPECT_EQ(stored_bytes(s.db), before);
+  EXPECT_EQ(lazy_rows(), rows);
   EXPECT_EQ(observation_segments(env).size(), 1u);
 
   store(4);
@@ -1042,19 +1045,22 @@ TEST(ServerRecovery, FlatRowsSealAsColumnRunsAndRestoreLazy) {
   for (const Value& entry : segments[1]) sealed_rows += run_rows(entry);
   EXPECT_EQ(sealed_rows, rows - first_rows);
   before = stored_bytes(s.db);
+  EXPECT_EQ(lazy_rows(), rows);
 
   lc.crash();
   lc.recover();
   EXPECT_EQ(lazy_rows(), rows);
   EXPECT_EQ(stored_bytes(s.db), before);
+  EXPECT_EQ(lazy_rows(), rows);
   EXPECT_EQ(s.db.collection("observations").insert(Value(Object{})),
             "observations-" + std::to_string(rows + 1));
 }
 
-// A row a read materialized seals as a document between the runs of its
-// batch's other rows, and all of it restores identically: the runs lazy,
-// the document eager.
-TEST(ServerRecovery, PartlyReadRunSealsAsRunsAroundADocument) {
+// A read leaves a run whole: after a get, the batch's 7 rows are still
+// lazy and seal as one run. A replaced row then seals as a document
+// between the runs of its batch's other rows, and all of it restores
+// identically: the runs lazy, the document not.
+TEST(ServerRecovery, PartlyReplacedRunSealsAsRunsAroundADocument) {
   Stack s;
   s.db.set_metrics(&s.registry);
   MemStorageEnv env;
@@ -1062,13 +1068,26 @@ TEST(ServerRecovery, PartlyReadRunSealsAsRunsAroundADocument) {
   const obs::Gauge& lazy_rows = s.registry.gauge("docstore.lazy_rows");
   publish_traced(s, Form::kFlat, "f1", "dev1", 7, 100, 200, nullptr)
       .value_or_throw();
-  ASSERT_TRUE(
-      s.db.collection("observations").get("observations-4").has_value());
-  EXPECT_EQ(lazy_rows.value(), 6.0);
+  docstore::Collection& observations = s.db.collection("observations");
+  const std::optional<Value> fourth = observations.get("observations-4");
+  ASSERT_TRUE(fourth.has_value());
+  EXPECT_EQ(lazy_rows.value(), 7.0);
 
   lc.snapshot();
-  const std::vector<Array> segments = observation_segments(env);
+  std::vector<Array> segments = observation_segments(env);
   ASSERT_EQ(segments.size(), 1u);
+  ASSERT_EQ(segments[0].size(), 1u);
+  ASSERT_TRUE(segments[0][0].is_array());
+  EXPECT_EQ(segments[0][0].as_array().at(1).as_int(), 1);
+  EXPECT_EQ(run_rows(segments[0][0]), 7u);
+
+  Value replacement = *fourth;
+  replacement.as_object().set("note", Value("replaced"));
+  ASSERT_TRUE(observations.replace("observations-4", replacement));
+  EXPECT_EQ(lazy_rows.value(), 6.0);
+  lc.snapshot();
+  segments = observation_segments(env);
+  ASSERT_EQ(segments.size(), 1u);  // a sealed slot changed: one rewrite
   const Array& entries = segments[0];
   ASSERT_EQ(entries.size(), 3u);
   ASSERT_TRUE(entries[0].is_array());
@@ -1076,6 +1095,7 @@ TEST(ServerRecovery, PartlyReadRunSealsAsRunsAroundADocument) {
   EXPECT_EQ(run_rows(entries[0]), 3u);
   ASSERT_TRUE(entries[1].is_object());
   EXPECT_EQ(entries[1].get_string("_id"), "observations-4");
+  EXPECT_EQ(entries[1].get_string("note"), "replaced");
   ASSERT_TRUE(entries[2].is_array());
   EXPECT_EQ(entries[2].as_array().at(1).as_int(), 5);
   EXPECT_EQ(run_rows(entries[2]), 3u);

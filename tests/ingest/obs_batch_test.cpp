@@ -181,7 +181,7 @@ TEST(ObsBatch, IndexValueAgreesWithDocumentPaths) {
                          "received_at", "delay_ms",
                          "span",        "location.provider",
                          "location.x",  "location.y",
-                         "location.accuracy"};
+                         "location.accuracy", "location"};
   for (std::size_t i = 0; i < obs.size(); ++i) {
     Value doc = batch->storage_document(i, received_at);
     for (const char* path : paths) {
