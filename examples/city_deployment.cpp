@@ -154,10 +154,8 @@ int main(int argc, char** argv) {
     fleet_config.shards = shards;
     fleet_config.metrics = &registry;
     fleet = std::make_unique<shard::ShardFleet>(sim, fleet_config);
-    for (std::uint32_t s = 0; s < fleet->size(); ++s) {
-      fleet->node(s).server().set_metrics(&registry);
+    for (std::uint32_t s = 0; s < fleet->size(); ++s)
       fleet->node(s).server().set_tracer(&tracker);
-    }
     std::printf("fleet: %u shards, %u hash slots, per-shard WAL shipping "
                 "armed\n",
                 fleet->size(), shard::kHashSlots);

@@ -689,11 +689,11 @@ namespace {
 
 /// Client identity of a dedup key — both batch ids ("<client>#<counter>")
 /// and observation keys ("<client>#<span>") carry the client as the
-/// prefix before the first '#'. Keys with no '#' are treated as owned by
-/// their whole text (defensive: such keys never match a client pred).
+/// prefix before the last '#' (study client ids, "<model>#<n>", hold one
+/// too). A key with no '#' counts as owned by its whole text.
 std::string_view key_client(const std::string& key) {
   std::string_view v(key);
-  return v.substr(0, v.find('#'));
+  return v.substr(0, v.rfind('#'));
 }
 
 }  // namespace
@@ -710,20 +710,11 @@ Value GoFlowServer::extract_migration(
   Array obs_keys = keys_to_array(seen_obs_keys_.extract_if(
       [&](const std::string& k) { return pred(key_client(k)); }));
 
-  // Stored documents: full scan is fine — rebalance is a rare control
-  // operation, not a data-path one. The recovery applier removes without
-  // journaling or fault injection (see header contract).
-  Array docs;
-  auto& collection = db_.collection(config_.observations_collection);
-  for (docstore::Document& doc : collection.find(docstore::Query::all())) {
-    if (!pred(doc.get_string("client"))) continue;
-    collection.apply_remove(doc.get_string("_id"));
-    // _id is a storage-local handle, not part of the observation's
-    // identity: the adopting shard assigns its own (a source id could
-    // collide with a document the target already holds).
-    doc.as_object().erase("_id");
-    docs.push_back(std::move(doc));
-  }
+  // In their stored form, unjournaled (see header contract).
+  Array rows = db_.collection(config_.observations_collection)
+                   .extract_if("client", [&](const Value& client) {
+                     return client.is_string() && pred(client.as_string());
+                   });
 
   // Pending batches move wholesale, resume position included. Raw
   // "messages" batches have no client and stay put.
@@ -741,7 +732,7 @@ Value GoFlowServer::extract_migration(
 
   return Value(Object{{"batch_keys", Value(std::move(batch_keys))},
                       {"obs_keys", Value(std::move(obs_keys))},
-                      {"docs", Value(std::move(docs))},
+                      {"rows", Value(std::move(rows))},
                       {"pending", Value(std::move(pending))}});
 }
 
@@ -761,10 +752,12 @@ void GoFlowServer::adopt_migration(const Value& migration) {
       seen_obs_keys_.insert(k.as_string());
   note_dedup_evictions();
 
-  const Value* docs = migration.find("docs");
-  if (docs != nullptr) {
+  // _id is storage-local: the rows take this shard's next ids (a source
+  // id could collide with a row this shard already holds).
+  if (const Value* rows = migration.find("rows")) {
     auto& collection = db_.collection(config_.observations_collection);
-    for (const Value& d : docs->as_array()) collection.apply_insert(d);
+    for (const Value& entry : rows->as_array())
+      collection.apply_entry(entry, /*fresh_ids=*/true);
   }
 
   // Batch ids moved with batch_keys; srv.batch keeps the resume point.

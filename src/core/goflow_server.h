@@ -348,11 +348,11 @@ class GoFlowServer {
 
   /// Extracts every piece of per-client state owned by clients matching
   /// `pred` into one Value for adopt_migration() on another shard:
-  /// stored observation documents (removed from this shard's store),
+  /// stored observation rows (Collection::extract_if: in stored form),
   /// pending ingest batches (descheduled here; their retry timers die
   /// against the empty pending map) and both dedup key sets in eviction
   /// order, so redirect + resend stays exactly-once on the target.
-  /// Document moves use the recovery appliers (no journaling, no fault
+  /// Row moves use the recovery appliers (no journaling, no fault
   /// injection — moving acknowledged state must never fail), so the
   /// caller MUST snapshot both shards' lifecycles in the same sim event;
   /// until then a crash replays pre-move state.
@@ -360,8 +360,8 @@ class GoFlowServer {
       const std::function<bool(std::string_view client)>& pred);
 
   /// Installs extract_migration() output: dedup keys keep their eviction
-  /// order, documents land via the recovery applier, and pending batches
-  /// are re-accepted under fresh ids and resumed immediately.
+  /// order, rows land via Collection::apply_entry under new ids, and
+  /// pending batches are re-accepted under fresh ids and resumed at once.
   void adopt_migration(const Value& migration);
 
   /// Attributes every span still inside pending batches as lost at final

@@ -16,14 +16,18 @@ std::string Collection::generate_id() {
   return name_ + "-" + std::to_string(++id_counter_);
 }
 
+std::string Collection::slot_id(Slot s) const {
+  if (const auto* lazy = std::get_if<LazyRow>(&slots_[s]))
+    return name_ + "-" + std::to_string(lazy->id_counter);
+  return std::get<Document>(slots_[s]).get_string("_id");
+}
+
 void Collection::set_metrics(obs::Registry* registry) {
   sources_.detach();
   if (registry == nullptr) return;
   obs::Registry& r = *registry;
   sources_.counter(r, "docstore.inserts", stats_.total_inserts);
   sources_.counter(r, "docstore.removes", stats_.total_removes);
-  sources_.counter(r, "docstore.finds_indexed", stats_.indexed_finds);
-  sources_.counter(r, "docstore.finds_scanned", stats_.scanned_finds);
   sources_.counter(r, "docstore.plans_scan", stats_.plans_scan);
   sources_.counter(r, "docstore.plans_indexed", stats_.plans_indexed);
   sources_.counter(r, "docstore.plans_intersect", stats_.plans_intersect);
@@ -58,8 +62,19 @@ std::string Collection::insert(Document doc) {
   return insert_checked(std::move(doc), /*journaled=*/true);
 }
 
-std::string Collection::apply_insert(Document doc) {
-  return insert_checked(std::move(doc), /*journaled=*/false);
+std::size_t Collection::apply_entry(Value entry, bool fresh_ids) {
+  if (entry.is_object()) {
+    if (fresh_ids) entry.as_object().erase("_id");
+    insert_checked(std::move(entry), /*journaled=*/false);
+    return 1;
+  }
+  if (!entry.is_array() || entry.as_array().size() != 3)
+    throw std::invalid_argument("Collection::apply_entry: not an entry");
+  const Array& run = entry.as_array();
+  return apply_run(run[0].as_int(),
+                   fresh_ids ? id_counter_ + 1
+                             : static_cast<std::uint64_t>(run[1].as_int()),
+                   run[2].as_string());
 }
 
 std::string Collection::insert_checked(Document doc, bool journaled) {
@@ -94,8 +109,7 @@ std::string Collection::insert_checked(Document doc, bool journaled) {
   slots_.emplace_back(std::move(doc));
   id_to_slot_[id] = slot;
   index_document(slot, std::get<Document>(slots_[slot]));
-  ++stats_.total_inserts;
-  stats_.document_count = id_to_slot_.size();
+  if (journaled) ++stats_.total_inserts;
   return id;
 }
 
@@ -118,6 +132,7 @@ std::size_t Collection::insert_batch(
                             {"b", Value(std::move(columns))}}));
   }
   apply_rows(batch, first, n, received_at, first_id);
+  stats_.total_inserts += n;
   return n;
 }
 
@@ -144,14 +159,12 @@ void Collection::apply_rows(
     Slot slot = slots_.size();
     slots_.emplace_back(LazyRow{batch, static_cast<std::uint32_t>(first + k),
                                 received_at, id_counter});
-    id_to_slot_.emplace(name_ + "-" + std::to_string(id_counter), slot);
+    id_to_slot_.emplace(slot_id(slot), slot);
     row.seek(slot);
     for (IndexAppender& a : appenders)
       if (const Value* key = row.slot_value(*a.path)) a.add(*key, slot);
-    ++stats_.total_inserts;
   }
   if (count > 0) id_counter_ = std::max(id_counter_, first_id + count - 1);
-  stats_.document_count = id_to_slot_.size();
 }
 
 void Collection::IndexAppender::add(Value key, Slot slot) {
@@ -179,9 +192,6 @@ const Value* Collection::RowReader::slot_value(const std::string& path) {
   const Row& row = c_.slots_[slot_];
   if (const auto* doc = std::get_if<Document>(&row)) return doc->find_path(path);
   const LazyRow& lazy = std::get<LazyRow>(row);
-  // Cleared first: index_value leaves it untouched for an optional
-  // column the row lacks, which would otherwise read the previous value.
-  scratch_ = Value();
   if (lazy.batch->index_value(path, lazy.row, lazy.received_at, scratch_))
     return scratch_.is_null() ? nullptr : &scratch_;
   return document().find_path(path);
@@ -202,8 +212,7 @@ Document Collection::document_at(Slot s) const {
   const auto* lazy = std::get_if<LazyRow>(&slots_[s]);
   if (lazy == nullptr) return std::get<Document>(slots_[s]);
   Document doc = lazy->batch->storage_document(lazy->row, lazy->received_at);
-  doc.as_object().set(
-      "_id", Value(name_ + "-" + std::to_string(lazy->id_counter)));
+  doc.as_object().set("_id", Value(slot_id(s)));
   return doc;
 }
 
@@ -313,14 +322,6 @@ void Collection::note_plan(PlanKind kind) const {
   }
 }
 
-void Collection::note_find(bool indexed) const {
-  if (indexed) {
-    ++stats_.indexed_finds;
-  } else {
-    ++stats_.scanned_finds;
-  }
-}
-
 Collection::Plan Collection::plan(const Query& query) const {
   Plan plan;
   // Candidate slots per indexable clause: the root itself, or any conjunct
@@ -377,14 +378,12 @@ std::vector<Document> Collection::find(const Query& query,
     auto idx_it = indexes_.find(options.sort_by);
     if (idx_it != indexes_.end()) {
       note_plan(PlanKind::kSortIndex);
-      note_find(/*indexed=*/true);
       return find_via_sort_index(query, options, idx_it->second);
     }
   }
   note_plan(p.use_index
                 ? (p.intersected ? PlanKind::kIntersect : PlanKind::kIndexed)
                 : PlanKind::kScan);
-  note_find(p.use_index);
   // Matches are sorted and paged by (sort key, slot) before any document
   // is built, so a limited query over many matches builds only its page.
   // A missing sort key sorts as null.
@@ -571,7 +570,6 @@ std::size_t Collection::count(const Query& query) const {
   std::size_t covered = 0;
   if (covered_count(query, covered)) {
     note_plan(PlanKind::kCovered);
-    note_find(/*indexed=*/true);
     return covered;
   }
   std::size_t n = 0;
@@ -579,7 +577,6 @@ std::size_t Collection::count(const Query& query) const {
   note_plan(p.use_index
                 ? (p.intersected ? PlanKind::kIntersect : PlanKind::kIndexed)
                 : PlanKind::kScan);
-  note_find(p.use_index);
   for_each_match(query, [&n](Slot, RowReader&) { ++n; }, p);
   return n;
 }
@@ -662,16 +659,14 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
   unindex_slot(slot);
   slots_[slot] = std::monostate{};
   id_to_slot_.erase(it);
-  ++stats_.total_removes;
-  stats_.document_count = id_to_slot_.size();
+  if (journaled) ++stats_.total_removes;
   return true;
 }
 
 std::size_t Collection::remove_many(const Query& query) {
   std::vector<std::string> ids;
-  for_each_match(query, [&](Slot, RowReader& row) {
-    ids.push_back(row.slot_value("_id")->as_string());
-  });
+  for_each_match(query,
+                 [&](Slot s, RowReader&) { ids.push_back(slot_id(s)); });
   for (const std::string& id : ids) remove(id);
   return ids.size();
 }
@@ -693,7 +688,22 @@ void Collection::apply_create_index(const std::string& path) {
     if (slot_alive(slot))
       if (const Value* key = row.seek(slot).slot_value(path))
         appender.add(*key, slot);
-  stats_.index_count = indexes_.size();
+}
+
+Array Collection::extract_if(const std::string& path,
+                             const std::function<bool(const Value&)>& pred) {
+  std::vector<bool> moves(slots_.size());
+  for_each_match(Query::all(), [&](Slot s, RowReader& row) {
+    if (const Value* v = row.slot_value(path)) moves[s] = pred(*v);
+  });
+  // A segment's entries, read back: rows leave the process in one form.
+  std::string bytes;
+  Array entries(encode_entries(0, bytes, [&](Slot s) { return moves[s]; }));
+  codec::Reader reader(bytes);
+  for (Value& entry : entries) codec::decode_value(reader, entry);
+  for (Slot s = 0; s < slots_.size(); ++s)
+    if (moves[s]) remove_checked(slot_id(s), /*journaled=*/false);
+  return entries;
 }
 
 bool Collection::has_index(const std::string& path) const {
@@ -739,7 +749,6 @@ std::vector<Value> Collection::distinct(const std::string& path,
                               return true;
                             })) {
         note_plan(PlanKind::kCovered);
-        note_find(/*indexed=*/true);
         return out;
       }
     }
@@ -770,7 +779,6 @@ std::vector<std::pair<Value, std::size_t>> Collection::group_count(
                               return true;
                             })) {
         note_plan(PlanKind::kCovered);
-        note_find(/*indexed=*/true);
         return out;
       }
     }
@@ -841,28 +849,30 @@ void Collection::encode_snapshot(durable::SnapshotWriter& writer) {
                   });
 }
 
-std::uint32_t Collection::encode_entries(Slot first,
-                                         std::string& segment) const {
+std::uint32_t Collection::encode_entries(
+    Slot first, std::string& segment,
+    const std::function<bool(Slot)>& keep) const {
   std::uint32_t entries = 0;
   std::string columns;
   for (Slot s = first; s < slots_.size();) {
+    if (!slot_alive(s) || (keep && !keep(s))) {
+      ++s;
+      continue;
+    }
     if (const auto* doc = std::get_if<Document>(&slots_[s])) {
       codec::encode_value(*doc, segment);
       ++entries;
       ++s;
       continue;
     }
-    if (!slot_alive(s)) {
-      ++s;
-      continue;
-    }
-    // The run: every following slot that is the same batch's next row,
-    // received together, under the next id.
+    // The run: every following kept slot that is the same batch's next
+    // row, received together, under the next id.
     const LazyRow& head = std::get<LazyRow>(slots_[s]);
     std::size_t n = 1;
     for (; s + n < slots_.size(); ++n) {
       const auto* next = std::get_if<LazyRow>(&slots_[s + n]);
-      if (next == nullptr || next->batch != head.batch ||
+      if (next == nullptr || (keep && !keep(s + n)) ||
+          next->batch != head.batch ||
           next->received_at != head.received_at ||
           next->row != head.row + n || next->id_counter != head.id_counter + n)
         break;
@@ -887,18 +897,8 @@ void Collection::restore_snapshot(const Value& state,
     // Positions, not entries: a run entry fills one slot per row, so the
     // sealed prefix ends at slots_.size() and the next snapshot seals
     // only what is appended after the restore.
-    sealed_ = segments.take(*docs, [this](Value&& entry) -> std::size_t {
-      if (!entry.is_array()) {
-        insert_checked(std::move(entry), /*journaled=*/false);
-        return 1;
-      }
-      const Array& run = entry.as_array();
-      if (run.size() != 3)
-        throw std::invalid_argument("Collection::restore_snapshot: a run is "
-                                    "[received_at, id, columns]");
-      return apply_run(run[0].as_int(),
-                       static_cast<std::uint64_t>(run[1].as_int()),
-                       run[2].as_string());
+    sealed_ = segments.take(*docs, [this](Value&& entry) {
+      return apply_entry(std::move(entry));
     });
   }
   // Indexes after the slots, one at a time, so each index's entries are
@@ -914,8 +914,6 @@ void Collection::crash() {
   id_to_slot_.clear();
   indexes_.clear();
   id_counter_ = 0;
-  stats_.document_count = 0;
-  stats_.index_count = 0;
 }
 
 Document Collection::project(const Document& doc,

@@ -41,12 +41,8 @@ struct IndexKey {
 
 /// Collection statistics for the analytics component.
 struct CollectionStats {
-  std::size_t document_count = 0;
-  std::size_t index_count = 0;
-  std::uint64_t total_inserts = 0;
-  std::uint64_t total_removes = 0;
-  std::uint64_t indexed_finds = 0;  ///< finds served through an index
-  std::uint64_t scanned_finds = 0;  ///< finds answered by full scan
+  std::uint64_t total_inserts = 0;  ///< insert, insert_batch; no applier
+  std::uint64_t total_removes = 0;  ///< remove, remove_many; no applier
   // Planner decisions (one bump per planned find/count/distinct/group).
   std::uint64_t plans_scan = 0;        ///< no usable index: full scan
   std::uint64_t plans_indexed = 0;     ///< one index supplied candidates
@@ -149,8 +145,8 @@ class Collection {
   const CollectionStats& stats() const { return stats_; }
 
   /// Registers the collection's counters with `registry` under the
-  /// database-wide "docstore.*" names (inserts, removes, finds_indexed,
-  /// finds_scanned, plans_*), its size as the docstore.documents gauge
+  /// database-wide "docstore.*" names (inserts, removes, plans_*), its
+  /// size as the docstore.documents gauge
   /// and its live rows held as batch columns as the docstore.lazy_rows
   /// gauge, counted when read; the registry sums them over every
   /// attached collection. Pass nullptr to detach.
@@ -178,11 +174,18 @@ class Collection {
   void attach_journal(durable::Journal* journal) { journal_ = journal; }
   durable::Journal* journal() const { return journal_; }
 
-  /// Recovery-only appliers: identical state transitions to
-  /// insert/replace/remove/create_index but with no journaling and no
-  /// fault injection (re-applying an already-acknowledged write must
-  /// never fail, even under an armed chaos plan).
-  std::string apply_insert(Document doc);
+  /// Recovery and migration appliers: identical state transitions to
+  /// insert/replace/remove/create_index but with no journaling, no fault
+  /// injection (re-applying an already-acknowledged write must never
+  /// fail, even under an armed chaos plan) and no insert/remove counts.
+  /// apply_entry stores a segment entry (see encode_snapshot), an
+  /// extract_if() entry or a db.insert record's document: an object
+  /// through the insert path, a run [received_at, id, columns] through
+  /// apply_run. With `fresh_ids` (a migration) a document's _id is
+  /// dropped and a run's ids start at the generator's next. Throws
+  /// std::invalid_argument, before touching state, for any other shape.
+  /// Returns the slots filled.
+  std::size_t apply_entry(Value entry, bool fresh_ids = false);
   /// Stores a column run — the encode_batch() bytes of a db.rows record
   /// or of a snapshot's run entry — as lazy rows whose ids count up from
   /// first_id, and catches the generator up past them. Throws
@@ -195,6 +198,12 @@ class Collection {
   /// Builds the index from every live slot through the row accessor, so
   /// the build leaves lazy rows lazy.
   void apply_create_index(const std::string& path);
+  /// Removes, unjournaled, every live row whose value at `path` satisfies
+  /// `pred` and returns the entries encode_snapshot would seal for them
+  /// (lazy rows as column runs), in slot order, for apply_entry(). A
+  /// removed sealed slot forgets the sealed prefix, as apply_remove does.
+  Array extract_if(const std::string& path,
+                   const std::function<bool(const Value&)>& pred);
 
   /// Appends the collection's snapshot record to the writer's manifest
   /// in the common/codec.h encoding: {name, id_counter, indexes:
@@ -209,10 +218,9 @@ class Collection {
   /// encode_batch() of the rows], and stays lazy.
   void encode_snapshot(durable::SnapshotWriter& writer);
   /// Rebuilds state from the decoded encode_snapshot() record, moving
-  /// the entries out of the loaded `segments`: documents through the
-  /// insert path, run entries through apply_run (so they come back
-  /// lazy), then each index, one at a time. The collection must be empty
-  /// (crash() first).
+  /// the entries out of the loaded `segments` through apply_entry (run
+  /// entries come back lazy), then each index, one at a time. The
+  /// collection must be empty (crash() first).
   void restore_snapshot(const Value& state, durable::Segments& segments);
 
   /// Models the process dying: drops every document and index entry in
@@ -264,8 +272,9 @@ class Collection {
   /// The one row accessor (DESIGN.md §13) for filters, index keys, sort
   /// keys and grouped values: reads a live slot, one at a time, and
   /// writes none. A stored document answers in place. A lazy row answers
-  /// a column path from its batch into one scratch value, and any other
-  /// path from its document, built at most once per seek.
+  /// a column path from its batch over one scratch value, reusing its
+  /// string buffer, and any other path from its document, built at most
+  /// once per seek.
   class RowReader {
    public:
     explicit RowReader(const Collection& c) : c_(c) {}
@@ -318,14 +327,18 @@ class Collection {
   void apply_rows(const std::shared_ptr<const ingest::ObsBatch>& batch,
                   std::size_t first, std::size_t count, TimeMs received_at,
                   std::uint64_t first_id);
-  /// Encodes slots [first, slots_.size()) into a snapshot segment as
-  /// document and run entries (see encode_snapshot); returns how many
-  /// entries it appended.
-  std::uint32_t encode_entries(Slot first, std::string& segment) const;
+  /// Encodes the live slots of [first, slots_.size()) that `keep` (when
+  /// set) accepts into a snapshot segment as document and run entries
+  /// (see encode_snapshot); returns how many entries it appended.
+  std::uint32_t encode_entries(
+      Slot first, std::string& segment,
+      const std::function<bool(Slot)>& keep = {}) const;
 
   std::string generate_id();
+  /// A live slot's _id, read without building a lazy row's document.
+  std::string slot_id(Slot s) const;
   /// Shared bodies of the public mutators and the apply_* recovery
-  /// path; `journaled` false suppresses the WAL record.
+  /// path; `journaled` false suppresses the WAL record and the count.
   std::string insert_checked(Document doc, bool journaled);
   bool replace_checked(const std::string& id, Document doc, bool journaled);
   bool remove_checked(const std::string& id, bool journaled);
@@ -344,7 +357,6 @@ class Collection {
                                             const FindOptions& options,
                                             const Index& index) const;
   void note_plan(PlanKind kind) const;
-  void note_find(bool indexed) const;
   static Document project(const Document& doc,
                           const std::vector<std::string>& fields);
 

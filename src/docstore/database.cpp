@@ -85,7 +85,7 @@ void Database::apply_journal_record(const Value& record) {
                 static_cast<std::uint64_t>(record.get_int("id")),
                 record.at("b").as_string());
   } else if (op == "db.insert") {
-    c.apply_insert(record.at("doc"));
+    c.apply_entry(record.at("doc"));
   } else if (op == "db.replace") {
     c.apply_replace(record.get_string("id"), record.at("doc"));
   } else if (op == "db.remove") {

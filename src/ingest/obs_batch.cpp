@@ -11,6 +11,12 @@ namespace {
 
 Value value_from_view(std::string_view s) { return Value(std::string(s)); }
 
+/// Writes `s` over `out`, into its string buffer when it holds one.
+void assign_string(std::string_view s, Value& out) {
+  if (out.is_string()) out.as_string().assign(s);
+  else out = value_from_view(s);
+}
+
 }  // namespace
 
 phone::Observation ObsBatch::observation_at(std::size_t i) const {
@@ -87,38 +93,39 @@ Value ObsBatch::storage_document(std::size_t i, TimeMs received_at) const {
 bool ObsBatch::index_value(std::string_view path, std::size_t i,
                            TimeMs received_at, Value& out) const {
   if (path == "user") {
-    out = value_from_view(user(i));
+    assign_string(user(i), out);
   } else if (path == "model") {
-    out = value_from_view(model(i));
+    assign_string(model(i), out);
   } else if (path == "captured_at") {
     out = Value(captured_at_[i]);
   } else if (path == "spl") {
     out = Value(spl_[i]);
   } else if (path == "mode") {
-    out = Value(phone::sensing_mode_name(mode(i)));
+    assign_string(phone::sensing_mode_name(mode(i)), out);
   } else if (path == "activity") {
-    out = Value(phone::activity_name(activity(i)));
+    assign_string(phone::activity_name(activity(i)), out);
   } else if (path == "app") {
-    out = value_from_view(app_);
+    assign_string(app_, out);
   } else if (path == "client") {
-    out = value_from_view(client_);
+    assign_string(client_, out);
   } else if (path == "received_at") {
     out = Value(received_at);
   } else if (path == "delay_ms") {
     out = Value(received_at - captured_at_[i]);
   } else if (path == "span") {
-    if (span_ids_[i] != 0) out = Value(static_cast<std::int64_t>(span_ids_[i]));
+    out = span_ids_[i] != 0 ? Value(static_cast<std::int64_t>(span_ids_[i]))
+                            : Value();
   } else if (path == "location") {
-    if (has_location(i)) out = location_object(i);
+    out = has_location(i) ? location_object(i) : Value();
   } else if (path == "location.provider") {
-    if (has_location(i))
-      out = Value(phone::location_provider_name(provider(i)));
+    if (!has_location(i)) out = Value();
+    else assign_string(phone::location_provider_name(provider(i)), out);
   } else if (path == "location.x") {
-    if (has_location(i)) out = Value(x_[i]);
+    out = has_location(i) ? Value(x_[i]) : Value();
   } else if (path == "location.y") {
-    if (has_location(i)) out = Value(y_[i]);
+    out = has_location(i) ? Value(y_[i]) : Value();
   } else if (path == "location.accuracy") {
-    if (has_location(i)) out = Value(accuracy_[i]);
+    out = has_location(i) ? Value(accuracy_[i]) : Value();
   } else {
     return false;  // not a flat column ("_id", app-specific)
   }

@@ -96,10 +96,10 @@ class ObsBatch {
   /// them. Sized for exactly those fields and the _id the docstore adds.
   Value storage_document(std::size_t i, TimeMs received_at) const;
 
-  /// The value at `path` of row `i`'s storage document without building
-  /// the document; false when the path is not a flat column (the caller
-  /// falls back to the document). An optional column the row lacks
-  /// ("span", "location" and its fields) leaves `out` untouched.
+  /// Writes the value at `path` of row `i`'s storage document over `out`
+  /// (into its string buffer, if it holds one) without building the
+  /// document; false when the path is not a flat column. An optional
+  /// column the row lacks ("span", "location" and its fields) sets null.
   bool index_value(std::string_view path, std::size_t i, TimeMs received_at,
                    Value& out) const;
 

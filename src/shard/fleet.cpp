@@ -9,8 +9,12 @@ ShardNode::ShardNode(std::uint32_t index, sim::Simulation& sim,
       shipper_(index, config.journal.wal, config.metrics),
       lifecycle_(env_a_, sim, broker_, db_, server_, config.journal,
                  config.metrics) {
-  if (config.metrics != nullptr)
+  if (config.metrics != nullptr) {
     sources_.counter(*config.metrics, "shard.failovers", failovers_);
+    broker_.set_metrics(config.metrics);
+    db_.set_metrics(config.metrics);
+    server_.set_metrics(config.metrics);
+  }
   // The lifecycle constructor wrote the base snapshot; ship it and the
   // (empty) log so the follower is promotable from the first event on.
   shipper_.set_follower(&env_b_);

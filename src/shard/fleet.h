@@ -20,12 +20,12 @@
 // across a failover.
 //
 // Rebalance: rebalance(slot, to) extracts the slot's per-client state
-// from its current owner (stored documents, pending ingest batches,
-// both dedup key sets — GoFlowServer::extract_migration), adopts it on
-// the target, flips the map entry and snapshots both nodes in the same
-// sim event, so the move is atomic with respect to traffic and crash-
-// durable the moment it completes. Dedup keys travelling with the slot
-// is what keeps redirect + resend exactly-once (the satellite-3 fix).
+// from its current owner (stored rows in their stored form, pending
+// ingest batches, both dedup key sets — GoFlowServer::extract_migration),
+// adopts it on the target, flips the map entry and snapshots both nodes
+// in the same sim event, so the move is atomic with respect to traffic
+// and crash-durable the moment it completes. Dedup keys travelling with
+// the slot is what keeps redirect + resend exactly-once.
 //
 // With shards == 1 the fleet is exactly today's single server plus an
 // idle shipper — the byte-equivalence gate pins that.
@@ -57,7 +57,7 @@ struct FleetConfig {
   AppId app = "soundcity";
   core::ServerConfig server;
   durable::JournalConfig journal;
-  obs::Registry* metrics = nullptr;
+  obs::Registry* metrics = nullptr;  ///< every node's whole stack reports here
 };
 
 /// One shard: a full middleware stack with primary/follower storage and

@@ -1259,12 +1259,17 @@ TEST(ServerRecovery, DurableMetricsAreExported) {
   MemStorageEnv env;
   durable::JournalConfig cfg;
   ServerLifecycle lc(env, s.sim, s.broker, s.db, *s.server, cfg, &s.registry);
+  s.db.set_metrics(&s.registry);
 
   s.broker.publish("goflow", "b", make_batch("b1", "dev1", 0, 2, 100), 200)
       .value_or_throw();
+  const std::uint64_t inserts = s.registry.counter("docstore.inserts").value();
+  EXPECT_GE(inserts, 2u);
   lc.crash();
   lc.recover();
 
+  // Recovery re-stores what the inserts stored; it inserts nothing new.
+  EXPECT_EQ(s.registry.counter("docstore.inserts").value(), inserts);
   EXPECT_GT(s.registry.counter("durable.wal_appends").value(), 0u);
   EXPECT_GT(s.registry.counter("durable.fsync_batches").value(), 0u);
   EXPECT_GT(s.registry.counter("durable.snapshots").value(), 0u);

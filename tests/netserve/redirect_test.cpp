@@ -33,7 +33,7 @@ struct Shard {
   NetServer net_server;
   std::string exchange;
 
-  explicit Shard(sim::Simulation& sim)
+  Shard(sim::Simulation& sim, const std::string& client)
       : server(sim, broker, db), net_server(sim, broker) {
     net_server.start().throw_if_error();
     auto reg = server.register_app("soundcity").value_or_throw();
@@ -42,7 +42,7 @@ struct Shard {
             .register_account(reg.admin_token, "soundcity", "u1",
                               core::Role::kClient)
             .value_or_throw();
-    exchange = server.login_client(token, "soundcity", "c1")
+    exchange = server.login_client(token, "soundcity", client)
                    .value_or_throw()
                    .exchange;
   }
@@ -54,20 +54,23 @@ struct Shard {
   }
 };
 
+/// Two shards and one client, "c1" unless a test names another (a study
+/// client id has the form "<model>#<n>").
 struct Harness {
+  std::string client_id;
   sim::Simulation sim;
-  Shard a{sim};
-  Shard b{sim};
+  Shard a{sim, client_id};
+  Shard b{sim, client_id};
   std::unique_ptr<NetClient> client;
   ingest::BatchPool pool;
 
-  Harness() {
+  explicit Harness(std::string id = "c1") : client_id(std::move(id)) {
     // Same registration sequence on both shards -> same exchange name;
     // the client's route can change shards without re-login.
     EXPECT_EQ(a.exchange, b.exchange);
     NetClientConfig cc;
     cc.port = a.net_server.port();
-    cc.client_id = "c1";
+    cc.client_id = client_id;
     client = std::make_unique<NetClient>(sim, std::move(cc));
     // Co-simulation: the client pumps every front door it could ever be
     // redirected to.
@@ -87,24 +90,25 @@ struct Harness {
       obs.spl_db = 48.0 + i;
       observations.push_back(obs);
     }
-    return pool.make_batch("soundcity", "c1", "c1#" + std::to_string(counter),
+    return pool.make_batch("soundcity", client_id,
+                           client_id + "#" + std::to_string(counter),
                            minutes(counter * 10), observations);
   }
 
   Result<broker::PublishResult> publish(int counter, TimeMs now) {
-    return client->publish_flat(a.exchange, "soundcity.obs.c1",
+    return client->publish_flat(a.exchange, "soundcity.obs." + client_id,
                                 make_batch(counter), now);
   }
 
-  /// The control plane's slot move, shrunk to one client: extract c1's
-  /// state from A, adopt it on B, and point A's front door at B.
-  void migrate_c1_to_b() {
+  /// The control plane's slot move, shrunk to one client: extract the
+  /// client's state from A, adopt it on B, and point A's front door at B.
+  void migrate_to_b() {
     Value migration = a.server.extract_migration(
-        [](std::string_view client) { return client == "c1"; });
+        [this](std::string_view client) { return client == client_id; });
     b.server.adopt_migration(migration);
     a.net_server.set_redirect_fn(
         [this](std::string_view client) -> std::optional<wire::RedirectMsg> {
-          if (client != "c1") return std::nullopt;
+          if (client != client_id) return std::nullopt;
           wire::RedirectMsg r;
           r.shard = 1;
           r.port = b.net_server.port();
@@ -115,41 +119,46 @@ struct Harness {
 };
 
 TEST(Redirect, LostAckThenRebalanceStaysExactlyOnce) {
-  Harness h;
+  // A study client id, "<model>#<n>", has a '#' of its own: its batch
+  // ids must still travel with it.
+  for (const char* id : {"c1", "GT-I9300#5"}) {
+    SCOPED_TRACE(id);
+    Harness h(id);
 
-  // Two lost acks: the batch is processed (and stored) on A, but the
-  // client never hears it — neither on the first send nor on its retry.
-  h.a.net_server.fail_next_ack(2);
-  EXPECT_FALSE(h.publish(1, minutes(11)).ok());
-  EXPECT_TRUE(h.client->has_pending());
-  EXPECT_FALSE(h.publish(1, minutes(12)).ok());
-  EXPECT_TRUE(h.client->has_pending());
-  EXPECT_EQ(h.a.stored(), 4u);
-  EXPECT_EQ(h.a.server.duplicate_batches(), 1u);  // the retry deduped on A
+    // Two lost acks: the batch is processed (and stored) on A, but the
+    // client never hears it — neither on the first send nor on its retry.
+    h.a.net_server.fail_next_ack(2);
+    EXPECT_FALSE(h.publish(1, minutes(11)).ok());
+    EXPECT_TRUE(h.client->has_pending());
+    EXPECT_FALSE(h.publish(1, minutes(12)).ok());
+    EXPECT_TRUE(h.client->has_pending());
+    EXPECT_EQ(h.a.stored(), 4u);
+    EXPECT_EQ(h.a.server.duplicate_batches(), 1u);  // the retry deduped on A
 
-  // The slot moves to B — documents AND dedup keys — and A's front door
-  // starts redirecting c1.
-  h.migrate_c1_to_b();
-  EXPECT_EQ(h.a.stored(), 0u);
-  EXPECT_EQ(h.b.stored(), 4u);
+    // The slot moves to B — stored rows AND dedup keys — and A's front
+    // door starts redirecting the client.
+    h.migrate_to_b();
+    EXPECT_EQ(h.a.stored(), 0u);
+    EXPECT_EQ(h.b.stored(), 4u);
 
-  // The client's next retry of the same batch: redirected, re-sent to B,
-  // absorbed by the migrated batch id. Exactly one stored copy fleet-wide.
-  auto result = h.publish(1, minutes(13));
-  ASSERT_TRUE(result.ok()) << result.error().message;
-  EXPECT_FALSE(h.client->has_pending());
-  EXPECT_EQ(h.client->stats().redirects, 1u);
-  EXPECT_EQ(h.a.net_server.stats().redirects_issued, 1u);
-  EXPECT_EQ(h.b.server.duplicate_batches(), 1u);
-  EXPECT_EQ(h.a.stored() + h.b.stored(), 4u);
+    // The client's next retry of the same batch: redirected, re-sent to B,
+    // absorbed by the migrated batch id. Exactly one stored copy fleet-wide.
+    auto result = h.publish(1, minutes(13));
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    EXPECT_FALSE(h.client->has_pending());
+    EXPECT_EQ(h.client->stats().redirects, 1u);
+    EXPECT_EQ(h.a.net_server.stats().redirects_issued, 1u);
+    EXPECT_EQ(h.b.server.duplicate_batches(), 1u);
+    EXPECT_EQ(h.a.stored() + h.b.stored(), 4u);
 
-  // The client now talks to B directly: fresh batches land there with no
-  // further redirect.
-  ASSERT_TRUE(h.publish(2, minutes(21)).ok());
-  EXPECT_EQ(h.client->config().port, h.b.net_server.port());
-  EXPECT_EQ(h.client->stats().redirects, 1u);
-  EXPECT_EQ(h.b.stored(), 8u);
-  EXPECT_EQ(h.a.stored(), 0u);
+    // The client now talks to B directly: fresh batches land there with no
+    // further redirect.
+    ASSERT_TRUE(h.publish(2, minutes(21)).ok());
+    EXPECT_EQ(h.client->config().port, h.b.net_server.port());
+    EXPECT_EQ(h.client->stats().redirects, 1u);
+    EXPECT_EQ(h.b.stored(), 8u);
+    EXPECT_EQ(h.a.stored(), 0u);
+  }
 }
 
 TEST(Redirect, CleanRedirectDeliversToNewOwnerOnly) {
@@ -157,7 +166,7 @@ TEST(Redirect, CleanRedirectDeliversToNewOwnerOnly) {
   ASSERT_TRUE(h.publish(1, minutes(11)).ok());
   EXPECT_EQ(h.a.stored(), 4u);
 
-  h.migrate_c1_to_b();
+  h.migrate_to_b();
   ASSERT_TRUE(h.publish(2, minutes(21)).ok());
   EXPECT_EQ(h.client->stats().redirects, 1u);
   EXPECT_EQ(h.a.stored(), 0u);
@@ -167,7 +176,7 @@ TEST(Redirect, CleanRedirectDeliversToNewOwnerOnly) {
 
 TEST(Redirect, OtherClientsAreNotRedirected) {
   Harness h;
-  h.migrate_c1_to_b();
+  h.migrate_to_b();
   // A publish whose batch carries a different client id sails through A.
   std::vector<phone::Observation> observations(1);
   observations[0].user = "u1";

@@ -197,7 +197,7 @@ TEST_F(PipelineObservabilityTest, MetricsEndpointServesOneDocument) {
   EXPECT_GT(counters->get_int("client.recorded"), 0);
   EXPECT_GT(counters->get_int("client.uploads"), 0);
   EXPECT_GT(counters->get_int("docstore.inserts"), 0);
-  EXPECT_GT(counters->get_int("docstore.finds_indexed"), 0);
+  EXPECT_GT(counters->get_int("docstore.plans_indexed"), 0);
   EXPECT_GT(counters->get_int("server.batches_ingested"), 0);
   EXPECT_GT(counters->get_int("span.started"), 0);
   const Value* gauges = response.body.find("gauges");

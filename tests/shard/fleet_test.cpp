@@ -8,29 +8,65 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/goflow_server.h"
 #include "core/recovery.h"
 #include "docstore/database.h"
 #include "durable/storage.h"
 #include "fault/fault.h"
+#include "ingest/obs_batch.h"
 #include "shard/fleet.h"
 #include "sim/simulation.h"
 
 namespace mps::shard {
 namespace {
 
+/// A document batch; with `first_span` its observations carry span ids
+/// from there on, which the server keeps as "<client>#<span>" keys.
 Value make_batch(const std::string& batch_id, const std::string& client,
-                 int first_seq, int count, TimeMs captured_at) {
+                 int first_seq, int count, TimeMs captured_at,
+                 int first_span = 0) {
   Array observations;
-  for (int i = 0; i < count; ++i)
-    observations.push_back(Value(Object{{"seq", Value(first_seq + i)},
-                                        {"captured_at", Value(captured_at)},
-                                        {"spl", Value(55.0 + i)}}));
+  for (int i = 0; i < count; ++i) {
+    Object obs{{"seq", Value(first_seq + i)},
+               {"captured_at", Value(captured_at)},
+               {"spl", Value(55.0 + i)}};
+    if (first_span > 0) obs.set("span", Value(first_span + i));
+    observations.push_back(Value(std::move(obs)));
+  }
   return Value(Object{{"batch_id", Value(batch_id)},
                       {"app", Value("app1")},
                       {"client", Value(client)},
                       {"observations", Value(std::move(observations))}});
+}
+
+/// A flat upload of `count` rows, the form GoFlow clients send.
+std::shared_ptr<const ingest::ObsBatch> make_flat_batch(
+    ingest::BatchPool& pool, const std::string& batch_id,
+    const std::string& client, int count, TimeMs captured_at) {
+  std::vector<phone::Observation> observations(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    phone::Observation& o = observations[static_cast<std::size_t>(i)];
+    o.user = "u-" + client;
+    o.model = "m";
+    o.captured_at = captured_at + i;
+    o.spl_db = 50.0 + i;
+    if (i % 2 == 0)
+      o.location = phone::LocationFix{phone::LocationProvider::kGps, 1.0 * i,
+                                      2.0, 8.0};
+  }
+  return pool.make_batch("app1", client, batch_id, captured_at, observations);
+}
+
+/// The stored documents of a node's observations, as JSON in slot order.
+std::vector<std::string> stored_json(docstore::Database& db) {
+  std::vector<std::string> out;
+  db.collection("observations").for_each([&](const Value& doc) {
+    out.push_back(doc.to_json());
+  });
+  return out;
 }
 
 std::multiset<std::string> stored_keys(docstore::Database& db) {
@@ -66,11 +102,33 @@ struct Fixture {
   /// owning shard's broker.
   Result<broker::PublishResult> publish(const std::string& client,
                                         const std::string& batch_id,
-                                        int first_seq, int count, TimeMs t) {
+                                        int first_seq, int count, TimeMs t,
+                                        int first_span = 0) {
     return fleet.broker_for(client).publish(
-        "goflow", "b", make_batch(batch_id, client, first_seq, count, t), t);
+        "goflow", "b",
+        make_batch(batch_id, client, first_seq, count, t, first_span), t);
   }
 };
+
+/// The first client "<prefix><n>" on `client`'s shard in another slot.
+std::string neighbour(const ShardFleet& fleet, const std::string& client,
+                      const std::string& prefix) {
+  for (int n = 0;; ++n) {
+    std::string other = prefix + std::to_string(n);
+    if (fleet.shard_for(other) == fleet.shard_for(client) &&
+        slot_of("app1", other) != slot_of("app1", client))
+      return other;
+  }
+}
+
+/// Both dedup key sets of a node, batch ids and observation keys mixed.
+std::set<std::string> dedup_keys(ShardNode& node) {
+  std::set<std::string> keys;
+  for (const auto* set :
+       {&node.server().seen_batch_ids(), &node.server().seen_obs_keys()})
+    keys.insert(set->ordered().begin(), set->ordered().end());
+  return keys;
+}
 
 // Golden routes (pinned in shard_map_test): with two shards, dev1's
 // slot 12 lives on shard 0 and dev2's slot 37 on shard 1.
@@ -154,35 +212,125 @@ TEST(ShardFleet, ControllerSwitchoverWorksWhileUp) {
 }
 
 TEST(ShardFleet, RebalanceMovesDocumentsAndDedupKeysWithoutLossOrDup) {
-  // Batch ids follow the client convention "<client>#<counter>" — the
-  // prefix is what lets the migration find a client's dedup keys.
-  Fixture f(2);
-  f.publish("dev1", "dev1#1", 0, 3, 100).value_or_throw();
-  f.publish("dev1", "dev1#2", 3, 2, 110).value_or_throw();
-  f.publish("dev2", "dev2#1", 0, 1, 120).value_or_throw();
+  // Batch ids follow the client convention "<client>#<counter>" and
+  // observation keys "<client>#<span>": the text before the last '#' is
+  // what lets the migration find a client's dedup keys — also for a
+  // study client id, "<model>#<n>", whose neighbour shares its model.
+  const std::pair<std::string, std::string> cases[] = {
+      {"dev1", "dev"}, {"GT-I9300#5", "GT-I9300#"}};
+  for (const auto& [moved, neighbour_prefix] : cases) {
+    SCOPED_TRACE(moved);
+    Fixture f(2);
+    const std::uint32_t from = f.fleet.shard_for(moved);
+    const std::uint32_t to = 1 - from;
+    const std::string stays = neighbour(f.fleet, moved, neighbour_prefix);
+    f.publish(moved, moved + "#1", 0, 3, 100, 11).value_or_throw();
+    f.publish(moved, moved + "#2", 3, 2, 110, 14).value_or_throw();
+    f.publish(stays, stays + "#1", 0, 1, 120, 21).value_or_throw();
 
-  ASSERT_TRUE(f.fleet.rebalance(slot_of("app1", "dev1"), 1));
-  EXPECT_EQ(f.fleet.rebalances(), 1u);
-  EXPECT_EQ(f.registry.counter("shard.rebalances").value(), 1u);
-  EXPECT_EQ(f.fleet.shard_for("dev1"), 1u);
-  EXPECT_EQ(f.fleet.map().version(), 1u);
+    ASSERT_TRUE(f.fleet.rebalance(slot_of("app1", moved), to));
+    EXPECT_EQ(f.fleet.rebalances(), 1u);
+    EXPECT_EQ(f.registry.counter("shard.rebalances").value(), 1u);
+    EXPECT_EQ(f.fleet.shard_for(moved), to);
+    EXPECT_EQ(f.fleet.map().version(), 1u);
 
-  // No loss: every dev1 document moved; no dup: none left behind.
-  EXPECT_EQ(stored_keys(f.fleet.node(0).db()), (std::multiset<std::string>{}));
-  EXPECT_EQ(stored_keys(f.fleet.node(1).db()),
-            (std::multiset<std::string>{"dev1#0", "dev1#1", "dev1#2", "dev1#3",
-                                        "dev1#4", "dev2#0"}));
+    // No loss: every moved document arrived; no dup: none left behind.
+    EXPECT_EQ(stored_keys(f.fleet.node(from).db()),
+              (std::multiset<std::string>{stays + "#0"}));
+    EXPECT_EQ(stored_keys(f.fleet.node(to).db()),
+              (std::multiset<std::string>{moved + "#0", moved + "#1",
+                                          moved + "#2", moved + "#3",
+                                          moved + "#4"}));
+    // Each client's dedup keys sit with its documents.
+    EXPECT_EQ(dedup_keys(f.fleet.node(from)),
+              (std::set<std::string>{stays + "#1", stays + "#21"}));
+    EXPECT_EQ(dedup_keys(f.fleet.node(to)),
+              (std::set<std::string>{moved + "#1", moved + "#2", moved + "#11",
+                                     moved + "#12", moved + "#13",
+                                     moved + "#14", moved + "#15"}));
 
-  // The dedup keys travelled with the slot: a redelivery of dev1#1 --
-  // which the router now sends to shard 1 -- is still exactly-once.
-  f.publish("dev1", "dev1#1", 0, 3, 100).value_or_throw();
-  EXPECT_EQ(f.fleet.node(1).server().duplicate_batches(), 1u);
-  EXPECT_EQ(stored_keys(f.fleet.node(1).db()).size(), 6u);
+    // The dedup keys travelled with the slot: a redelivery of the first
+    // batch -- which the router now sends to the new owner -- is still
+    // exactly-once.
+    f.publish(moved, moved + "#1", 0, 3, 100, 11).value_or_throw();
+    EXPECT_EQ(f.fleet.node(to).server().duplicate_batches(), 1u);
+    EXPECT_EQ(stored_keys(f.fleet.node(to).db()).size(), 5u);
 
-  // Fresh traffic for the moved client lands on the new owner.
-  f.publish("dev1", "dev1#3", 5, 1, 200).value_or_throw();
-  EXPECT_EQ(stored_keys(f.fleet.node(0).db()).size(), 0u);
-  EXPECT_EQ(stored_keys(f.fleet.node(1).db()).size(), 7u);
+    // Fresh traffic for the moved client lands on the new owner.
+    f.publish(moved, moved + "#3", 5, 1, 200, 16).value_or_throw();
+    EXPECT_EQ(stored_keys(f.fleet.node(from).db()).size(), 1u);
+    EXPECT_EQ(stored_keys(f.fleet.node(to).db()).size(), 6u);
+  }
+}
+
+// Flat uploads are stored as column runs, and a rebalance moves them so:
+// the target's lazy rows rise by the rows moved, its documents read back
+// as the source's under the target's next ids, and both hold after each
+// end is killed and fails over onto its follower.
+TEST(ShardFleet, RebalanceMovesFlatRowsAsColumnRuns) {
+  sim::Simulation sim;
+  ShardFleet fleet(sim, Fixture::make_config(2, nullptr));
+  obs::Registry registries[2];
+  for (std::uint32_t i = 0; i < fleet.size(); ++i) {
+    fleet.node(i).server().register_app("app1").value_or_throw();
+    fleet.node(i).db().set_metrics(&registries[i]);
+  }
+  auto lazy_rows = [&](std::uint32_t i) {
+    return registries[i].gauge("docstore.lazy_rows").value();
+  };
+  const std::string moved = "dev1";
+  const std::uint32_t from = fleet.shard_for(moved);
+  const std::uint32_t to = 1 - from;
+  const std::string stays = neighbour(fleet, moved, "dev");
+  std::string held = "dev";
+  for (int n = 0; fleet.shard_for(held) != to; ++n)
+    held = "dev" + std::to_string(n);
+  ingest::BatchPool pool;
+  auto upload = [&](const std::string& client, int batch, int count) {
+    fleet.broker_for(client)
+        .publish_flat("goflow", "b",
+                      make_flat_batch(pool, client + "#" + std::to_string(batch),
+                                      client, count, 100 * batch),
+                      100 * batch + 50)
+        .value_or_throw();
+  };
+  upload(moved, 1, 5);
+  upload(stays, 1, 3);
+  upload(moved, 2, 4);
+  upload(held, 1, 6);
+  ASSERT_EQ(lazy_rows(from), 12.0);
+  ASSERT_EQ(lazy_rows(to), 6.0);
+
+  std::vector<std::string> want_from;
+  std::vector<std::string> want_to = stored_json(fleet.node(to).db());
+  std::size_t next_id = want_to.size();
+  fleet.node(from).db().collection("observations").for_each(
+      [&](const Value& d) {
+        if (d.get_string("client") != moved) {
+          want_from.push_back(d.to_json());
+          return;
+        }
+        Value doc = d;
+        doc.as_object().erase("_id");
+        doc.as_object().set(
+            "_id", Value("observations-" + std::to_string(++next_id)));
+        want_to.push_back(doc.to_json());
+      });
+
+  ASSERT_TRUE(fleet.rebalance(slot_of("app1", moved), to));
+  auto expect_moved = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(lazy_rows(from), 3.0);
+    EXPECT_EQ(lazy_rows(to), 15.0);
+    EXPECT_EQ(stored_json(fleet.node(from).db()), want_from);
+    EXPECT_EQ(stored_json(fleet.node(to).db()), want_to);
+  };
+  expect_moved("after the rebalance");
+  fleet.node(from).kill();
+  fleet.node(to).kill();
+  fleet.node(from).fail_over();
+  fleet.node(to).fail_over();
+  expect_moved("after both ends failed over");
 }
 
 TEST(ShardFleet, RebalanceSurvivesFailoverOnBothEnds) {
@@ -288,8 +436,6 @@ TEST(ShardFleet, SharedRegistryGaugesSumOverNodes) {
   config.metrics = &registry;
   config.journal.wal.segment_bytes = 512;
   ShardFleet fleet(sim, config);
-  for (std::uint32_t i = 0; i < fleet.size(); ++i)
-    fleet.node(i).broker().set_metrics(&registry);
   auto total = [&](auto per_node) {
     double sum = 0.0;
     for (std::uint32_t i = 0; i < fleet.size(); ++i)
@@ -312,6 +458,28 @@ TEST(ShardFleet, SharedRegistryGaugesSumOverNodes) {
   });
   EXPECT_DOUBLE_EQ(segments, 3.0);
   EXPECT_DOUBLE_EQ(registry.gauge("durable.wal_segments").value(), segments);
+
+  // Each node's store reports there too: documents of every collection,
+  // and the flat rows, all held as columns.
+  ingest::BatchPool pool;
+  const char* clients[] = {"dev1", "dev2", "dev3", "dev4"};
+  for (std::uint32_t i = 0; i < fleet.size(); ++i)
+    fleet.node(i).server().register_app("app1").value_or_throw();
+  for (int k = 0; k < 4; ++k)
+    fleet.broker_for(clients[k])
+        .publish_flat("goflow", "b",
+                      make_flat_batch(pool, "f" + std::to_string(k),
+                                      clients[k], 2 + k, 100),
+                      200)
+        .value_or_throw();
+  fleet.broker_for("dev1")
+      .publish("goflow", "b", make_batch("d1", "dev1", 0, 3, 100), 300)
+      .value_or_throw();
+  const double documents =
+      total([](ShardNode& n) { return n.db().total_documents(); });
+  EXPECT_GT(documents, 17.0);
+  EXPECT_DOUBLE_EQ(registry.gauge("docstore.documents").value(), documents);
+  EXPECT_DOUBLE_EQ(registry.gauge("docstore.lazy_rows").value(), 14.0);
 }
 
 // The 1-shard configuration is today's single server: same documents,
