@@ -5,11 +5,11 @@
 //      lookup the ingest edge pays. This is the whole steady-state tax
 //      of sharding: the batch hand-off itself is the same zero-copy
 //      publish against a different broker reference.
-//   2. WAL shipping throughput — records/s the replication pipe drains
-//      from the primary's journal into the follower's Wal, each record's
-//      verified frame appended verbatim.
-//   3. Failover latency — kill + follower promotion (Journal recovery
-//      over mirrored snapshot + shipped tail) with a populated store.
+//   2. WAL mirroring throughput — records/s a WAL appends through a
+//      MirroredEnv, each framed record landing on the primary and the
+//      follower disk in the same call.
+//   3. Failover latency — kill + follower promotion (disk promotion, then
+//      Journal recovery over snapshot + WAL tail) with a populated store.
 //   4. Rebalance latency — one hash slot (documents + dedup keys +
 //      pending batches) extracted, adopted and double-snapshotted.
 #include <chrono>
@@ -21,8 +21,8 @@
 #include "durable/storage.h"
 #include "durable/wal.h"
 #include "shard/fleet.h"
+#include "shard/mirrored_env.h"
 #include "shard/shard_map.h"
-#include "shard/wal_shipper.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -68,7 +68,7 @@ int main() {
   using namespace mps::bench;
   BenchScale scale = bench_scale_from_env();
   print_header("bench_shard",
-               "Sharded serving plane - routing overhead, WAL shipping "
+               "Sharded serving plane - routing overhead, WAL mirroring "
                "throughput, failover and rebalance latency",
                scale);
 
@@ -92,30 +92,25 @@ int main() {
     bench_record_rate("routes", kRoutes, secs);
   }
 
-  // --- 2. WAL shipping throughput -----------------------------------------
+  // --- 2. WAL mirroring throughput ----------------------------------------
   const int kRecords = 50'000;
   {
     durable::MemStorageEnv primary_env;
     durable::MemStorageEnv follower_env;
-    durable::WalConfig wc;
-    durable::Wal wal(primary_env, wc);
-    shard::WalShipper shipper(0, wc);
-    shipper.set_follower(&follower_env);
-    shipper.attach(&wal);
+    shard::MirroredEnv disk(primary_env, follower_env);
+    durable::Wal wal(disk);
     const std::string payload(200, 'x');
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kRecords; ++i) wal.append(payload);
-    shipper.ship();  // the listener ships per append; drain any residue
     double secs = seconds_since(start);
-    shipper.detach();
+    const std::size_t follower_bytes = follower_env.total_durable_bytes();
     std::printf(
-        "2) shipping: %d records in %.3fs (%.0f records/s, %llu framed "
-        "WAL bytes)\n",
+        "2) mirroring: %d records in %.3fs (%.0f records/s, %llu framed "
+        "WAL bytes on the follower)\n",
         kRecords, secs, kRecords / secs,
-        static_cast<unsigned long long>(shipper.stats().bytes_shipped));
+        static_cast<unsigned long long>(follower_bytes));
     bench_record_rate("ship_records", kRecords, secs);
-    bench_record("ship_frame_bytes",
-                 static_cast<double>(shipper.stats().bytes_shipped));
+    bench_record("ship_frame_bytes", static_cast<double>(follower_bytes));
   }
 
   // --- 3. Failover latency ------------------------------------------------
@@ -130,7 +125,7 @@ int main() {
       fleet.node(i).server().register_app("app1").value_or_throw();
     shard::ShardNode& node = fleet.node(fleet.shard_for("dev1"));
     load_client(fleet, "dev1", kBatches / 2);
-    node.snapshot();  // half the state in the mirror, half in the tail
+    node.lifecycle().snapshot();  // half snapshotted, half in the WAL tail
     load_client(fleet, "dev1", kBatches / 2, kBatches / 2);
 
     auto start = std::chrono::steady_clock::now();

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   study_config.tracer = &tracker;
   if (fleet) {
     study_config.shard_fleet = fleet.get();
-    study_config.snapshot_period = hours(6);  // keeps every follower promotable
+    study_config.snapshot_period = hours(6);  // bounds each failover's replay
   }
 
   // --net=loopback: the fleet publishes over real sockets through the
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
 
   if (fleet) {
     std::printf("fleet: %llu failovers, %llu rebalances (%llu skipped while "
-                "a shard was down), %llu WAL records shipped to followers\n\n",
+                "a shard was down), %llu WAL records mirrored to followers\n\n",
                 static_cast<unsigned long long>(report.shard_failovers),
                 static_cast<unsigned long long>(report.shard_rebalances),
                 static_cast<unsigned long long>(

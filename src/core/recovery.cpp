@@ -28,14 +28,14 @@ ServerLifecycle::ServerLifecycle(durable::StorageEnv& env,
                                  docstore::Database& db, GoFlowServer& server,
                                  durable::JournalConfig config,
                                  obs::Registry* metrics)
-    : env_(&env),
+    : env_(env),
       sim_(sim),
       broker_(broker),
       db_(db),
       server_(server),
       config_(config),
       metrics_(metrics) {
-  journal_ = std::make_unique<durable::Journal>(*env_, config_, metrics_);
+  journal_ = std::make_unique<durable::Journal>(env_, config_, metrics_);
   attach(journal_.get());
   // Base snapshot: everything the components did before the journal
   // existed (topology, indexes, registrations) becomes recoverable.
@@ -79,7 +79,7 @@ void ServerLifecycle::crash() {
   down_ = true;
   // Power cut first: whatever the WAL group-committed but never synced
   // is gone before any component state is touched.
-  env_->crash();
+  env_.crash();
   // The server crashes with its journal still attached — that is how it
   // knows its pending batches are recoverable and must NOT be attributed
   // as lost. Nothing logs during a component crash(), so the stale
@@ -95,7 +95,7 @@ void ServerLifecycle::crash() {
 void ServerLifecycle::recover() {
   if (!down_) return;
   // Re-opening the journal repairs any torn WAL tail in place.
-  journal_ = std::make_unique<durable::Journal>(*env_, config_, metrics_);
+  journal_ = std::make_unique<durable::Journal>(env_, config_, metrics_);
   last_ = journal_->recover(
       [this](durable::LoadedSnapshot& snap) {
         const Value* db_state = snap.state.find("db");
@@ -129,16 +129,6 @@ void ServerLifecycle::recover() {
   // The recovered state becomes the new base snapshot, so a second crash
   // replays from here instead of the whole history.
   snapshot();
-}
-
-void ServerLifecycle::failover_to(durable::StorageEnv& follower) {
-  // Declare the primary dead first: crash() drops volatile component
-  // state and the old env's unsynced tail (which we will never read
-  // again anyway). If a chaos kill already crashed us, the components
-  // are empty and we go straight to recovery.
-  if (!down_) crash();
-  env_ = &follower;
-  recover();
 }
 
 }  // namespace mps::core

@@ -68,17 +68,8 @@ class ServerLifecycle {
   /// the WAL through it. No-op while crashed.
   void snapshot();
 
-  /// Failover (DESIGN.md §16): abandons the current storage env and
-  /// recovers from `follower` — the replica a WalShipper kept in sync.
-  /// If the process is still up it is crashed first (the primary is
-  /// declared dead; its env is never read again). Everything the shipper
-  /// made durable on the follower — mirrored snapshot plus shipped WAL
-  /// tail — is what survives, exactly like a recover() on the primary
-  /// would see only synced bytes.
-  void failover_to(durable::StorageEnv& follower);
-
-  /// The storage env currently backing the journal.
-  durable::StorageEnv& env() { return *env_; }
+  /// The storage env backing the journal.
+  durable::StorageEnv& env() { return env_; }
 
   bool down() const { return down_; }
   std::uint64_t crashes() const { return crashes_; }
@@ -91,7 +82,7 @@ class ServerLifecycle {
  private:
   void attach(durable::Journal* journal);
 
-  durable::StorageEnv* env_;  ///< never null; swapped by failover_to()
+  durable::StorageEnv& env_;
   sim::Simulation& sim_;
   broker::Broker& broker_;
   docstore::Database& db_;

@@ -28,25 +28,6 @@ std::string MemStorageEnv::read(const std::string& name) const {
   return it->second.durable + it->second.pending;
 }
 
-std::string MemStorageEnv::read_suffix(const std::string& name,
-                                       std::size_t offset) const {
-  auto it = files_.find(name);
-  if (it == files_.end())
-    throw std::runtime_error("MemStorageEnv::read_suffix: no such file: " +
-                             name);
-  const File& f = it->second;
-  std::string out;
-  if (offset < f.durable.size()) {
-    out.append(f.durable, offset, std::string::npos);
-    out += f.pending;
-    return out;
-  }
-  std::size_t pending_off = offset - f.durable.size();
-  if (pending_off < f.pending.size())
-    out.append(f.pending, pending_off, std::string::npos);
-  return out;
-}
-
 void MemStorageEnv::append(const std::string& name, std::string_view data) {
   files_[name].pending.append(data.data(), data.size());
 }

@@ -48,18 +48,6 @@ class StorageEnv {
   /// file does not exist.
   virtual std::string read(const std::string& name) const = 0;
 
-  /// Contents from byte `offset` to the current end (empty when offset
-  /// is at or past the end). Tail reads are the WAL shipping hot path —
-  /// a cursor polling an append-only segment must not copy the whole
-  /// file per new record. Backends override this with an O(suffix)
-  /// implementation; the default delegates to read().
-  virtual std::string read_suffix(const std::string& name,
-                                  std::size_t offset) const {
-    std::string all = read(name);
-    if (offset >= all.size()) return std::string();
-    return all.substr(offset);
-  }
-
   /// Appends bytes; creates the file if needed. The bytes are NOT
   /// durable until sync() — a crash() may lose them.
   virtual void append(const std::string& name, std::string_view data) = 0;
@@ -85,8 +73,6 @@ class MemStorageEnv final : public StorageEnv {
   std::vector<std::string> list() const override;
   bool exists(const std::string& name) const override;
   std::string read(const std::string& name) const override;
-  std::string read_suffix(const std::string& name,
-                          std::size_t offset) const override;
   void append(const std::string& name, std::string_view data) override;
   void write_atomic(const std::string& name, std::string_view data) override;
   void remove(const std::string& name) override;

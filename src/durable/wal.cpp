@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 #include "common/codec.h"
 #include "common/crc32.h"
@@ -53,7 +52,6 @@ std::optional<DecodedRecord> decode_record(std::string_view buffer,
   DecodedRecord rec;
   r.u64(rec.lsn);
   rec.payload = buffer.substr(offset + kHeaderBytes, len);
-  rec.frame = buffer.substr(offset, kHeaderBytes + len);
   rec.end_offset = offset + kHeaderBytes + len;
   return rec;
 }
@@ -159,36 +157,21 @@ void Wal::start_segment(std::uint64_t first_lsn) {
 }
 
 std::uint64_t Wal::append(std::string_view payload) {
-  std::uint64_t lsn = next_lsn_;
-  std::string framed;
-  encode_record(lsn, payload, framed);
-  write_frame(framed, payload.size());
-  return lsn;
-}
-
-void Wal::append_frame(std::uint64_t lsn, std::string_view frame) {
-  if (segments_.empty() && lsn > 0) next_lsn_ = lsn;
-  if (lsn != next_lsn_)
-    throw std::invalid_argument("append_frame: LSN " + std::to_string(lsn) +
-                                " but the log expects " +
-                                std::to_string(next_lsn_));
-  write_frame(frame, frame.size() - kHeaderBytes);
-}
-
-void Wal::write_frame(std::string_view frame, std::size_t payload_bytes) {
   std::uint64_t lsn = next_lsn_++;
   if (segments_.empty() || segments_.back().size >= config_.segment_bytes)
     start_segment(lsn);
 
+  std::string framed;
+  encode_record(lsn, payload, framed);
   Segment& seg = segments_.back();
-  env_.append(seg.name, frame);
-  seg.size += frame.size();
+  env_.append(seg.name, framed);
+  seg.size += framed.size();
 
   ++stats_.appends;
-  stats_.bytes_appended += frame.size();
-  obs::FlightRecorder::record(obs::FrEvent::kWalAppend, lsn, payload_bytes);
+  stats_.bytes_appended += framed.size();
+  obs::FlightRecorder::record(obs::FrEvent::kWalAppend, lsn, payload.size());
   if (++unsynced_appends_ >= config_.sync_every) sync();
-  if (append_listener_) append_listener_();
+  return lsn;
 }
 
 void Wal::sync() {
@@ -238,91 +221,7 @@ std::uint64_t Wal::replay(
   return delivered;
 }
 
-std::uint64_t Wal::open_cursor(std::uint64_t after_lsn) {
-  std::uint64_t id = next_cursor_id_++;
-  Cursor cur;
-  cur.last_lsn = after_lsn;
-  cursors_[id] = cur;
-  return id;
-}
-
-void Wal::close_cursor(std::uint64_t id) { cursors_.erase(id); }
-
-std::uint64_t Wal::cursor_position(std::uint64_t id) const {
-  auto it = cursors_.find(id);
-  if (it == cursors_.end())
-    throw std::invalid_argument("cursor_position: unknown WAL cursor");
-  return it->second.last_lsn;
-}
-
-std::uint64_t Wal::cursor_read(
-    std::uint64_t id, std::uint64_t max,
-    const std::function<void(const DecodedRecord&)>& fn) {
-  auto it = cursors_.find(id);
-  if (it == cursors_.end())
-    throw std::invalid_argument("cursor_read: unknown WAL cursor");
-  Cursor& cur = it->second;
-
-  std::uint64_t delivered = 0;
-  while (delivered < max) {
-    std::uint64_t want = cur.last_lsn + 1;
-    if (want >= next_lsn_) break;  // caught up with the tail
-    // Segment containing `want`: the last one starting at or below it.
-    std::size_t idx = segments_.size();
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-      if (segments_[i].first_lsn > want) break;
-      idx = i;
-    }
-    // The truncation clamp pins unread segments, so `want` can only
-    // predate the log if the cursor was opened below an already-compacted
-    // prefix — skip forward to the oldest retained record.
-    if (idx == segments_.size()) {
-      if (segments_.empty()) break;
-      cur.last_lsn = segments_.front().first_lsn - 1;
-      continue;
-    }
-    const Segment& seg = segments_[idx];
-    if (cur.seg_first_lsn != seg.first_lsn || cur.offset > seg.size) {
-      // Entered a new segment (rotation) — records below the cursor's
-      // position, if any, are skipped during the scan below.
-      cur.seg_first_lsn = seg.first_lsn;
-      cur.offset = 0;
-    }
-    if (cur.offset >= seg.size) break;  // active segment, nothing new yet
-
-    std::string data = env_.read_suffix(seg.name, cur.offset);
-    std::size_t local = 0;
-    while (delivered < max && local < data.size()) {
-      std::optional<DecodedRecord> rec = decode_record(data, local);
-      if (!rec.has_value()) break;
-      if (rec->lsn > cur.last_lsn) {
-        fn(*rec);
-        ++delivered;
-        ++stats_.cursor_records;
-        cur.last_lsn = rec->lsn;
-      }
-      local = rec->end_offset;
-    }
-    cur.offset += local;
-    if (local == 0) break;  // no complete record at the tail yet
-  }
-  return delivered;
-}
-
 void Wal::truncate_through(std::uint64_t lsn) {
-  // Re-anchor to the slowest open shipping cursor: a snapshot may cover
-  // records a replication cursor has not shipped yet, and dropping their
-  // segment would silently truncate the follower's history. The cursor
-  // wins; the segments are reclaimed by the next truncation after it
-  // catches up.
-  std::uint64_t effective = lsn;
-  for (const auto& [id, cur] : cursors_) {
-    (void)id;
-    if (cur.last_lsn < effective) effective = cur.last_lsn;
-  }
-  if (effective != lsn) ++stats_.truncate_clamped;
-  lsn = effective;
-
   // A segment is removable when the next segment starts at or below
   // lsn+1 (so every record in it is <= lsn). The active (last) segment
   // always stays.

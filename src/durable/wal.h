@@ -7,8 +7,7 @@
 // The CRC (common/crc32.h) covers the lsn field plus the payload, so a
 // record whose length field survived a torn write but whose body didn't
 // is still rejected. LSNs are assigned densely starting at 1 and never
-// reused; a follower's log fed by append_frame starts wherever shipping
-// started. The WAL frames opaque payload bytes; the Journal above it
+// reused. The WAL frames opaque payload bytes; the Journal above it
 // fills them with codec-encoded Values.
 //
 // Segments are files named "<prefix><first-lsn, zero-padded to 16>"
@@ -28,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -56,7 +54,6 @@ void encode_record(std::uint64_t lsn,
 struct DecodedRecord {
   std::uint64_t lsn = 0;
   std::string_view payload;
-  std::string_view frame;  ///< the whole CRC-verified record, header included
   std::size_t end_offset = 0;
 };
 
@@ -83,8 +80,6 @@ struct WalStats {
   std::uint64_t discarded_tail_records = 0;  ///< torn/corrupt, dropped on open
   std::uint64_t discarded_tail_bytes = 0;
   std::uint64_t truncated_segments = 0;      ///< whole segments compacted away
-  std::uint64_t cursor_records = 0;          ///< records delivered to cursors
-  std::uint64_t truncate_clamped = 0;  ///< truncations re-anchored to a cursor
 };
 
 /// The log. Opening scans existing segments, repairs any torn tail and
@@ -104,15 +99,6 @@ class Wal {
   /// Appends one record; returns its LSN. Durable per sync_every.
   std::uint64_t append(std::string_view payload);
 
-  /// Appends a record another Wal already framed and verified (a
-  /// DecodedRecord's `frame`), byte for byte — WAL shipping's write
-  /// path. `lsn` must equal next_lsn(), except that a log with no
-  /// segments adopts it: shipping to a wiped follower starts at the
-  /// primary's oldest retained record. Any other LSN throws
-  /// std::invalid_argument, since appending it would leave a gap the
-  /// next open truncates away.
-  void append_frame(std::uint64_t lsn, std::string_view frame);
-
   /// Forces any unsynced appends to durability now.
   void sync();
 
@@ -126,51 +112,8 @@ class Wal {
           fn);
 
   /// Drops whole segments whose records are all <= lsn (they are covered
-  /// by a snapshot). The active segment is never removed. Open cursors
-  /// re-anchor the truncation point: a segment a shipping cursor has not
-  /// fully read yet is never dropped, however far the snapshot reaches —
-  /// the ship-while-snapshotting race must lose to the cursor, not to
-  /// the compactor (stats().truncate_clamped counts these re-anchors).
+  /// by a snapshot). The active segment is never removed.
   void truncate_through(std::uint64_t lsn);
-
-  // --- Shipping cursors (DESIGN.md §16) ---------------------------------
-  //
-  // A cursor is a durable read position used by WAL shipping: it delivers
-  // records in LSN order exactly once, survives segment rotation, and
-  // pins its unread segments against truncate_through. Cursors belong to
-  // this Wal instance (a recovery that rebuilds the Wal must re-open its
-  // cursors at the shipper's remembered position).
-
-  /// Opens a cursor whose first read delivers `after_lsn + 1`.
-  std::uint64_t open_cursor(std::uint64_t after_lsn);
-
-  /// Closes a cursor (unknown ids are ignored: shipper teardown races
-  /// recovery rebuilding the Wal).
-  void close_cursor(std::uint64_t id);
-
-  /// Delivers up to `max` records past the cursor's position in LSN
-  /// order, advancing it; each record's views are valid only during its
-  /// callback. Reads only the bytes appended since the last call (tail
-  /// reads via StorageEnv::read_suffix). Returns the number delivered;
-  /// fewer than `max` means the cursor caught up with the log tail.
-  /// Throws std::invalid_argument on an unknown cursor.
-  std::uint64_t cursor_read(
-      std::uint64_t id, std::uint64_t max,
-      const std::function<void(const DecodedRecord& record)>& fn);
-
-  /// Last LSN delivered through the cursor (0 = nothing yet); this is
-  /// the point truncate_through re-anchors to.
-  std::uint64_t cursor_position(std::uint64_t id) const;
-
-  std::size_t open_cursor_count() const { return cursors_.size(); }
-
-  /// Called after every append() (post group-commit accounting). WAL
-  /// shipping hooks this to drain its cursor as the log grows instead of
-  /// polling. One listener; set empty to detach. The listener must not
-  /// append to this Wal (no re-entrant writes).
-  void set_append_listener(std::function<void()> fn) {
-    append_listener_ = std::move(fn);
-  }
 
   /// LSN the next append will get.
   std::uint64_t next_lsn() const { return next_lsn_; }
@@ -187,25 +130,14 @@ class Wal {
     std::uint64_t first_lsn = 0;
     std::size_t size = 0;  // valid bytes (post tail-repair)
   };
-  struct Cursor {
-    std::uint64_t last_lsn = 0;      ///< last delivered record
-    std::uint64_t seg_first_lsn = 0; ///< cached segment position
-    std::size_t offset = 0;          ///< consumed bytes of that segment
-  };
 
   void open_existing();
   void start_segment(std::uint64_t first_lsn);
-  /// The one write path under append and append_frame: rotation, stats,
-  /// group commit and the listener.
-  void write_frame(std::string_view frame, std::size_t payload_bytes);
   std::string segment_name(std::uint64_t first_lsn) const;
 
   StorageEnv& env_;
   WalConfig config_;
   std::vector<Segment> segments_;
-  std::map<std::uint64_t, Cursor> cursors_;
-  std::uint64_t next_cursor_id_ = 1;
-  std::function<void()> append_listener_;
   std::uint64_t next_lsn_ = 1;
   std::uint32_t unsynced_appends_ = 0;
   WalStats stats_;

@@ -143,7 +143,7 @@ class FaultPlan {
   // --- Shard fleet schedules (DESIGN.md §16) -----------------------------
 
   /// Fleet churn: each shard's primary is killed ~`shard_kill_rate_per_day`
-  /// times per day and fails over to its WAL-shipped follower after an
+  /// times per day and fails over to its mirrored follower disk after an
   /// exponential downtime. Each shard draws from its own (seed, shard)
   /// child stream, so adding a shard never reshuffles another's kills.
   double shard_kill_rate_per_day = 0.0;

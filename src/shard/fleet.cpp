@@ -5,9 +5,9 @@ namespace mps::shard {
 ShardNode::ShardNode(std::uint32_t index, sim::Simulation& sim,
                      const FleetConfig& config)
     : index_(index),
+      disk_(env_a_, env_b_, config.metrics),
       server_(sim, broker_, db_, config.server),
-      shipper_(index, config.journal.wal, config.metrics),
-      lifecycle_(env_a_, sim, broker_, db_, server_, config.journal,
+      lifecycle_(disk_, sim, broker_, db_, server_, config.journal,
                  config.metrics) {
   if (config.metrics != nullptr) {
     sources_.counter(*config.metrics, "shard.failovers", failovers_);
@@ -15,47 +15,15 @@ ShardNode::ShardNode(std::uint32_t index, sim::Simulation& sim,
     db_.set_metrics(config.metrics);
     server_.set_metrics(config.metrics);
   }
-  // The lifecycle constructor wrote the base snapshot; ship it and the
-  // (empty) log so the follower is promotable from the first event on.
-  shipper_.set_follower(&env_b_);
-  shipper_.attach(&lifecycle_.journal()->wal());
-  shipper_.mirror_snapshots(env_a_);
 }
 
-void ShardNode::kill() {
-  if (down()) return;
-  shipper_.detach();  // the journal (and its Wal) dies with the crash
-  lifecycle_.crash();
-}
+void ShardNode::kill() { lifecycle_.crash(); }
 
 void ShardNode::fail_over() {
   if (!down()) kill();
-  durable::StorageEnv& promoted = follower_env();
-  durable::StorageEnv& dead = primary_env();
-  // The promoted journal opens its own Wal on the follower's env; one Wal
-  // per env at a time.
-  shipper_.set_follower(nullptr);
-  lifecycle_.failover_to(promoted);
-  primary_is_a_ = !primary_is_a_;
-  // The dead primary's disk is reformatted as the new follower; shipping
-  // restarts at the promoted log's oldest retained record, which the
-  // empty follower Wal adopts as its first LSN (recovery snapshotted, so
-  // that history is one snapshot + a short tail, not the whole past).
-  wipe(dead);
-  shipper_.set_follower(&dead);
-  shipper_.attach(&lifecycle_.journal()->wal());
-  shipper_.mirror_snapshots(promoted);
+  disk_.promote();
+  lifecycle_.recover();
   ++failovers_;
-}
-
-void ShardNode::snapshot() {
-  if (down()) return;
-  lifecycle_.snapshot();
-  shipper_.mirror_snapshots(primary_env());
-}
-
-void ShardNode::wipe(durable::StorageEnv& env) {
-  for (const std::string& name : env.list()) env.remove(name);
 }
 
 ShardFleet::ShardFleet(sim::Simulation& sim, FleetConfig config)
@@ -85,8 +53,8 @@ bool ShardFleet::rebalance(std::uint32_t slot, std::uint32_t to_shard) {
   // (never journaled), so the move only becomes crash-safe with these
   // two snapshots — and rebalance() is one atomic sim event, so no
   // traffic can slip in between.
-  src.snapshot();
-  dst.snapshot();
+  src.lifecycle().snapshot();
+  dst.lifecycle().snapshot();
   ++rebalances_;
   return true;
 }
@@ -98,7 +66,7 @@ bool ShardFleet::rebalance_next(std::uint32_t slot) {
 }
 
 void ShardFleet::snapshot_all() {
-  for (auto& node : nodes_) node->snapshot();
+  for (auto& node : nodes_) node->lifecycle().snapshot();
 }
 
 void ShardFleet::fail_over_all_down() {

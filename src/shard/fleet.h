@@ -9,15 +9,13 @@
 // hand-off the single-server path uses, against a different broker
 // reference.
 //
-// Replication: a WalShipper appends each record of a node's primary
-// journal, frame for frame, to a follower Wal on a second StorageEnv,
-// mirrors the primary's snapshots there and truncates the follower's log
-// with them. kill() models the primary dying; fail_over() releases the
-// follower Wal and promotes the follower — Journal recovery over the
-// shipped files — then reverses the shipping direction onto the wiped
-// old-primary disk. Because the shipper appends every record at append
-// time and snapshots are mirrored on write, nothing acknowledged is lost
-// across a failover.
+// Replication: a node's journal writes through a MirroredEnv, so every
+// WAL append, snapshot file and removal lands on the primary disk and,
+// in the same call, on the follower disk. kill() models the primary
+// dying; fail_over() promotes the follower disk — which also reformats
+// the dead disk as its copy — and runs ordinary Journal recovery over
+// it. Because each write reaches the follower before the call that made
+// it returns, nothing acknowledged is lost across a failover.
 //
 // Rebalance: rebalance(slot, to) extracts the slot's per-client state
 // from its current owner (stored rows in their stored form, pending
@@ -27,8 +25,8 @@
 // and crash-durable the moment it completes. Dedup keys travelling with
 // the slot is what keeps redirect + resend exactly-once.
 //
-// With shards == 1 the fleet is exactly today's single server plus an
-// idle shipper — the byte-equivalence gate pins that.
+// With shards == 1 the fleet is exactly today's single server on a
+// mirrored disk — the byte-equivalence gate pins that.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +42,8 @@
 #include "durable/journal.h"
 #include "durable/storage.h"
 #include "obs/metrics.h"
+#include "shard/mirrored_env.h"
 #include "shard/shard_map.h"
-#include "shard/wal_shipper.h"
 #include "sim/simulation.h"
 
 namespace mps::shard {
@@ -60,9 +58,8 @@ struct FleetConfig {
   obs::Registry* metrics = nullptr;  ///< every node's whole stack reports here
 };
 
-/// One shard: a full middleware stack with primary/follower storage and
-/// a shipper keeping the follower current. Construction wires shipping
-/// and mirrors the lifecycle's base snapshot immediately.
+/// One shard: a full middleware stack whose journal writes through a
+/// disk mirrored onto a follower, from the lifecycle's base snapshot on.
 class ShardNode {
  public:
   ShardNode(std::uint32_t index, sim::Simulation& sim,
@@ -76,43 +73,28 @@ class ShardNode {
   docstore::Database& db() { return db_; }
   core::GoFlowServer& server() { return server_; }
   core::ServerLifecycle& lifecycle() { return lifecycle_; }
-  WalShipper& shipper() { return shipper_; }
+  MirroredEnv& disk() { return disk_; }
   bool down() const { return lifecycle_.down(); }
 
-  /// The primary process dies (shipper detached first — it must never
-  /// touch the dead journal). Publishes fail until fail_over().
+  /// The primary process dies, and its disk drops its unsynced tail.
+  /// Publishes fail until fail_over().
   void kill();
 
-  /// Promotes the follower: releases the shipper's follower Wal, recovers
-  /// over the mirrored snapshot + the shipped WAL tail, then restarts
-  /// shipping in the opposite direction onto the wiped old-primary env.
-  /// If the node is still up it is killed first (a controller-driven
-  /// switchover).
+  /// Promotes the follower disk and recovers over it (newest snapshot +
+  /// WAL tail). If the node is still up it is killed first (a
+  /// controller-driven switchover).
   void fail_over();
-
-  /// Snapshot through the lifecycle, then mirror the new manifest and
-  /// segments to the follower (the shipped tail alone cannot recover
-  /// pre-attach state). Use this — not lifecycle().snapshot() — so the
-  /// follower stays promotable.
-  void snapshot();
 
   std::uint64_t failovers() const { return failovers_; }
 
  private:
-  durable::StorageEnv& primary_env() { return primary_is_a_ ? env_a_ : env_b_; }
-  durable::StorageEnv& follower_env() {
-    return primary_is_a_ ? env_b_ : env_a_;
-  }
-  static void wipe(durable::StorageEnv& env);
-
   std::uint32_t index_;
   durable::MemStorageEnv env_a_;  ///< initial primary disk
   durable::MemStorageEnv env_b_;  ///< initial follower disk
-  bool primary_is_a_ = true;
+  MirroredEnv disk_;
   broker::Broker broker_;
   docstore::Database db_;
   core::GoFlowServer server_;
-  WalShipper shipper_;
   core::ServerLifecycle lifecycle_;
   std::uint64_t failovers_ = 0;
   obs::Sources sources_;

@@ -267,8 +267,7 @@ void StudyRunner::schedule_snapshots() {
   for (TimeMs t = config_.snapshot_period; t < horizon;
        t += config_.snapshot_period) {
     if (fleet != nullptr) {
-      // Fleet snapshots also mirror to each follower, keeping failover
-      // replay bounded.
+      // Fleet snapshots bound each failover's WAL replay.
       sim_.at(t, [fleet] { fleet->snapshot_all(); });
     } else {
       sim_.at(t, [lc] { lc->snapshot(); });  // no-op while down

@@ -1,8 +1,8 @@
 // The fleet chaos gate (ISSUE satellite: shard-kill and rebalance
 // sweeps): the city deployment at small scale on a 3-shard replicated
-// fleet, with shard primaries dying and failing over to their WAL-
-// shipped followers and hash slots rebalancing between shards — all
-// while ingest is running. The pipeline invariants must hold against
+// fleet, with shard primaries dying and failing over to their mirrored
+// follower disks and hash slots rebalancing between shards — all while
+// ingest is running. The pipeline invariants must hold against
 // the *union* of the shards: nothing acknowledged is lost, no span is
 // stored twice anywhere in the fleet (a migration that copied instead
 // of moved fails here), per-device upload order survives. A failing
@@ -56,7 +56,15 @@ struct ChaosOutcome {
   StudyReport study;
   InvariantReport invariants;
   std::uint64_t faults_injected = 0;
+  /// The fleet's shard.* mirror counters and the durable.* facts each
+  /// one must equal: every WAL record, sync and snapshot manifest
+  /// crosses to a follower once.
   std::uint64_t shipped_records = 0;
+  std::uint64_t wal_appends = 0;
+  std::uint64_t ship_frames = 0;
+  std::uint64_t fsync_batches = 0;
+  std::uint64_t snapshots_mirrored = 0;
+  std::uint64_t snapshots = 0;
   std::string docs_json;  ///< all shards, node order (determinism check)
 };
 
@@ -111,6 +119,12 @@ ChaosOutcome run_fleet_chaos(const std::string& profile, std::uint64_t seed) {
                  forensics.c_str());
   out.faults_injected = plan.total_injected();
   out.shipped_records = registry.counter("shard.shipped_records").value();
+  out.wal_appends = registry.counter("durable.wal_appends").value();
+  out.ship_frames = registry.counter("shard.ship_frames").value();
+  out.fsync_batches = registry.counter("durable.fsync_batches").value();
+  out.snapshots_mirrored =
+      registry.counter("shard.snapshots_mirrored").value();
+  out.snapshots = registry.counter("durable.snapshots").value();
   for (std::uint32_t i = 0; i < fleet.size(); ++i)
     out.docs_json += collection_json(fleet.node(i).db());
   return out;
@@ -173,7 +187,7 @@ TEST(FleetChaosSweep, NoLossNoDupAcrossFailoversAndRebalances) {
                     out.invariants.dropped_attributed +
                     out.invariants.never_shared + out.invariants.lost);
       // The run did real work and the chaos was real: primaries died,
-      // followers were promoted over the shipped WAL, slots moved.
+      // follower disks were promoted, slots moved.
       EXPECT_GT(out.study.observations_recorded, 0u);
       EXPECT_GT(out.invariants.persisted, 0u);
       EXPECT_GT(out.study.shard_failovers, 0u);
@@ -181,6 +195,10 @@ TEST(FleetChaosSweep, NoLossNoDupAcrossFailoversAndRebalances) {
                     out.study.shard_rebalances_skipped,
                 0u);
       EXPECT_GT(out.shipped_records, 0u);
+      // Each write crossed to a follower once: failovers re-send nothing.
+      EXPECT_EQ(out.shipped_records, out.wal_appends);
+      EXPECT_EQ(out.ship_frames, out.fsync_batches);
+      EXPECT_EQ(out.snapshots_mirrored, out.snapshots);
 
       if (report_out.is_open()) {
         report_out << "{\"profile\":\"" << profile << "\",\"seed\":" << seed

@@ -6,6 +6,7 @@
 // indistinguishable from the plain single server.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -152,7 +153,7 @@ TEST(ShardFleet, FailoverPromotesFollowerWithNothingAcknowledgedLost) {
   Fixture f(1);
   ShardNode& node = f.fleet.node(0);
   f.publish("dev1", "b1", 0, 3, 100).value_or_throw();
-  node.snapshot();  // b1 now lives in the mirrored snapshot
+  node.lifecycle().snapshot();  // b1 now lives in the snapshot
   f.publish("dev1", "b2", 3, 2, 200).value_or_throw();  // b2 only in the tail
 
   node.kill();
@@ -164,7 +165,7 @@ TEST(ShardFleet, FailoverPromotesFollowerWithNothingAcknowledgedLost) {
   EXPECT_EQ(node.failovers(), 1u);
   EXPECT_EQ(f.registry.counter("shard.failovers").value(), 1u);
 
-  // Both the snapshotted batch and the shipped tail survived promotion.
+  // Both the snapshotted batch and the WAL tail survived promotion.
   EXPECT_EQ(node.server().total_observations(), 5u);
   EXPECT_EQ(stored_keys(node.db()),
             (std::multiset<std::string>{"dev1#0", "dev1#1", "dev1#2", "dev1#3",
@@ -188,17 +189,69 @@ TEST(ShardFleet, RepeatedFailoverPingPongsBetweenDisks) {
   f.publish("dev1", "b2", 2, 2, 200).value_or_throw();
 
   node.kill();
-  node.fail_over();  // back on (wiped, re-shipped) disk A
+  node.fail_over();  // back on disk A, reformatted as B's copy
   EXPECT_EQ(node.failovers(), 2u);
   EXPECT_EQ(node.server().total_observations(), 4u);
   EXPECT_EQ(stored_keys(node.db()), (std::multiset<std::string>{
                                         "dev1#0", "dev1#1", "dev1#2", "dev1#3"}));
 
-  // Shipping re-attached after every promotion: new appends still flow.
-  EXPECT_TRUE(node.shipper().attached());
-  std::uint64_t shipped = node.shipper().stats().records_shipped;
+  // New appends still reach the follower after every promotion.
+  std::uint64_t mirrored = node.disk().stats().appends;
   f.publish("dev1", "b3", 4, 1, 300).value_or_throw();
-  EXPECT_GT(node.shipper().stats().records_shipped, shipped);
+  EXPECT_GT(node.disk().stats().appends, mirrored);
+}
+
+/// Every file of `env` with its bytes.
+std::map<std::string, std::string> files(const durable::StorageEnv& env) {
+  std::map<std::string, std::string> out;
+  for (const std::string& name : env.list()) out[name] = env.read(name);
+  return out;
+}
+
+// Through publishes, snapshots, a rebalance, a kill with failover and a
+// switchover, every live node's follower disk holds its primary's files.
+TEST(ShardFleet, FollowerDiskHoldsThePrimarysFilesThroughChurn) {
+  sim::Simulation sim;
+  FleetConfig config = Fixture::make_config(2, nullptr);
+  config.journal.wal.segment_bytes = 512;
+  ShardFleet fleet(sim, config);
+  for (std::uint32_t i = 0; i < fleet.size(); ++i)
+    fleet.node(i).server().register_app("app1").value_or_throw();
+  auto expect_mirrored = [&](const char* step) {
+    SCOPED_TRACE(step);
+    for (std::uint32_t i = 0; i < fleet.size(); ++i) {
+      if (fleet.node(i).down()) continue;
+      MirroredEnv& disk = fleet.node(i).disk();
+      EXPECT_EQ(files(disk.follower()), files(disk.primary())) << i;
+    }
+  };
+  auto publish = [&](int round) {
+    for (const char* client : {"dev1", "dev2", "dev3"})
+      fleet.broker_for(client)
+          .publish("goflow", "b",
+                   make_batch(std::string(client) + "#" + std::to_string(round),
+                              client, round * 4, 4, 100 * round),
+                   100 * round + 50)
+          .value_or_throw();
+  };
+
+  publish(1);
+  expect_mirrored("publishes");
+  fleet.snapshot_all();
+  publish(2);
+  expect_mirrored("snapshot_all");
+  ASSERT_TRUE(fleet.rebalance(slot_of("app1", "dev1"), 1));
+  publish(3);
+  expect_mirrored("rebalance");
+  fleet.node(1).kill();
+  expect_mirrored("kill");
+  fleet.node(1).fail_over();
+  publish(4);
+  expect_mirrored("fail_over");
+  fleet.node(0).fail_over();
+  publish(5);
+  expect_mirrored("switchover");
+  EXPECT_EQ(fleet.node(0).failovers() + fleet.node(1).failovers(), 2u);
 }
 
 TEST(ShardFleet, ControllerSwitchoverWorksWhileUp) {
