@@ -1,5 +1,5 @@
 // Durability plane: what the WAL + snapshot machinery costs and what it
-// buys. Six measurements, all on MemStorageEnv (the environment the
+// buys. Seven measurements, all on MemStorageEnv (the environment the
 // simulation itself runs on, so the numbers are the sim's own overhead,
 // deterministic and disk-independent):
 //
@@ -24,6 +24,14 @@
 //      Then a snapshot seals the stored rows, one column run per batch,
 //      and a crash + recovery restores them from it; the bench exits 1
 //      unless all 16,000 observations come back.
+//   7. Recovery after a retention purge: 10k and 100k lazy rows under the
+//      server's four indexes, snapshotted, then the older half removed by
+//      a journaled remove_many. Recovery restores the snapshot and replays
+//      one db.remove per purged row, oldest first, so its cost is linear
+//      in n only while removing a row from an index costs O(1); the
+//      100k/10k ratio is ~10 then, and ~100 when each removal erases its
+//      slot from the front of a sorted index. The bench exits 1 unless
+//      every recovery replays the purge and keeps the newer half.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -311,5 +319,78 @@ int main() {
     bench_record("flat_snapshot_bytes_per_obs", snapshot_bytes / stored);
     bench_record("flat_recover_seconds", recover_secs);
   }
+
+  // --- 7. Recovery after a journaled purge of half the rows ----------------
+  std::printf("\n7) recovery after a journaled purge of the older half "
+              "(indexes on app, user, model, captured_at):\n");
+  double purge_secs[2] = {0.0, 0.0};
+  const int purge_sizes[2] = {10'000, 100'000};
+  for (int k = 0; k < 2; ++k) {
+    const int n = purge_sizes[k];
+    const TimeMs cutoff = static_cast<TimeMs>(n / 2) * 1000;
+    durable::MemStorageEnv env;
+    {
+      durable::Journal journal(env);
+      docstore::Database db;
+      db.attach_journal(&journal);
+      auto& c = db.collection("observations");
+      for (const char* path : {"app", "user", "model", "captured_at"})
+        c.create_index(path);
+      ingest::BatchPool pool;
+      const char* models[] = {"GT-I9300", "Nexus 5", "iPhone6,2", "XT1068"};
+      for (int first = 0; first < n; first += kFlatRows) {
+        std::vector<phone::Observation> rows;
+        for (int i = first; i < first + kFlatRows; ++i) {
+          phone::Observation o;
+          o.user = "u" + std::to_string(i / kFlatRows % 300);
+          o.model = models[i / kFlatRows % 4];
+          o.captured_at = static_cast<TimeMs>(i) * 1000;
+          o.spl_db = 50.0 + i % 30;
+          rows.push_back(std::move(o));
+        }
+        const TimeMs at = static_cast<TimeMs>(first + kFlatRows) * 1000;
+        c.insert_batch(pool.make_batch("soundcity", rows[0].user,
+                                       rows[0].user + "#" + std::to_string(first),
+                                       at, rows),
+                       0, rows.size(), at);
+      }
+      snapshot_db(journal, db);
+      const std::size_t purged = c.remove_many(docstore::Query::and_(
+          {docstore::Query::eq("app", Value("soundcity")),
+           docstore::Query::lt("captured_at", Value(cutoff))}));
+      if (purged != static_cast<std::size_t>(n / 2)) {
+        std::fprintf(stderr, "purge removed %zu of %d rows\n", purged, n);
+        return 1;
+      }
+      db.attach_journal(nullptr);
+    }
+    // The best of three recoveries, each into a fresh database.
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      docstore::Database db;
+      auto start = std::chrono::steady_clock::now();
+      durable::Journal journal(env);
+      durable::RecoveryStats stats = journal.recover(
+          [&](durable::LoadedSnapshot& snap) {
+            db.restore_snapshot(snap.state.at("db"), snap.segments);
+          },
+          [&](const Value& record) { db.apply_journal_record(record); });
+      const double secs = seconds_since(start);
+      const std::size_t kept = db.collection("observations").size();
+      if (stats.replayed != static_cast<std::uint64_t>(n / 2) ||
+          kept != static_cast<std::size_t>(n - n / 2)) {
+        std::fprintf(stderr, "purge recovery replayed %llu, kept %zu\n",
+                     static_cast<unsigned long long>(stats.replayed), kept);
+        return 1;
+      }
+      if (rep == 0 || secs < best) best = secs;
+    }
+    purge_secs[k] = best;
+    std::printf("   %6d rows, %6d purged: recovery %.4fs\n", n, n / 2, best);
+    bench_record("recover_purge_" + std::to_string(n) + "_seconds", best);
+  }
+  std::printf("   100k/10k recovery ratio %.1f (linear ~10)\n",
+              purge_secs[1] / purge_secs[0]);
+  bench_record("recover_purge_ratio", purge_secs[1] / purge_secs[0]);
   return 0;
 }

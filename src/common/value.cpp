@@ -158,7 +158,7 @@ bool Value::get_bool(std::string_view key, bool dflt) const {
 namespace {
 
 // Numbers order like BSON: NaN first and equal only to NaN, so the order
-// stays a strict weak ordering (index multimaps and sorts rely on it).
+// stays a strict weak ordering (index maps and sorts rely on it).
 int compare_numbers(double x, double y) {
   if (std::isnan(x) || std::isnan(y))
     return std::isnan(y) - std::isnan(x);

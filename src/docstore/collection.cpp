@@ -1,7 +1,9 @@
 #include "docstore/collection.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/codec.h"
@@ -167,25 +169,99 @@ void Collection::apply_rows(
   if (count > 0) id_counter_ = std::max(id_counter_, first_id + count - 1);
 }
 
-void Collection::IndexAppender::add(Value key, Slot slot) {
-  auto& entries = index->entries;
-  if (has_last) {
-    const int cmp = Value::compare(last->first.value, key);
-    if (cmp == 0) {
-      // Equal to the previous entry's key: slot in right after it.
-      last = entries.emplace_hint(std::next(last), IndexKey{std::move(key)},
-                                  slot);
-      return;
-    }
-    if (cmp < 0 && std::next(last) == entries.end()) {
-      // Greater than the current maximum (monotonic column).
-      last =
-          entries.emplace_hint(entries.end(), IndexKey{std::move(key)}, slot);
-      return;
-    }
+namespace {
+/// True when two compare-equal keys are one key to every reader: the
+/// same type, operator==, and the same bytes where those two let values
+/// differ (a double's sign, the element types inside a container).
+bool same_key(const Value& a, const Value& b) {
+  if (a.type() != b.type() || !(a == b)) return false;
+  if (a.is_double())
+    return std::signbit(a.as_double()) == std::signbit(b.as_double());
+  if (a.is_array() || a.is_object()) {
+    std::string x, y;
+    codec::encode_value(a, x);
+    codec::encode_value(b, y);
+    return x == y;
   }
-  last = entries.emplace(IndexKey{std::move(key)}, slot);
-  has_last = true;
+  return true;
+}
+}  // namespace
+
+void Collection::IndexAppender::add(const Value& key, Slot slot) {
+  Postings& postings = index->postings;
+  const int cmp = has_last ? Value::compare(last->first, key) : 1;
+  bool fresh = false;
+  if (cmp < 0 && std::next(last) == postings.end()) {
+    // Greater than the current maximum (monotonic column).
+    last = postings.try_emplace(postings.end(), key);
+    fresh = true;
+  } else if (cmp != 0) {
+    std::tie(last, fresh) = postings.try_emplace(key);
+    has_last = true;
+  }
+  Posting& posting = last->second;
+  if (!fresh && !posting.mixed() && !same_key(last->first, key))
+    posting.set_mixed();
+  posting.add(slot);
+  ++index->live;
+}
+
+void Collection::Posting::add(Slot s) {
+  if (size_ == 0) {
+    one_ = s;
+  } else if (size_ == 1) {
+    const Slot first = one_;
+    many_ = new Slot[2]{std::min(first, s), std::max(first, s)};
+  } else {
+    if (std::has_single_bit(size_)) reallocate(size_ * 2);
+    Slot* end = many_ + size_;
+    Slot* at = s > end[-1] ? end : std::lower_bound(many_, end, s);
+    std::move_backward(at, end, end + 1);
+    *at = s;
+  }
+  ++size_;
+  ++live_;
+}
+
+void Collection::Posting::erase(Slot s) {
+  --live_;
+  if (size_ == 1) {
+    size_ = 0;
+    return;
+  }
+  const std::uint32_t capacity = std::bit_ceil(size_);
+  Slot* end = many_ + size_;
+  Slot* at = std::lower_bound(many_, end, s);
+  std::move(at + 1, end, at);
+  --size_;
+  fit(capacity);
+}
+
+template <typename Alive>
+void Collection::Posting::compact(Alive&& alive) {
+  if (size_ <= 1) return;
+  const std::uint32_t capacity = std::bit_ceil(size_);
+  Slot* kept = std::remove_if(many_, many_ + size_,
+                              [&](Slot s) { return !alive(s); });
+  size_ = static_cast<std::uint32_t>(kept - many_);
+  fit(capacity);
+}
+
+void Collection::Posting::reallocate(std::uint32_t capacity) {
+  Slot* fresh = new Slot[capacity];
+  std::copy_n(many_, size_, fresh);
+  delete[] many_;
+  many_ = fresh;
+}
+
+void Collection::Posting::fit(std::uint32_t capacity) {
+  if (size_ <= 1) {
+    const Slot only = many_[0];
+    delete[] many_;
+    one_ = only;
+  } else if (std::bit_ceil(size_) != capacity) {
+    reallocate(std::bit_ceil(size_));
+  }
 }
 
 const Value* Collection::RowReader::slot_value(const std::string& path) {
@@ -237,68 +313,27 @@ std::optional<Document> Collection::get(const std::string& id) const {
 }
 
 void Collection::index_document(Slot slot, const Document& doc) {
-  for (auto& [path, index] : indexes_) {
+  for (auto& [path, index] : indexes_)
     if (const Value* v = doc.find_path(path))
-      index.entries.insert({IndexKey{*v}, slot});
-  }
+      IndexAppender{&path, &index}.add(*v, slot);
 }
 
-void Collection::unindex_slot(Slot slot) {
+void Collection::unindex_slot(Slot slot, bool erase) {
   RowReader row(*this);
   row.seek(slot);
   for (auto& [path, index] : indexes_) {
-    if (const Value* v = row.slot_value(path)) {
-      auto [lo, hi] = index.entries.equal_range(IndexKey{*v});
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == slot) {
-          index.entries.erase(it);
-          break;
-        }
-      }
-    }
-  }
-}
-
-bool Collection::index_lookup(const Query& clause,
-                              std::vector<Slot>& out) const {
-  auto index_it = indexes_.find(clause.path());
-  if (index_it == indexes_.end()) return false;
-  const auto& entries = index_it->second.entries;
-  switch (clause.op()) {
-    case QueryOp::kEq: {
-      auto [lo, hi] = entries.equal_range(IndexKey{clause.values()[0]});
-      for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kIn: {
-      for (const Value& v : clause.values()) {
-        auto [lo, hi] = entries.equal_range(IndexKey{v});
-        for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-      }
-      return true;
-    }
-    case QueryOp::kLt: {
-      auto hi = entries.lower_bound(IndexKey{clause.values()[0]});
-      for (auto it = entries.begin(); it != hi; ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kLte: {
-      auto hi = entries.upper_bound(IndexKey{clause.values()[0]});
-      for (auto it = entries.begin(); it != hi; ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kGt: {
-      auto lo = entries.upper_bound(IndexKey{clause.values()[0]});
-      for (auto it = lo; it != entries.end(); ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kGte: {
-      auto lo = entries.lower_bound(IndexKey{clause.values()[0]});
-      for (auto it = lo; it != entries.end(); ++it) out.push_back(it->second);
-      return true;
-    }
-    default:
-      return false;
+    const Value* v = row.slot_value(path);
+    if (v == nullptr) continue;
+    auto it = index.postings.find(*v);
+    if (it == index.postings.end()) continue;
+    Posting& posting = it->second;
+    --index.live;
+    if (erase) posting.erase(slot);
+    else posting.drop();
+    if (posting.live() == 0)
+      index.postings.erase(it);
+    else if (posting.dead() > posting.live())
+      posting.compact([&](Slot s) { return s != slot && slot_alive(s); });
   }
 }
 
@@ -322,52 +357,167 @@ void Collection::note_plan(PlanKind kind) const {
   }
 }
 
+namespace {
+/// The conjuncts of `query`: the root itself, or every clause reachable
+/// through ANDs (nested ANDs are flattened, so Query::range's AND yields
+/// its two bounds).
+void conjuncts(const Query& query, std::vector<const Query*>& out) {
+  if (query.op() != QueryOp::kAnd) {
+    out.push_back(&query);
+    return;
+  }
+  for (const Query& child : query.children()) conjuncts(child, out);
+}
+
+bool is_bound(QueryOp op) {
+  return op == QueryOp::kLt || op == QueryOp::kLte || op == QueryOp::kGt ||
+         op == QueryOp::kGte;
+}
+
+/// One value per compare-distinct key of an eq/in clause: compare-equal
+/// values share a posting, and visiting it once keeps runs disjoint.
+std::vector<const Value*> distinct_keys(const std::vector<Value>& values) {
+  std::vector<const Value*> keys;
+  for (const Value& v : values)
+    if (std::none_of(keys.begin(), keys.end(), [&](const Value* k) {
+          return Value::compare(*k, v) == 0;
+        }))
+      keys.push_back(&v);
+  return keys;
+}
+}  // namespace
+
+std::size_t Collection::KeyRange::live() const {
+  std::size_t n = 0;
+  for (PostingIt it = lo; it != hi; ++it) n += it->second.live();
+  return n;
+}
+
+Collection::KeyRange Collection::key_range(
+    const Index& index, const std::vector<const Query*>& bounds) {
+  const Postings& postings = index.postings;
+  const KeyOrder less;
+  KeyRange range{postings.begin(), postings.end()};
+  for (const Query* bound : bounds) {
+    const Value& v = bound->values()[0];
+    if (bound->op() == QueryOp::kGt || bound->op() == QueryOp::kGte) {
+      // The tighter of two lower bounds is the later key.
+      PostingIt it = bound->op() == QueryOp::kGt ? postings.upper_bound(v)
+                                                 : postings.lower_bound(v);
+      if (it == postings.end() ||
+          (range.lo != postings.end() && less(range.lo->first, it->first)))
+        range.lo = it;
+    } else {
+      PostingIt it = bound->op() == QueryOp::kLt ? postings.lower_bound(v)
+                                                 : postings.upper_bound(v);
+      if (range.hi == postings.end() ||
+          (it != postings.end() && less(it->first, range.hi->first)))
+        range.hi = it;
+    }
+  }
+  if (range.lo == postings.end() ||
+      (range.hi != postings.end() && !less(range.lo->first, range.hi->first)))
+    range.lo = range.hi;  // the bounds admit no key
+  return range;
+}
+
 Collection::Plan Collection::plan(const Query& query) const {
   Plan plan;
-  // Candidate slots per indexable clause: the root itself, or any conjunct
-  // reachable through ANDs (nested ANDs are flattened — Query::range
-  // desugars to one, so "user == u AND time in [lo, hi)" yields two sets).
-  // Cost model: materializing a clause's slot list is linear in its
-  // selectivity and touches no documents, so gathering every indexable
-  // clause and intersecting is cheaper than filtering documents through
-  // the residual query whenever any clause is selective.
-  std::vector<std::vector<Slot>> sets;
-  std::vector<Slot> tmp;
-  if (index_lookup(query, tmp)) {
-    sets.push_back(std::move(tmp));
-  } else if (query.op() == QueryOp::kAnd) {
-    auto gather = [&](auto&& self, const Query& conjunction) -> void {
-      for (const Query& child : conjunction.children()) {
-        if (child.op() == QueryOp::kAnd) {
-          self(self, child);
-          continue;
-        }
-        tmp.clear();
-        if (index_lookup(child, tmp)) sets.push_back(std::move(tmp));
+  // One source per eq/in clause on an indexed path, reading its key's
+  // postings, and one per indexed path with bounds, reading the key range
+  // all of them admit in one walk. Every source knows its live size
+  // before a slot is read: the cheapest is gathered, in ascending order,
+  // and the others only narrow it, so no set is built just to be
+  // intersected away.
+  struct Source {
+    std::size_t size = 0;
+    std::vector<const Posting*> runs;  ///< eq/in: disjoint, ascending
+    std::vector<const Query*> bounds;  ///< range: its bound clauses
+    KeyRange range{};
+  };
+  std::vector<const Query*> clauses;
+  conjuncts(query, clauses);
+  std::vector<Source> sources;
+  std::vector<std::pair<const Index*, std::vector<const Query*>>> bounded;
+  for (const Query* clause : clauses) {
+    auto index_it = indexes_.find(clause->path());
+    if (index_it == indexes_.end()) continue;
+    const Index& index = index_it->second;
+    if (clause->op() == QueryOp::kEq || clause->op() == QueryOp::kIn) {
+      Source& source = sources.emplace_back();
+      for (const Value* key : distinct_keys(clause->values())) {
+        auto it = index.postings.find(*key);
+        if (it == index.postings.end()) continue;
+        source.runs.push_back(&it->second);
+        source.size += it->second.live();
       }
-    };
-    gather(gather, query);
+    } else if (is_bound(clause->op())) {
+      auto path_it = std::find_if(bounded.begin(), bounded.end(),
+                                  [&](const auto& b) { return b.first == &index; });
+      if (path_it == bounded.end())
+        path_it = bounded.insert(bounded.end(), {&index, {}});
+      path_it->second.push_back(clause);
+    }
   }
-  if (sets.empty()) return plan;
-  for (auto& set : sets) {
-    // kIn with repeated values can list a slot twice.
-    std::sort(set.begin(), set.end());
-    set.erase(std::unique(set.begin(), set.end()), set.end());
+  for (auto& [index, bounds] : bounded) {
+    Source& source = sources.emplace_back();
+    source.range = key_range(*index, bounds);
+    source.size = source.range.live();
+    source.bounds = std::move(bounds);
   }
-  // Cheapest (most selective) first, then intersect the rest into it.
-  std::sort(sets.begin(), sets.end(), [](const auto& a, const auto& b) {
-    return a.size() < b.size();
-  });
-  plan.candidates = std::move(sets[0]);
-  for (std::size_t i = 1; i < sets.size(); ++i) {
-    tmp.clear();
-    std::set_intersection(plan.candidates.begin(), plan.candidates.end(),
-                          sets[i].begin(), sets[i].end(),
-                          std::back_inserter(tmp));
-    plan.candidates.swap(tmp);
+  if (sources.empty()) return plan;
+  std::sort(sources.begin(), sources.end(),
+            [](const Source& a, const Source& b) { return a.size < b.size; });
+
+  // The cheapest source's live slots, ascending: one run is already in
+  // order, several eq/in runs merge, and a range's runs are sorted.
+  const Source& cheapest = sources[0];
+  std::vector<Slot>& out = plan.candidates;
+  out.reserve(cheapest.size);
+  auto gather = [&](const Posting& posting) {
+    for (Slot s : posting.slots())
+      if (slot_alive(s)) out.push_back(s);
+  };
+  if (cheapest.bounds.empty()) {
+    for (const Posting* run : cheapest.runs) {
+      const auto merged = static_cast<std::ptrdiff_t>(out.size());
+      gather(*run);
+      std::inplace_merge(out.begin(), out.begin() + merged, out.end());
+    }
+  } else {
+    for (PostingIt it = cheapest.range.lo; it != cheapest.range.hi; ++it)
+      gather(it->second);
+    std::sort(out.begin(), out.end());
+  }
+
+  // Each wider source keeps the candidates it holds: an eq/in source by
+  // a search of its runs, each trimmed as the ascending candidates pass
+  // it, and a range by its bounds, read from each candidate's row
+  // (cheaper than gathering the wider range).
+  RowReader row(*this);
+  for (std::size_t i = 1; i < sources.size() && !out.empty(); ++i) {
+    const Source& source = sources[i];
+    if (!source.bounds.empty()) {
+      std::erase_if(out, [&](Slot s) {
+        row.seek(s);
+        return !std::all_of(source.bounds.begin(), source.bounds.end(),
+                            [&](const Query* b) { return row.matches(*b); });
+      });
+      continue;
+    }
+    std::vector<std::span<const Slot>> rest;
+    for (const Posting* run : source.runs) rest.push_back(run->slots());
+    std::erase_if(out, [&](Slot s) {
+      for (std::span<const Slot>& run : rest) {
+        run = run.subspan(static_cast<std::size_t>(
+            std::lower_bound(run.begin(), run.end(), s) - run.begin()));
+        if (!run.empty() && run.front() == s) return false;
+      }
+      return true;
+    });
   }
   plan.use_index = true;
-  plan.intersected = sets.size() > 1;
+  plan.intersected = sources.size() > 1;
   return plan;
 }
 
@@ -433,21 +583,27 @@ std::vector<Document> Collection::page(const std::vector<Slot>& slots,
 
 std::vector<Document> Collection::find_via_sort_index(
     const Query& query, const FindOptions& options, const Index& index) const {
-  const auto& entries = index.entries;
+  const Postings& postings = index.postings;
   // Documents missing the sort field sort as null; merge their slots with
-  // the explicit-null index entries into one group. Every document with
-  // the field contributes exactly one entry, so when the entry count
-  // equals the document count the missing-field scan can be skipped.
+  // the null key's posting into one group. Every row with the field is
+  // one live slot of a posting, so when the live count equals the
+  // document count the missing-field scan can be skipped.
   std::vector<Slot> null_group;
   RowReader row(*this);
-  if (entries.size() != id_to_slot_.size()) {
+  if (index.live != id_to_slot_.size()) {
     for (Slot s = 0; s < slots_.size(); ++s)
       if (slot_alive(s) && row.seek(s).slot_value(options.sort_by) == nullptr)
         null_group.push_back(s);
   }
-  auto [null_lo, null_hi] = entries.equal_range(IndexKey{Value()});
-  for (auto it = null_lo; it != null_hi; ++it) null_group.push_back(it->second);
-  std::sort(null_group.begin(), null_group.end());
+  PostingIt keyed = postings.begin();  // the first non-null key
+  if (keyed != postings.end() && keyed->first.is_null()) {
+    const std::size_t missing = null_group.size();
+    for (Slot s : keyed->second.slots()) null_group.push_back(s);
+    std::inplace_merge(null_group.begin(),
+                       null_group.begin() + static_cast<std::ptrdiff_t>(missing),
+                       null_group.end());
+    ++keyed;
+  }
 
   std::vector<Slot> out;
   // Once skip+limit matches exist, later groups cannot alter the page —
@@ -456,109 +612,68 @@ std::vector<Document> Collection::find_via_sort_index(
   const std::size_t want =
       options.limit > 0 ? options.skip + options.limit : 0;
   auto done = [&] { return want > 0 && out.size() >= want; };
-  // Within every equal-key group slots are emitted in ascending
-  // (insertion) order — exactly the tie order stable_sort produces over a
-  // scan. `group` is reused scratch.
-  std::vector<Slot> group;
-  auto emit_group = [&] {
-    std::sort(group.begin(), group.end());
+  // A posting's slots ascend: within every equal-key group slots are
+  // emitted in insertion order — exactly the tie order stable_sort
+  // produces over a scan.
+  auto emit_group = [&](std::span<const Slot> group) {
     for (Slot s : group) {
       if (done()) return;
       if (slot_alive(s) && row.seek(s).matches(query)) out.push_back(s);
     }
   };
   if (!options.descending) {
-    group = null_group;  // already sorted; emit_group's sort is a no-op
-    emit_group();
-    for (auto it = null_hi; it != entries.end() && !done();) {
-      auto hi = entries.upper_bound(it->first);
-      group.clear();
-      for (auto j = it; j != hi; ++j) group.push_back(j->second);
-      emit_group();
-      it = hi;
-    }
+    emit_group(null_group);
+    for (PostingIt it = keyed; it != postings.end() && !done(); ++it)
+      emit_group(it->second.slots());
   } else {
-    // Walk key groups in descending order, nulls last.
-    for (auto it = entries.end(); it != null_hi && !done();) {
-      auto lo = entries.lower_bound(std::prev(it)->first);
-      group.clear();
-      for (auto j = lo; j != it; ++j) group.push_back(j->second);
-      emit_group();
-      it = lo;
-    }
-    if (!done()) {
-      group = null_group;
-      emit_group();
-    }
+    // Key groups in descending order, nulls last.
+    for (PostingIt it = postings.end(); it != keyed && !done();)
+      emit_group((--it)->second.slots());
+    emit_group(null_group);
   }
   return page(out, options);
 }
 
 bool Collection::covered_count(const Query& query, std::size_t& out) const {
-  auto index_it = indexes_.find(query.path());
+  std::vector<const Query*> clauses;
+  conjuncts(query, clauses);
+  if (clauses.empty()) return false;
+  auto index_it = indexes_.find(clauses[0]->path());
   if (index_it == indexes_.end()) return false;
-  const auto& entries = index_it->second.entries;
-  switch (query.op()) {
-    case QueryOp::kEq: {
-      // compare-equality (the index order) admits keys the filter's
-      // operator== rejects — int64s that collide as doubles, objects with
-      // reordered fields — so re-check equality on the stored key. The
-      // key is a copy of the document's value at the path, so this is
-      // exactly the filter's predicate with no document access.
-      const Value& v = query.values()[0];
-      auto [lo, hi] = entries.equal_range(IndexKey{v});
-      out = 0;
-      for (auto it = lo; it != hi; ++it)
-        if (it->first.value == v) ++out;
-      return true;
-    }
+  const Index& index = index_it->second;
+  // Bounds on one path, alone or ANDed: range filters use Value::compare
+  // — the index order — so the live rows of the one range they admit are
+  // the exact answer.
+  if (std::all_of(clauses.begin(), clauses.end(), [&](const Query* c) {
+        return is_bound(c->op()) && c->path() == clauses[0]->path();
+      })) {
+    out = key_range(index, clauses).live();
+    return true;
+  }
+  if (clauses.size() > 1) return false;
+  const Query& clause = *clauses[0];
+  switch (clause.op()) {
+    case QueryOp::kEq:
     case QueryOp::kIn: {
-      // One span per compare-distinct value (compare-equal values share a
-      // span; visiting it once prevents double counting), then the real
-      // `in` predicate on each key.
-      std::vector<const Value*> reps;
-      for (const Value& v : query.values()) {
-        bool dup = false;
-        for (const Value* r : reps)
-          if (Value::compare(*r, v) == 0) {
-            dup = true;
-            break;
-          }
-        if (!dup) reps.push_back(&v);
-      }
+      // compare-equality (the index order) admits keys the filter's
+      // operator== rejects — int64s that collide as doubles — so a key's
+      // posting answers only when its keys are all the map's key: then
+      // each row's key passes the filter exactly when the map's does.
+      // A mixed posting sends the count to the rows.
       out = 0;
-      for (const Value* r : reps) {
-        auto [lo, hi] = entries.equal_range(IndexKey{*r});
-        for (auto it = lo; it != hi; ++it)
-          for (const Value& v : query.values())
-            if (it->first.value == v) {
-              ++out;
-              break;
-            }
+      for (const Value* key : distinct_keys(clause.values())) {
+        auto it = index.postings.find(*key);
+        if (it == index.postings.end()) continue;
+        if (it->second.mixed()) return false;
+        if (std::any_of(clause.values().begin(), clause.values().end(),
+                        [&](const Value& v) { return it->first == v; }))
+          out += it->second.live();
       }
       return true;
     }
-    // Range filters use Value::compare — the index order — so the range
-    // width is the exact answer.
-    case QueryOp::kLt:
-      out = static_cast<std::size_t>(std::distance(
-          entries.begin(), entries.lower_bound(IndexKey{query.values()[0]})));
-      return true;
-    case QueryOp::kLte:
-      out = static_cast<std::size_t>(std::distance(
-          entries.begin(), entries.upper_bound(IndexKey{query.values()[0]})));
-      return true;
-    case QueryOp::kGt:
-      out = static_cast<std::size_t>(std::distance(
-          entries.upper_bound(IndexKey{query.values()[0]}), entries.end()));
-      return true;
-    case QueryOp::kGte:
-      out = static_cast<std::size_t>(std::distance(
-          entries.lower_bound(IndexKey{query.values()[0]}), entries.end()));
-      return true;
     case QueryOp::kExists:
-      // Every document with the path present has exactly one entry.
-      out = entries.size();
+      // Every row with the path present is one live slot.
+      out = index.live;
       return true;
     default:
       return false;
@@ -603,7 +718,7 @@ bool Collection::replace_checked(const std::string& id, Document doc,
                             {"id", Value(id)},
                             {"doc", doc}}));
   if (slot < sealed_.end) sealed_.forget();
-  unindex_slot(slot);
+  unindex_slot(slot, /*erase=*/true);
   slots_[slot] = std::move(doc);
   index_document(slot, std::get<Document>(slots_[slot]));
   return true;
@@ -656,7 +771,7 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
                             {"id", Value(id)}}));
   Slot slot = it->second;
   if (slot < sealed_.end) sealed_.forget();
-  unindex_slot(slot);
+  unindex_slot(slot, /*erase=*/false);
   slots_[slot] = std::monostate{};
   id_to_slot_.erase(it);
   if (journaled) ++stats_.total_removes;
@@ -710,45 +825,25 @@ bool Collection::has_index(const std::string& path) const {
   return indexes_.count(path) > 0;
 }
 
-namespace {
-/// Walks an index's compare-equal key groups in order, calling
-/// `group(first_entry_key, group_size)` per group. Returns false (a
-/// planner bail-out to the scan path) when a group mixes keys that
-/// compare equal but are not operator==-equal (e.g. int64s that collide
-/// as doubles), where index grouping and scan semantics could diverge, or
-/// when the callback itself vetoes the group.
-template <typename Entries, typename GroupFn>
-bool walk_index_groups(const Entries& entries, GroupFn&& group) {
-  for (auto it = entries.begin(); it != entries.end();) {
-    auto hi = entries.upper_bound(it->first);
-    std::size_t n = 0;
-    for (auto j = it; j != hi; ++j, ++n)
-      if (!(j->first.value == it->first.value)) return false;
-    if (!group(it->first.value, n)) return false;
-    it = hi;
-  }
-  return true;
-}
-}  // namespace
-
 std::vector<Value> Collection::distinct(const std::string& path,
                                         const Query& query) const {
   if (query.op() == QueryOp::kAll) {
     auto index_it = indexes_.find(path);
     if (index_it != indexes_.end()) {
-      // Covered: one representative per key group, already in compare
-      // order — no documents touched, no quadratic dedup. Restricted to
-      // scalar keys: the scan below dedups by operator==, which for
-      // objects is field-order-insensitive while the index order is not.
-      std::vector<Value> out;
-      if (walk_index_groups(index_it->second.entries,
-                            [&](const Value& key, std::size_t) {
-                              if (key.is_array() || key.is_object())
-                                return false;
-                              out.push_back(key);
-                              return true;
-                            })) {
+      // Covered: one key per posting, already in compare order — no
+      // documents touched, no quadratic dedup. Restricted to scalar keys
+      // (the scan below dedups by operator==, which for objects is
+      // field-order-insensitive while the index order is not) and to
+      // postings that are not mixed.
+      const auto& postings = index_it->second.postings;
+      if (std::none_of(postings.begin(), postings.end(), [](const auto& p) {
+            return p.second.mixed() || p.first.is_array() ||
+                   p.first.is_object();
+          })) {
         note_plan(PlanKind::kCovered);
+        std::vector<Value> out;
+        out.reserve(postings.size());
+        for (const auto& [key, _] : postings) out.push_back(key);
         return out;
       }
     }
@@ -759,9 +854,7 @@ std::vector<Value> Collection::distinct(const std::string& path,
     if (v != nullptr && std::find(out.begin(), out.end(), *v) == out.end())
       out.push_back(*v);
   });
-  std::sort(out.begin(), out.end(), [](const Value& a, const Value& b) {
-    return Value::compare(a, b) < 0;
-  });
+  std::sort(out.begin(), out.end(), KeyOrder{});
   return out;
 }
 
@@ -770,33 +863,32 @@ std::vector<std::pair<Value, std::size_t>> Collection::group_count(
   if (query.op() == QueryOp::kAll) {
     auto index_it = indexes_.find(path);
     if (index_it != indexes_.end()) {
-      // Covered: group sizes are key-group widths in the index — the scan
-      // below groups by the same IndexKey order, so results are identical.
-      std::vector<std::pair<Value, std::size_t>> out;
-      if (walk_index_groups(index_it->second.entries,
-                            [&](const Value& key, std::size_t n) {
-                              out.emplace_back(key, n);
-                              return true;
-                            })) {
+      // Covered: a group is a posting, its size the posting's live count
+      // — the scan below groups by the same compare order, and a posting
+      // that is not mixed holds one key, so results are identical.
+      const auto& postings = index_it->second.postings;
+      if (std::none_of(postings.begin(), postings.end(),
+                       [](const auto& p) { return p.second.mixed(); })) {
         note_plan(PlanKind::kCovered);
+        std::vector<std::pair<Value, std::size_t>> out;
+        out.reserve(postings.size());
+        for (const auto& [key, posting] : postings)
+          out.emplace_back(key, posting.live());
         return out;
       }
     }
   }
-  std::map<IndexKey, std::size_t> groups;
+  std::map<Value, std::size_t, KeyOrder> groups;
   for_each_match(query, [&](Slot, RowReader& row) {
-    if (const Value* v = row.slot_value(path)) ++groups[IndexKey{*v}];
+    if (const Value* v = row.slot_value(path)) ++groups[*v];
   });
-  std::vector<std::pair<Value, std::size_t>> out;
-  out.reserve(groups.size());
-  for (auto& [key, n] : groups) out.emplace_back(key.value, n);
-  return out;
+  return {groups.begin(), groups.end()};
 }
 
 std::vector<Collection::GroupAggregate> Collection::group_aggregate(
     const std::string& group_path, const std::string& value_path,
     const Query& query) const {
-  std::map<IndexKey, GroupAggregate> groups;
+  std::map<Value, GroupAggregate, KeyOrder> groups;
   for_each_match(query, [&](Slot, RowReader& row) {
     // The number is read before the key's lookup reuses the scratch.
     const Value* value = row.slot_value(value_path);
@@ -804,7 +896,7 @@ std::vector<Collection::GroupAggregate> Collection::group_aggregate(
     const double x = value->as_double();
     const Value* key = row.slot_value(group_path);
     if (key == nullptr) return;
-    auto [it, inserted] = groups.try_emplace(IndexKey{*key});
+    auto [it, inserted] = groups.try_emplace(*key);
     GroupAggregate& agg = it->second;
     if (inserted) {
       agg.key = *key;

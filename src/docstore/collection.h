@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -31,11 +32,10 @@ class ObsBatch;
 
 namespace mps::docstore {
 
-/// Key wrapper so Values order correctly inside std::multimap indexes.
-struct IndexKey {
-  Value value;
-  bool operator<(const IndexKey& other) const {
-    return Value::compare(value, other.value) < 0;
+/// Orders index keys and groups by Value::compare.
+struct KeyOrder {
+  bool operator()(const Value& a, const Value& b) const {
+    return Value::compare(a, b) < 0;
   }
 };
 
@@ -231,23 +231,94 @@ class Collection {
 
  private:
   using Slot = std::size_t;
+
+  /// One index key's rows (DESIGN.md §8): the slots whose value at the
+  /// path compares equal to the key, ascending. A single slot is held
+  /// inline, more in one heap array of capacity bit_ceil(size), so a
+  /// near-unique key costs no more than its map node. A removed slot only
+  /// counts as dead, and readers skip it, until the dead outnumber the
+  /// live and the posting compacts; removal stays amortized O(1) per row
+  /// (a retention purge removes oldest first). A replace erases at once.
+  class Posting {
+   public:
+    Posting() = default;
+    Posting(const Posting&) = delete;
+    Posting& operator=(const Posting&) = delete;
+    ~Posting() {
+      if (size_ > 1) delete[] many_;
+    }
+
+    /// Every slot held, dead ones included, ascending.
+    std::span<const Slot> slots() const {
+      return size_ <= 1 ? std::span<const Slot>(&one_, size_)
+                        : std::span<const Slot>(many_, size_);
+    }
+    std::size_t live() const { return live_; }
+    std::size_t dead() const { return size_ - live_; }
+    /// Set once a key joined that is not identical (same type, ==, same
+    /// bytes) to the map's: answering from the posting alone could then
+    /// differ from a scan, so the covered paths read rows instead.
+    bool mixed() const { return mixed_ != 0; }
+    void set_mixed() { mixed_ = 1; }
+
+    /// Adds a live slot in order: an append for a new slot, an insertion
+    /// for a replaced one.
+    void add(Slot s);
+    /// Takes a live slot out now (a replace).
+    void erase(Slot s);
+    /// Counts a live slot dead (a remove).
+    void drop() { --live_; }
+    /// Keeps the slots `alive` accepts, one per live row.
+    template <typename Alive>
+    void compact(Alive&& alive);
+
+   private:
+    /// Moves the slots into an array of exactly `capacity` (> 1).
+    void reallocate(std::uint32_t capacity);
+    /// Restores the capacity rule after size_ fell below the count the
+    /// array of `capacity` was sized for.
+    void fit(std::uint32_t capacity);
+
+    union {
+      Slot one_ = 0;  ///< size_ == 1
+      Slot* many_;    ///< size_ > 1
+    };
+    std::uint32_t size_ = 0;
+    std::uint32_t live_ : 31 = 0;
+    std::uint32_t mixed_ : 1 = 0;
+  };
+  // Keeps a single-row key's map node (rb-tree links, key, posting) in
+  // one 96-byte heap chunk.
+  static_assert(sizeof(Posting) == 16);
+  using Postings = std::map<Value, Posting, KeyOrder>;
+  using PostingIt = Postings::const_iterator;
+  /// A path's postings by key. `live` counts the rows holding the path.
   struct Index {
-    std::multimap<IndexKey, Slot> entries;
+    Postings postings;
+    std::size_t live = 0;
   };
 
   /// How the planner decided to execute a query (counted in stats() and
   /// read as the `docstore.plans_*` registry counters).
   enum class PlanKind { kScan, kIndexed, kIntersect, kCovered, kSortIndex };
 
-  /// An access-path decision: either a full scan (use_index false) or a
-  /// sorted, deduplicated candidate-slot list produced from the cheapest
-  /// applicable index — intersected across indexable AND clauses when the
-  /// query has several. The full query is still re-applied to every
-  /// candidate, so the plan only has to be a superset of the matches.
+  /// An access-path decision: either a full scan (use_index false) or the
+  /// ascending live slots of the cheapest applicable index source —
+  /// intersected with the others when an AND has several. The full query
+  /// is still re-applied to every candidate, so the plan only has to be a
+  /// superset of the matches.
   struct Plan {
     bool use_index = false;
     bool intersected = false;
     std::vector<Slot> candidates;
+  };
+  /// The index keys [lo, hi) that every bound clause (lt/lte/gt/gte) on
+  /// one path admits: the clauses' one range walk.
+  struct KeyRange {
+    PostingIt lo;
+    PostingIt hi;
+    /// Live rows in the range.
+    std::size_t live() const;
   };
 
   /// A row held as its flat batch's columns (insert_batch, apply_run).
@@ -296,18 +367,18 @@ class Collection {
     Value scratch_;
     std::optional<Document> built_;
   };
-  /// Appends one index's entries in ascending slot order. Keys in a
-  /// column are highly repetitive (constant app id, a handful of device
-  /// models, increasing timestamps), so remembering where the previous
-  /// entry landed turns most multimap inserts into O(1) hinted
-  /// emplacements instead of full-tree descents. A hinted entry lands
-  /// where a plain insert puts it, after every equal key.
+  /// Adds one index's entries, in ascending slot order for appends.
+  /// Keys in a column are highly repetitive (constant app id, a handful
+  /// of device models, increasing timestamps), so a cursor on the last
+  /// key's posting turns most adds into an O(1) append: the same key
+  /// appends to it, a new largest key is placed after it, and only any
+  /// other key looks its posting up.
   struct IndexAppender {
     const std::string* path;
     Index* index;
-    std::multimap<IndexKey, Slot>::iterator last{};
+    Postings::iterator last{};
     bool has_last = false;
-    void add(Value key, Slot slot);
+    void add(const Value& key, Slot slot);
   };
 
   /// A copy of the document at a live slot. A lazy row's is built: the
@@ -344,15 +415,19 @@ class Collection {
   bool remove_checked(const std::string& id, bool journaled);
   void log_record(Value record);
   void index_document(Slot slot, const Document& doc);
-  /// Drops a live slot's index entries, read through the row accessor.
-  void unindex_slot(Slot slot);
+  /// Takes a live slot out of its postings, reading its keys through the
+  /// row accessor: at once for a replace (`erase`), else as a dead slot.
+  void unindex_slot(Slot slot, bool erase);
   Plan plan(const Query& query) const;
-  bool index_lookup(const Query& clause, std::vector<Slot>& out) const;
+  /// The key range of `index` that every one of `bounds` (lt/lte/gt/gte
+  /// clauses on its path) admits.
+  static KeyRange key_range(const Index& index,
+                            const std::vector<const Query*>& bounds);
   /// Exact match count from index entries alone (no document access);
   /// false when the query shape is not covered by an index.
   bool covered_count(const Query& query, std::size_t& out) const;
-  /// Executes a sorted find by walking the sort_by index in key order
-  /// instead of materializing and stable_sort-ing every match.
+  /// Executes a sorted find by walking the sort_by index's postings in
+  /// key order instead of materializing and stable_sort-ing every match.
   std::vector<Document> find_via_sort_index(const Query& query,
                                             const FindOptions& options,
                                             const Index& index) const;

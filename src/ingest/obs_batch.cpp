@@ -132,35 +132,31 @@ bool ObsBatch::index_value(std::string_view path, std::size_t i,
   return true;
 }
 
-std::shared_ptr<const ObsBatch> BatchPool::make_batch(
-    std::string_view app, std::string_view client, std::string_view batch_id,
-    TimeMs sent_at, const std::vector<phone::Observation>& observations) {
-  // Sizing pass: the distinct users and models in first-seen order, and
-  // the characters the block holds.
-  std::vector<std::string_view> distinct;
-  auto intern = [&distinct](std::string_view s) -> std::uint32_t {
-    // The table is tiny (one user, a handful of models per client), so a
-    // linear probe beats any hashing.
-    for (std::size_t k = 0; k < distinct.size(); ++k)
-      if (distinct[k] == s) return static_cast<std::uint32_t>(k);
-    distinct.push_back(s);
-    return static_cast<std::uint32_t>(distinct.size() - 1);
-  };
-  std::size_t chars = app.size() + client.size() + batch_id.size();
-  for (const phone::Observation& obs : observations) {
-    intern(obs.user);
-    intern(obs.model);
-  }
-  for (std::string_view s : distinct) chars += s.size();
+namespace {
+/// The interned-string table a batch is built with: distinct users and
+/// models in first-seen order. The table is tiny (one user, a handful of
+/// models per client), so a linear probe beats any hashing.
+std::uint32_t intern(std::vector<std::string_view>& table, std::string_view s) {
+  for (std::size_t k = 0; k < table.size(); ++k)
+    if (table[k] == s) return static_cast<std::uint32_t>(k);
+  table.push_back(s);
+  return static_cast<std::uint32_t>(table.size() - 1);
+}
+}  // namespace
 
+std::shared_ptr<ObsBatch> ObsBatch::allocate(
+    std::string_view app, std::string_view client, std::string_view batch_id,
+    TimeMs sent_at, std::size_t rows,
+    const std::vector<std::string_view>& strings, std::size_t& bytes) {
+  std::size_t chars = app.size() + client.size() + batch_id.size();
+  for (std::string_view s : strings) chars += s.size();
   // One block, laid out in decreasing alignment so no column needs
   // padding: six 8-byte columns, the string table, two 4-byte index
-  // columns, four 1-byte columns, then the characters. Every byte is
-  // written below, so the block is not zero-filled.
+  // columns, four 1-byte columns, then the characters. The caller writes
+  // every column byte, so the block is not zero-filled.
   constexpr std::size_t kRowBytes = 6 * 8 + 2 * 4 + 4 * 1;
-  const std::size_t n = observations.size();
-  const std::size_t bytes =
-      n * kRowBytes + distinct.size() * sizeof(std::string_view) + chars;
+  const std::size_t n = rows;
+  bytes = n * kRowBytes + strings.size() * sizeof(std::string_view) + chars;
   std::shared_ptr<ObsBatch> batch(new ObsBatch());
   batch->block_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
   std::byte* cursor = batch->block_.get();
@@ -174,7 +170,7 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
   carve(batch->x_, n);
   carve(batch->y_, n);
   carve(batch->accuracy_, n);
-  carve(batch->strings_, distinct.size());
+  carve(batch->strings_, strings.size());
   carve(batch->user_idx_, n);
   carve(batch->model_idx_, n);
   carve(batch->mode_, n);
@@ -193,11 +189,25 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
   batch->batch_id_ = copy(batch_id);
   batch->sent_at_ = sent_at;
   batch->count_ = n;
-  for (std::size_t k = 0; k < distinct.size(); ++k)
-    batch->strings_[k] = copy(distinct[k]);
-  batch->string_count_ = distinct.size();
+  for (std::size_t k = 0; k < strings.size(); ++k)
+    batch->strings_[k] = copy(strings[k]);
+  batch->string_count_ = strings.size();
+  return batch;
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
+std::shared_ptr<const ObsBatch> BatchPool::make_batch(
+    std::string_view app, std::string_view client, std::string_view batch_id,
+    TimeMs sent_at, const std::vector<phone::Observation>& observations) {
+  // Sizing pass: the distinct users and models in first-seen order.
+  std::vector<std::string_view> strings;
+  for (const phone::Observation& obs : observations) {
+    intern(strings, obs.user);
+    intern(strings, obs.model);
+  }
+  std::size_t bytes = 0;
+  std::shared_ptr<ObsBatch> batch = ObsBatch::allocate(
+      app, client, batch_id, sent_at, observations.size(), strings, bytes);
+  for (std::size_t i = 0; i < observations.size(); ++i) {
     const phone::Observation& obs = observations[i];
     batch->span_ids_[i] = obs.span_id;
     batch->captured_at_[i] = obs.captured_at;
@@ -215,8 +225,8 @@ std::shared_ptr<const ObsBatch> BatchPool::make_batch(
       batch->provider_[i] = 0;
       batch->x_[i] = batch->y_[i] = batch->accuracy_[i] = 0.0;
     }
-    batch->user_idx_[i] = intern(obs.user);
-    batch->model_idx_[i] = intern(obs.model);
+    batch->user_idx_[i] = intern(strings, obs.user);
+    batch->model_idx_[i] = intern(strings, obs.model);
   }
 
   ++stats_.blocks;
@@ -270,34 +280,61 @@ std::shared_ptr<const ObsBatch> decode_batch(std::string_view bytes) {
       !r.u32(count) || count > kMaxBatchRows ||
       static_cast<std::size_t>(count) * kMinRowBytes > r.remaining())
     return nullptr;
-  std::vector<phone::Observation> rows(count);
-  for (phone::Observation& obs : rows) {
+  const std::string_view rows = bytes.substr(bytes.size() - r.remaining());
+
+  // Validating pass: every bound, enum and trailing-byte check, and the
+  // users and models interned as views of `bytes`, which size the block.
+  std::vector<std::string_view> strings;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint64_t span = 0;
     std::string_view user, model;
+    std::int64_t captured_at = 0;
+    double spl = 0.0, x = 0.0, y = 0.0, accuracy = 0.0;
     std::uint8_t mode = 0, activity = 0, has_loc = 0, provider = 0;
-    if (!r.u64(obs.span_id) || !r.str(user) || !r.str(model) ||
-        !r.i64(obs.captured_at) || !r.f64(obs.spl_db) || !r.u8(mode) ||
-        !r.u8(activity) || !r.u8(has_loc) ||
+    if (!r.u64(span) || !r.str(user) || !r.str(model) || !r.i64(captured_at) ||
+        !r.f64(spl) || !r.u8(mode) || !r.u8(activity) || !r.u8(has_loc) ||
         mode > static_cast<std::uint8_t>(phone::SensingMode::kJourney) ||
         activity > static_cast<std::uint8_t>(phone::Activity::kVehicle) ||
         has_loc > 1)
       return nullptr;
-    obs.user.assign(user);
-    obs.model.assign(model);
-    obs.mode = static_cast<phone::SensingMode>(mode);
-    obs.activity = static_cast<phone::Activity>(activity);
-    if (has_loc == 1) {
-      phone::LocationFix fix;
-      if (!r.u8(provider) || !r.f64(fix.x_m) || !r.f64(fix.y_m) ||
-          !r.f64(fix.accuracy_m) ||
-          provider > static_cast<std::uint8_t>(phone::LocationProvider::kFused))
-        return nullptr;
-      fix.provider = static_cast<phone::LocationProvider>(provider);
-      obs.location = fix;
-    }
+    if (has_loc == 1 &&
+        (!r.u8(provider) || !r.f64(x) || !r.f64(y) || !r.f64(accuracy) ||
+         provider > static_cast<std::uint8_t>(phone::LocationProvider::kFused)))
+      return nullptr;
+    intern(strings, user);
+    intern(strings, model);
   }
   if (!r.done()) return nullptr;
-  // make_batch's passes build the block; a throwaway pool counts it.
-  return BatchPool().make_batch(app, client, batch_id, sent_at, rows);
+
+  // Fill pass: the rows are known good, so each value is read straight
+  // into its column.
+  std::size_t block_bytes = 0;
+  std::shared_ptr<ObsBatch> batch = ObsBatch::allocate(
+      app, client, batch_id, sent_at, count, strings, block_bytes);
+  codec::Reader fill(rows);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::string_view user, model;
+    fill.u64(batch->span_ids_[i]);
+    fill.str(user);
+    fill.str(model);
+    fill.i64(batch->captured_at_[i]);
+    fill.f64(batch->spl_[i]);
+    fill.u8(batch->mode_[i]);
+    fill.u8(batch->activity_[i]);
+    fill.u8(batch->has_location_[i]);
+    if (batch->has_location_[i] == 1) {
+      fill.u8(batch->provider_[i]);
+      fill.f64(batch->x_[i]);
+      fill.f64(batch->y_[i]);
+      fill.f64(batch->accuracy_[i]);
+    } else {
+      batch->provider_[i] = 0;
+      batch->x_[i] = batch->y_[i] = batch->accuracy_[i] = 0.0;
+    }
+    batch->user_idx_[i] = intern(strings, user);
+    batch->model_idx_[i] = intern(strings, model);
+  }
+  return batch;
 }
 
 void BatchPool::set_metrics(obs::Registry* registry) {

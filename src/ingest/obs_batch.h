@@ -105,7 +105,16 @@ class ObsBatch {
 
  private:
   friend class BatchPool;
+  friend std::shared_ptr<const ObsBatch> decode_batch(std::string_view bytes);
   ObsBatch() = default;
+
+  /// A batch of `rows` rows over one exact-size block of `bytes`: the
+  /// header and the interned `strings` are copied in, the columns carved
+  /// out and left for the caller to fill.
+  static std::shared_ptr<ObsBatch> allocate(
+      std::string_view app, std::string_view client, std::string_view batch_id,
+      TimeMs sent_at, std::size_t rows,
+      const std::vector<std::string_view>& strings, std::size_t& bytes);
 
   /// Row `i`'s observation document (the to_document() byte layout),
   /// with room for `extra_fields` more fields and no spare capacity.
@@ -141,10 +150,12 @@ class ObsBatch {
 void encode_batch(const ObsBatch& batch, std::size_t first, std::size_t count,
                   std::string& out);
 
-/// The batch encode_batch() wrote, built by make_batch's passes but
-/// counted by no pool. Hostile-input safe: null on truncated input,
-/// trailing bytes, an out-of-range enum byte or a row count the bytes
-/// cannot hold; no read passes the end of `bytes`.
+/// The batch encode_batch() wrote, counted by no pool: a validating pass
+/// sizes its block and interns its strings as views of `bytes`, and a
+/// fill pass writes the columns straight into the block. Hostile-input
+/// safe: null on truncated input, trailing bytes, an out-of-range enum
+/// byte or a row count the bytes cannot hold; no read passes the end of
+/// `bytes`.
 std::shared_ptr<const ObsBatch> decode_batch(std::string_view bytes);
 
 /// Batch statistics (registered with the registry via set_metrics).

@@ -9,11 +9,14 @@
 // primary. crash() models the primary's host dying: only the primary
 // drops its unsynced tail, while the follower, another host's disk,
 // keeps every byte it was sent. promote() makes the follower the
-// primary and reformats the dead disk as a copy of it; failover is then
-// ordinary Journal recovery over this env.
+// primary and makes the dead disk a copy of it by rewriting only what a
+// crash can have made differ: the files appended since their last sync
+// and any file one disk lacks. Failover is then ordinary Journal
+// recovery over this env.
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,9 +50,12 @@ class MirroredEnv final : public durable::StorageEnv {
   /// Crashes the primary only.
   void crash() override;
 
-  /// Swaps the disks, then removes every file of the new follower and
-  /// writes every file of the new primary into it. Call while nothing
-  /// writes through this env (the node is down).
+  /// Swaps the disks, then makes the new follower a copy of the new
+  /// primary: each file appended since its last sync, and each file only
+  /// the new primary lists, is written whole into it, and each file only
+  /// it lists is removed. Every other file got the same bytes on both
+  /// disks and kept them through the crash. Call while nothing writes
+  /// through this env (the node is down).
   void promote();
 
   durable::StorageEnv& primary() { return *primary_; }
@@ -59,6 +65,8 @@ class MirroredEnv final : public durable::StorageEnv {
  private:
   durable::StorageEnv* primary_;
   durable::StorageEnv* follower_;
+  /// Files appended since their last sync: the bytes a crash can drop.
+  std::set<std::string> unsynced_;
   MirrorStats stats_;
   obs::Sources sources_;
 };

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -828,6 +829,204 @@ TEST(Collection, ExtractIfMovesRowsInTheirStoredForm) {
     EXPECT_EQ(stored_json(target), want_target);
     EXPECT_EQ(target_registry.gauge("docstore.lazy_rows").value(),
               target_lazy + moved_lazy);
+  }
+}
+
+/// A key from a pool that stresses the posting rules: int64s that
+/// collide as doubles (2^53 and 2^53 + 1), int/double pairs (3 and 3.0,
+/// 2^53 and 2^53 as a double), NaN, both zeros, a string and null.
+Value colliding_key(Rng& rng) {
+  constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+  switch (rng.uniform_int(0, 10)) {
+    case 0: return Value(kTwo53);
+    case 1: return Value(kTwo53 + 1);
+    case 2: return Value(static_cast<double>(kTwo53));
+    case 3: return Value(3);
+    case 4: return Value(3.0);
+    case 5: return Value(std::nan(""));
+    case 6: return Value(0.0);
+    case 7: return Value(-0.0);
+    case 8: return Value("k");
+    case 9: return Value();
+    default: return Value(rng.uniform_int(0, 50));
+  }
+}
+
+/// A document row sharing the lazy rows' postings (user, app, model,
+/// captured_at) with keys from colliding_key(), and now and then
+/// lacking an indexed path.
+Document colliding_document(Rng& rng) {
+  static const char* const kUsers[] = {"u0", "u1", "u2", "u9"};
+  Object doc;
+  doc.set("user", Value(kUsers[rng.uniform_int(0, 3)]));
+  if (rng.bernoulli(0.8)) doc.set("app", Value("app1"));
+  if (rng.bernoulli(0.5)) doc.set("model", Value("LGE NEXUS 5"));
+  if (rng.bernoulli(0.9)) doc.set("captured_at", colliding_key(rng));
+  if (rng.bernoulli(0.9)) doc.set("k", colliding_key(rng));
+  doc.set("client", Value("c" + std::to_string(rng.uniform_int(0, 3))));
+  return Value(std::move(doc));
+}
+
+/// A filter over the indexed paths: eq, in, one or two bounds, and ANDs
+/// of them, with operands that hit the colliding keys.
+Query posting_query(Rng& rng) {
+  static const char* const kPaths[] = {"k", "captured_at", "user", "app",
+                                       "model"};
+  const std::string path = kPaths[rng.uniform_int(0, 4)];
+  auto operand = [&]() -> Value {
+    if (path == "user") return Value("u" + std::to_string(rng.uniform_int(0, 3)));
+    if (path == "app") return Value(rng.bernoulli(0.8) ? "app1" : "app2");
+    if (path == "model") return Value("LGE NEXUS 5");
+    return colliding_key(rng);
+  };
+  switch (rng.uniform_int(0, 6)) {
+    case 0: return Query::eq(path, operand());
+    case 1: return Query::in(path, {operand(), operand(), operand()});
+    case 2: return Query::lt(path, operand());
+    case 3: return Query::gte(path, operand());
+    case 4: {
+      Value lo = operand();  // draw order pinned: lo, then hi
+      return Query::range(path, std::move(lo), operand());
+    }
+    case 5:
+      return Query::and_({Query::eq("user", Value("u1")),
+                          Query::gt("captured_at", colliding_key(rng)),
+                          Query::lte("captured_at", colliding_key(rng))});
+    default:
+      return Query::and_({Query::eq("app", Value("app1")),
+                          Query::in("k", {colliding_key(rng), colliding_key(rng)}),
+                          Query::exists("user")});
+  }
+}
+
+/// Every read kind over `c`, rendered as text: plain, sorted and paged
+/// finds, counts, and distinct and group_count over every indexed path,
+/// unfiltered (the covered paths) and filtered.
+std::vector<std::string> posting_reads(const Collection& c,
+                                       const std::vector<Query>& queries) {
+  static const char* const kPaths[] = {"k", "captured_at", "user", "app",
+                                       "model"};
+  std::vector<std::string> out;
+  auto add = [&out](const std::vector<Document>& docs) {
+    for (const std::string& json : as_json(docs)) out.push_back(json);
+    out.push_back("|");
+  };
+  for (const Query& q : queries) {
+    add(c.find(q));
+    for (const char* sort_by : kPaths) {
+      for (bool descending : {false, true}) {
+        FindOptions options;
+        options.sort_by = sort_by;
+        options.descending = descending;
+        add(c.find(q, options));
+        options.skip = 2;
+        options.limit = 5;
+        add(c.find(q, options));
+      }
+    }
+    out.push_back(std::to_string(c.count(q)));
+  }
+  for (const char* path : kPaths) {
+    for (const Query& q : {Query::all(), queries[0]}) {
+      add(c.distinct(path, q));
+      for (const auto& [key, n] : c.group_count(path, q))
+        out.push_back(key.to_json() + ":" + std::to_string(n));
+    }
+  }
+  return out;
+}
+
+// Property: postings answer like a scan through every write a store
+// makes — flat batches and documents, replaces that move a row inside a
+// long posting, single removes, purges, migrations and crash + restore —
+// over keys that compare equal without being one key (int64s that
+// collide as doubles, int/double pairs, NaN, both zeros). After every
+// step each read kind equals the same read of the store's scan twin, and
+// the indexes a restore rebuilds answer as the live-built ones did.
+TEST(Collection, PostingsMatchScanThroughWrites) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ingest::BatchPool pool;
+    durable::MemStorageEnv env;
+    durable::Journal journal(env);
+    Database db;
+    db.attach_journal(&journal);
+    Collection& c = db.collection("observations");
+    for (const char* path : {"app", "user", "model", "captured_at", "k"})
+      c.create_index(path);
+    auto random_id = [&]() -> std::optional<std::string> {
+      std::vector<std::string> ids;
+      c.for_each([&ids](const Document& d) { ids.push_back(d.get_string("_id")); });
+      if (ids.empty()) return std::nullopt;
+      return ids[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    };
+    auto recover = [&] {
+      db.crash();
+      journal.recover(
+          [&](durable::LoadedSnapshot& snap) {
+            db.restore_snapshot(snap.state, snap.segments);
+          },
+          [&](const Value& record) { db.apply_journal_record(record); });
+    };
+    auto snapshot = [&] {
+      journal.write_snapshot(
+          [&](durable::SnapshotWriter& writer) { db.encode_snapshot(writer); });
+    };
+    int batches = 0;
+    for (int step = 0; step < 60; ++step) {
+      const auto action = rng.uniform_int(0, 9);
+      SCOPED_TRACE("step " + std::to_string(step) + " action " +
+                   std::to_string(action));
+      if (action <= 2 || c.size() < 20) {
+        auto batch = random_flat_batch(pool, rng, batches % 4, batches);
+        ++batches;
+        c.insert_batch(batch, 0, batch->size(), rng.uniform_int(10, 60));
+      } else if (action == 3) {
+        for (auto n = rng.uniform_int(1, 4); n > 0; --n)
+          c.insert(colliding_document(rng));
+      } else if (action == 4) {
+        // A row of u1's long posting moves to another spot of a long
+        // posting: its own (kept user) or another user's.
+        std::vector<std::string> u1;
+        c.for_each([&u1](const Document& d) {
+          if (d.get_string("user") == "u1") u1.push_back(d.get_string("_id"));
+        });
+        if (u1.empty()) continue;
+        Document doc = colliding_document(rng);
+        if (rng.bernoulli(0.5)) doc.as_object().set("user", Value("u1"));
+        ASSERT_TRUE(c.replace(u1[u1.size() / 2], std::move(doc)));
+      } else if (action == 5) {
+        if (auto id = random_id()) {
+          ASSERT_TRUE(c.remove(*id));
+        }
+      } else if (action == 6) {
+        c.remove_many(Query::and_(
+            {Query::eq("app", Value("app1")),
+             Query::lt("captured_at", Value(rng.uniform_int(0, 30)))}));
+      } else if (action == 7) {
+        // A migration's source side, made durable by the snapshot right
+        // after it (extract_if logs nothing).
+        const std::string moving = "c" + std::to_string(rng.uniform_int(0, 3));
+        c.extract_if("client", [&](const Value& client) {
+          return client.is_string() && client.as_string() == moving;
+        });
+        snapshot();
+      } else {
+        std::vector<Query> queries;
+        for (int i = 0; i < 6; ++i) queries.push_back(posting_query(rng));
+        if (action == 8) snapshot();
+        const std::vector<std::string> live_built = posting_reads(c, queries);
+        recover();
+        ASSERT_EQ(posting_reads(c, queries), live_built);
+      }
+      std::vector<Query> queries;
+      for (int i = 0; i < 4; ++i) queries.push_back(posting_query(rng));
+      const Collection twin = scan_twin(c);
+      ASSERT_EQ(posting_reads(c, queries), posting_reads(twin, queries));
+    }
+    db.attach_journal(nullptr);
   }
 }
 

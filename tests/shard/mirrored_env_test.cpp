@@ -2,9 +2,9 @@
 // writing call. The follower must hold the primary's files, by name and
 // bytes, after every WAL append, snapshot, pruning and truncation; a
 // crash takes only the primary's unsynced tail; promotion turns the dead
-// disk into a copy of the promoted one; each snapshot file crosses to the
-// follower once; and the WAL's torn-tail repair on the promoted disk
-// lands on both disks.
+// disk into a copy of the promoted one, rewriting only the files a crash
+// can have changed; each snapshot file crosses to the follower once; and
+// the WAL's torn-tail repair on the promoted disk lands on both disks.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -197,6 +197,50 @@ TEST(MirroredEnv, EachSnapshotFileCrossesOnce) {
   EXPECT_EQ(follower.writes(), primary.writes());
   EXPECT_TRUE(primary.reads().empty());
   EXPECT_EQ(disk.stats().manifests, 3u);
+}
+
+// A crash drops only bytes appended since their file's last sync, so
+// promotion rewrites only those files: nothing at the fleet's
+// sync_every = 1, and just the active WAL segment when its tail was
+// unsynced. The disks still end byte-identical.
+TEST(MirroredEnv, PromoteRewritesOnlyTheLostTail) {
+  for (std::uint32_t sync_every : {1u, 8u}) {
+    SCOPED_TRACE(sync_every);
+    CountingEnv a;
+    CountingEnv b;
+    MirroredEnv disk(a, b);
+    durable::JournalConfig jc;
+    jc.wal.sync_every = sync_every;
+    {
+      durable::Journal journal(disk, jc);
+      docstore::Database db;
+      db.attach_journal(&journal);
+      insert(db, 0, 50);
+      snapshot(journal, db);
+      insert(db, 50, 11);  // at sync_every 8: 8 synced, 3 not
+      db.attach_journal(nullptr);
+    }
+    std::string active;
+    for (const std::string& name : disk.list())
+      if (name.rfind(jc.wal.prefix, 0) == 0) active = name;
+    ASSERT_FALSE(active.empty());
+
+    disk.crash();
+    const std::map<std::string, int> before = a.writes();
+    b.reads().clear();
+    disk.promote();
+    std::map<std::string, int> rewritten = a.writes();
+    for (const auto& [name, n] : before) rewritten[name] -= n;
+    std::erase_if(rewritten, [](const auto& entry) { return entry.second == 0; });
+    if (sync_every == 1) {
+      EXPECT_TRUE(rewritten.empty());
+      EXPECT_TRUE(b.reads().empty());
+    } else {
+      EXPECT_EQ(rewritten, (std::map<std::string, int>{{active, 1}}));
+      EXPECT_EQ(b.reads(), (std::map<std::string, int>{{active, 1}}));
+    }
+    EXPECT_EQ(files(a), files(b));
+  }
 }
 
 TEST(MirroredEnv, TornTailRepairIsMirrored) {
